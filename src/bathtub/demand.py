@@ -9,6 +9,7 @@ with S(t, 0) = 1 and S non-increasing in x.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
@@ -58,8 +59,8 @@ class ConstantInflux(InfluxProfile):
     rate_vph: float
 
     def __post_init__(self):
-        if self.rate_vph < 0:
-            raise DomainError("rate must be non-negative")
+        if not (math.isfinite(self.rate_vph) and self.rate_vph >= 0):
+            raise DomainError("rate must be finite and non-negative")
 
     def _rate(self, t):
         return self.rate_vph
@@ -380,10 +381,10 @@ class ExponentialProfile(InitialCondition):
     """lambda0 initial trips with exponential remaining distances, mean B."""
 
     def __init__(self, lambda0: float, B: float):
-        if lambda0 < 0:
-            raise DomainError("lambda0 must be non-negative")
-        if not B > 0:
-            raise DomainError("B must be positive")
+        if not (math.isfinite(lambda0) and lambda0 >= 0):
+            raise DomainError("lambda0 must be finite and non-negative")
+        if not (math.isfinite(B) and B > 0):
+            raise DomainError("B must be finite and positive")
         self.lambda0 = float(lambda0)
         self.B = float(B)
 

@@ -21,6 +21,7 @@ schemes and :func:`reconstruct_K` mutually consistent at first order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, List, Optional, Sequence
@@ -44,8 +45,8 @@ class MaxTime:
     T: float
 
     def __post_init__(self):
-        if not self.T > 0:
-            raise DomainError("horizon time must be positive")
+        if not (math.isfinite(self.T) and self.T > 0):
+            raise DomainError("horizon time must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -54,8 +55,8 @@ class MaxCumulativeDistance:
     Z: float
 
     def __post_init__(self):
-        if not self.Z > 0:
-            raise DomainError("horizon distance must be positive")
+        if not (math.isfinite(self.Z) and self.Z > 0):
+            raise DomainError("horizon distance must be finite and positive")
 
 
 Horizon = object  # MaxTime | MaxCumulativeDistance
@@ -66,9 +67,11 @@ class GridSpec:
     """Remaining-distance grid and stopping rule.
 
     ``X`` must be an integer multiple of ``dx``; ``dt`` is only consumed by
-    the fixed-step (integral) scheme.  When ``strict_truncation`` is set, a
-    run aborts if the mass of trips capped at X exceeds
-    ``truncation_tolerance`` times the total entering trips.
+    the fixed-step (integral) scheme.  A run ends in gridlock once the speed
+    drops below ``v_min``, which must be positive: every step taken then
+    advances z, which the integral scheme's live window relies on.  When
+    ``strict_truncation`` is set, a run aborts if the mass of trips capped
+    at X exceeds ``truncation_tolerance`` times the total entering trips.
     """
 
     dx: float
@@ -80,15 +83,17 @@ class GridSpec:
     truncation_tolerance: float = 1e-6
 
     def __post_init__(self):
-        if not self.dx > 0:
-            raise DomainError("dx must be positive")
-        if not self.X > 0:
-            raise DomainError("X must be positive")
+        if not (math.isfinite(self.dx) and self.dx > 0):
+            raise DomainError("dx must be finite and positive")
+        if not (math.isfinite(self.X) and self.X > 0):
+            raise DomainError("X must be finite and positive")
         n = self.X / self.dx
         if abs(n - round(n)) > 1e-9 * max(1.0, n):
             raise DomainError("X must be an integer multiple of dx")
-        if self.dt is not None and not self.dt > 0:
-            raise DomainError("dt must be positive")
+        if self.dt is not None and not (math.isfinite(self.dt) and self.dt > 0):
+            raise DomainError("dt must be finite and positive")
+        if not (math.isfinite(self.v_min) and self.v_min > 0):
+            raise DomainError("v_min must be finite and positive")
         if not isinstance(self.horizon, (MaxTime, MaxCumulativeDistance)):
             raise DomainError("horizon must be MaxTime or MaxCumulativeDistance")
 
@@ -112,8 +117,8 @@ class Scenario:
     ic: InitialCondition = field(default_factory=EmptyNetwork)
 
     def __post_init__(self):
-        if not self.L > 0:
-            raise DomainError("lane-miles L must be positive")
+        if not (math.isfinite(self.L) and self.L > 0):
+            raise DomainError("lane-miles L must be finite and positive")
 
 
 @dataclass
@@ -213,9 +218,12 @@ def _survival_capped_lin(dist: DistanceDistribution, t_arr, y_arr, dx: float,
     distance at X exactly as the characteristic update does.
     """
     t = np.asarray(t_arr, dtype=float)
-    y = np.asarray(y_arr, dtype=float)
-    k = np.floor(y / dx + 1e-9).astype(np.int64)
-    th = np.clip(y / dx - k, 0.0, None)
+    # th = max(y/dx - k, 0) is formed in place: reconstruct_K passes whole
+    # (x, entry) matrices, and one more live temporary raises its peak memory
+    th = np.asarray(y_arr, dtype=float) / dx
+    k = np.floor(th + 1e-9).astype(np.int64)
+    th -= k
+    np.maximum(th, 0.0, out=th)
     lo_ok = (k >= 0) & (k <= cells - 1)
     hi_ok = (k + 1 <= cells - 1)
     xlo = np.where(lo_ok, k, 0) * dx
@@ -337,6 +345,9 @@ class _Commodity:
         self.ic = ic
         self.grid = grid
         self.k0_nodes = ic.profile_array(grid.x_nodes()).astype(float)
+        # the negation of _profile_capped_lin's ``inside`` test: beyond this
+        # offset every initial trip has left
+        self.k0_reach = grid.cells * grid.dx + 1e-9 * grid.dx
 
 
 class _Buf:
@@ -361,6 +372,15 @@ def _march_integral(L: float, dt: float, horizon, coms: Sequence[_Commodity],
     """Fixed-step marcher shared by the single-commodity, mobility-service
     and multi-commodity solvers.  ``speed_of(t, lam, f, g)`` returns the
     per-commodity speed vector from the joint state.
+
+    Each step weights only the live window of the entering-mass log.  An
+    entry whose age z - entry_z has reached X (``cells`` cells, by the same
+    floor test as :func:`_survival_capped_lin`) has capped survival exactly
+    0.  Every step taken has v >= v_min > 0, so z never decreases: ages only
+    grow, and since ``entry_z`` is non-decreasing the dead entries form a
+    prefix of the log that stays dead.  One start index per commodity skips
+    that prefix; likewise the initial-profile term is 0 once z passes X.
+    The sum differs from one over the whole log only in summation order.
     """
     M = len(coms)
     lam = np.array([c.ic.lambda0 for c in coms], dtype=float)
@@ -379,6 +399,7 @@ def _march_integral(L: float, dt: float, horizon, coms: Sequence[_Commodity],
     ent_z = [_Buf() for _ in range(M)]
     ent_m = [_Buf() for _ in range(M)]
     truncated = [float(c.ic.tail_beyond(c.grid.X)) for c in coms]
+    start = [0] * M  # first live entry of each commodity's log
     for m in range(M):
         z_bufs[m].push(0.0)
         lam_bufs[m].push(lam[m])
@@ -405,14 +426,23 @@ def _march_integral(L: float, dt: float, horizon, coms: Sequence[_Commodity],
         lam_new = np.empty(M)
         for m in range(M):
             c = coms[m]
+            dx, cells = c.grid.dx, c.grid.cells
+            zm = z_new[m]
             ent_z[m].push(z[m])
             ent_m[m].push(f_vec[m] * dt)
             truncated[m] += f_vec[m] * dt * float(c.distances.tail_beyond(t, c.grid.X))
-            ages = z_new[m] - ent_z[m].view()
-            surv = _survival_capped_lin(c.distances, ent_t.view(), ages,
-                                        c.grid.dx, c.grid.cells)
-            boundary = float(np.dot(ent_m[m].view(), surv))
-            initial = float(_profile_capped_lin(c.k0_nodes, z_new[m], c.grid.dx))
+            ez = ent_z[m].view()
+            i = start[m]
+            while i < ez.size and (zm - ez[i]) / dx + 1e-9 >= cells:
+                i += 1
+            start[m] = i
+            surv = _survival_capped_lin(c.distances, ent_t.view()[i:], zm - ez[i:],
+                                        dx, cells)
+            boundary = float(np.dot(ent_m[m].view()[i:], surv))
+            if zm > c.k0_reach:
+                initial = 0.0
+            else:
+                initial = float(_profile_capped_lin(c.k0_nodes, zm, dx))
             lam_new[m] = initial + boundary
         Fc = Fc + f_vec * dt
         g_prev = ((lam0 + Fc - lam_new) - (lam0 + (Fc - f_vec * dt) - lam)) / dt
@@ -486,6 +516,12 @@ def solve_integral(s: Scenario) -> Trajectory:
     Each step evaluates lambda as the surviving initial trips plus the sum of
     the logged entering masses weighted by their survival at the distance
     already traveled since entry.  Requires ``grid.dt``.
+
+    Only the live window of the log is evaluated: a mass that has traveled
+    X or more since entry has survival exactly 0, and because every step
+    taken has v >= ``grid.v_min`` > 0, z never decreases, so such masses
+    form a prefix of the log that stays dead and is skipped.  A step costs
+    the number of live entries, not the length of the log.
 
     The mass entering during step j starts aging at the start of the step
     (``entry_z = z_j``), whereas ``solve_characteristic`` starts it at the

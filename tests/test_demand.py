@@ -36,6 +36,11 @@ class TestInflux:
         with pytest.raises(bt.DomainError):
             bt.PiecewiseLinearInflux([(0.0, -5.0), (1.0, 5.0)])
 
+    @pytest.mark.parametrize("rate", [math.nan, math.inf])
+    def test_non_finite_constant_rate_rejected(self, rate):
+        with pytest.raises(bt.DomainError):
+            bt.ConstantInflux(rate)
+
 
 class TestCumulativeInflow:
     def test_zero(self):
@@ -189,3 +194,9 @@ class TestInitialProfile:
     def test_rejects_increasing_counts(self):
         with pytest.raises(bt.DataError):
             bt.TabulatedProfile([0.0, 1.0], [5.0, 6.0])
+
+    @pytest.mark.parametrize("lam0, B", [(math.nan, 1.0), (math.inf, 1.0),
+                                         (100.0, math.inf)])
+    def test_exponential_rejects_non_finite(self, lam0, B):
+        with pytest.raises(bt.DomainError):
+            bt.ExponentialProfile(lam0, B)

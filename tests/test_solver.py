@@ -34,6 +34,31 @@ class TestGridSpec:
         with pytest.raises(bt.DomainError):
             bt.solve_integral(scen)
 
+    @pytest.mark.parametrize("v_min", [0.0, -1.0, math.inf, math.nan])
+    def test_v_min_must_be_finite_and_positive(self, v_min):
+        # with v_min = 0 a jammed characteristic step divides by zero and an
+        # integral run under a z horizon never ends
+        with pytest.raises(bt.DomainError):
+            bt.GridSpec(dx=2**-5, X=4.0, horizon=bt.MaxTime(1.0), v_min=v_min)
+
+    @pytest.mark.parametrize("field", ["dx", "X", "dt"])
+    def test_infinite_grid_length_rejected(self, field):
+        args = dict(dx=2**-5, X=4.0, dt=1e-3)
+        args[field] = math.inf
+        with pytest.raises(bt.DomainError):
+            bt.GridSpec(horizon=bt.MaxTime(1.0), **args)
+
+    @pytest.mark.parametrize("horizon", [bt.MaxTime, bt.MaxCumulativeDistance])
+    def test_infinite_horizon_rejected(self, horizon):
+        with pytest.raises(bt.DomainError):
+            horizon(math.inf)
+
+    def test_infinite_lane_miles_rejected(self):
+        scen = empty_scenario(bt.MaxTime(0.5))
+        with pytest.raises(bt.DomainError):
+            bt.Scenario(L=math.inf, fd=scen.fd, influx=scen.influx,
+                        distances=scen.distances, grid=scen.grid)
+
 
 class TestFreeFlow:
     def test_empty_network_runs_at_free_speed(self):
@@ -155,6 +180,42 @@ class TestReconstruction:
         traj = paper_char(2**-5)
         with pytest.raises(bt.DomainError):
             bt.reconstruct_K(traj, traj.t[-1] + 1.0, 0.0)
+
+
+def window_distances():
+    table = bt.TabulatedSurvival([0.0, 0.5, 1.0, 2.0, 3.0], [0.0, 0.5],
+                                 [[1.0, 0.8, 0.5, 0.2, 0.0],
+                                  [1.0, 0.9, 0.7, 0.3, 0.0]])
+    return {"uniform": bt.UniformDistances(1.2),
+            "exponential": bt.ExponentialDistances(0.8),
+            "deterministic": bt.DeterministicDistances(1.5),
+            "tabulated": table}
+
+
+class TestIntegralWindow:
+    """The march weights only the live window of the entering-mass log; a
+    full-log sum over every logged entry must give the same lambda."""
+
+    @pytest.mark.parametrize("ic", [bt.EmptyNetwork(),
+                                    bt.ExponentialProfile(300.0, 1.0)],
+                             ids=["empty", "exponential_ic"])
+    @pytest.mark.parametrize("kind", sorted(window_distances()))
+    def test_lambda_matches_full_log_sum(self, kind, ic):
+        dx, X = 2**-4, 2.0
+        grid = bt.GridSpec(dx=dx, X=X, horizon=bt.MaxCumulativeDistance(3 * X),
+                           dt=dx / 30.0)
+        scen = bt.Scenario(L=PAPER_L, fd=PAPER_FD,
+                           influx=bt.ConstantInflux(6000.0),
+                           distances=window_distances()[kind], grid=grid, ic=ic)
+        traj = bt.solve_integral(scen)
+        assert traj.z[-1] >= 3 * X
+        # step j carries the entries logged before it, aged to z_j
+        ref = np.array([traj.k0_fn(traj.z[j])
+                        + traj.survival_fn(traj.entry_t[:j],
+                                           traj.z[j] - traj.entry_z[:j])
+                        @ traj.entry_mass[:j]
+                        for j in range(traj.n_steps)])
+        np.testing.assert_allclose(traj.lam, ref, rtol=1e-12, atol=0.0)
 
 
 class TestOutflux:
