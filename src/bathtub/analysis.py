@@ -12,7 +12,7 @@ import numpy as np
 from .demand import DistanceDistribution, ExponentialDistances, InitialCondition
 from .diagrams import FundamentalDiagram, flow_slope_sign
 from .errors import ContractError, DomainError, TripNotCompleted
-from .solver import BathtubState, Trajectory, reconstruct_profile
+from .solver import BathtubState, Trajectory
 
 
 class StabilityClass(Enum):
@@ -276,7 +276,7 @@ def audit(traj: Trajectory, demand: Optional[DistanceDistribution] = None,
     scale = np.maximum(traj.lam[0] + traj.F, 1e-12)
     tt_steps = np.abs(traj.G - (traj.lam[0] + traj.F - traj.lam)) / scale
     if demand is None:
-        demand = traj.metadata.get("demand")
+        demand = traj.distances
 
     miles_steps = np.full(traj.t.size, np.nan)
     violations = 0
@@ -284,26 +284,15 @@ def audit(traj: Trajectory, demand: Optional[DistanceDistribution] = None,
     if traj.x_grid is not None:
         xg = traj.x_grid
         X = float(xg[-1])
-        dist = demand
-        if dist is None:
-            raise ContractError("audit needs the demand distribution for "
-                                "trip-miles accounting")
-        if traj.K_history is not None:
-            idx = np.arange(traj.t.size)
-            profiles = traj.K_history
-            get_row = lambda i: profiles[i]
-        else:
-            idx = np.unique(np.linspace(0, traj.t.size - 1,
-                                        min(max_profiles, traj.t.size)).astype(int))
-            get_row = lambda i: reconstruct_profile(traj, float(traj.t[i]))
-        bmean = np.asarray([float(dist.mean_distance_capped(float(s), X))
+        bmean = np.asarray([float(demand.mean_distance_capped(float(s), X))
                             for s in traj.t])
         added = _cumtrapz(traj.f * bmean, traj.t)
         processed = _cumtrapz(traj.lam * traj.v, traj.t)
-        initial_miles = float(np.trapezoid(get_row(0), xg)) if idx.size else 0.0
-        for i in idx:
-            row = get_row(i)
+        for i in traj.profile_steps(max_profiles):  # step 0 comes first
+            row = traj.profile(i)
             remaining = float(np.trapezoid(row, xg))
+            if i == 0:
+                initial_miles = remaining
             resid = initial_miles + added[i] - processed[i] - remaining
             miles_steps[i] = abs(resid)
             violations += int(np.sum(np.diff(row) > mono_tol))

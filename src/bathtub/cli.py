@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -62,7 +62,6 @@ class RunConfig:
     dz: Optional[float]
     outputs: Tuple[str, ...]
     output_dir: str
-    raw: Dict[str, str] = dc_field(default_factory=dict)
 
 
 def _scan(text: str) -> Dict[str, object]:
@@ -154,7 +153,11 @@ def _read_csv_columns(path: str, key: str) -> np.ndarray:
 
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a config; unknown keys and bad values are errors."""
-    raw = _scan(text)
+    return _config_from_raw(_scan(text))
+
+
+def _config_from_raw(raw: Dict[str, object]) -> RunConfig:
+    """Validate a scanned key -> value map into a :class:`RunConfig`."""
     unknown = sorted(set(raw) - _KNOWN)
     if unknown:
         raise ConfigError(f"unknown key(s): {', '.join(unknown)}")
@@ -191,8 +194,7 @@ def parse_config(text: str) -> RunConfig:
                     dx=_get_float(raw, "grid.dx"), X=_get_float(raw, "grid.X"),
                     dt=_get_float(raw, "grid.dt"), dz=_get_float(raw, "grid.dz"),
                     outputs=outputs,
-                    output_dir=str(raw.get("output_dir", ".")),
-                    raw={k: v for k, v in raw.items()})
+                    output_dir=str(raw.get("output_dir", ".")))
     _validate_model_requirements(cfg)
     return cfg
 
@@ -429,16 +431,9 @@ def _write_series(path: str, traj: solver.Trajectory):
 def _write_ksurface(path: str, traj: solver.Trajectory, max_rows: int = 257):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("t," + ",".join(_fmt(x) for x in traj.x_grid) + "\n")
-        if traj.K_history is not None:
-            idx = range(traj.n_steps)
-            rows = lambda j: traj.K_history[j]
-        else:
-            idx = np.unique(np.linspace(0, traj.n_steps - 1,
-                                        min(max_rows, traj.n_steps)).astype(int))
-            rows = lambda j: solver.reconstruct_profile(traj, float(traj.t[j]))
-        for j in idx:
+        for j in traj.profile_steps(max_rows):
             fh.write(_fmt(traj.t[j]) + "," +
-                     ",".join(_fmt(v) for v in rows(j)) + "\n")
+                     ",".join(_fmt(v) for v in traj.profile(j)) + "\n")
 
 
 def _write_audit(path: str, traj: solver.Trajectory,
@@ -513,7 +508,7 @@ def sweep(text: str, param: str, values: Sequence[float],
                "peak_lambda": float("nan"), "peak_t": float("nan"),
                "time_to_target": float("nan")}
         try:
-            cfg = _build_from_raw(raw)
+            cfg = _config_from_raw(raw)
             traj = execute(cfg)
             j = int(np.argmax(traj.lam))
             row["termination"] = traj.termination.value
@@ -552,17 +547,6 @@ def sweep(text: str, param: str, values: Sequence[float],
                                    _fmt(targets[i]), _fmt(targets[i + 1]),
                                    _fmt(order)]) + "\n")
     return 1 if any_failed else 0
-
-
-def _build_from_raw(raw: Dict[str, object]) -> RunConfig:
-    text_lines = []
-    for k, v in raw.items():
-        if k in _NODE_KEYS:
-            for chunk in v:  # type: ignore[union-attr]
-                text_lines.append(f"{k} = {chunk}")
-        else:
-            text_lines.append(f"{k} = {v}")
-    return parse_config("\n".join(text_lines))
 
 
 def load_config(path: str) -> RunConfig:

@@ -142,11 +142,18 @@ class RemainingStats:
 
 @dataclass
 class Trajectory:
-    """A solved run: aligned series, the entering-mass log, and metadata.
+    """A solved run: aligned series, the entering-mass log, and the data
+    that rebuilds K(t, x) from that log.
 
     ``entry_z`` holds, per logged entry, the cumulative-distance coordinate
     from which that mass ages in the discrete dynamics, so that
     :func:`reconstruct_K` reproduces the scheme's own K values exactly.
+    ``distances`` and ``ic`` are the run's distance law and initial
+    condition.  Deterministic runs log each entry's effective distance in
+    ``entry_theta`` instead of a distance law (their B~ may be given
+    against z).  ``G`` is derived from the counts, and ``g`` from
+    ``G`` unless the solver supplies it.  A trajectory holds data only, so
+    it pickles.
     """
 
     scheme: str
@@ -157,18 +164,28 @@ class Trajectory:
     v: np.ndarray
     f: np.ndarray
     F: np.ndarray
-    g: np.ndarray
-    G: np.ndarray
     entry_t: np.ndarray
     entry_z: np.ndarray
     entry_mass: np.ndarray
     termination: Termination
-    truncated_mass: float
+    distances: Optional[DistanceDistribution]
+    ic: InitialCondition
+    truncated_mass: float = 0.0
     x_grid: Optional[np.ndarray] = None
     K_history: Optional[np.ndarray] = None
+    entry_theta: Optional[np.ndarray] = None
+    g: Optional[np.ndarray] = None
     metadata: dict = field(default_factory=dict)
-    survival_fn: Optional[Callable] = None
-    k0_fn: Optional[Callable] = None
+    G: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        self.G = self.lam[0] + self.F - self.lam
+        if self.g is None:
+            self.g = np.zeros_like(self.t)
+            if self.t.size > 1:
+                self.g[:-1] = np.diff(self.G) / np.diff(self.t)
+                self.g[-1] = self.g[-2]
+        self.metadata.setdefault("termination", self.termination.value)
 
     @property
     def n_steps(self) -> int:
@@ -179,16 +196,27 @@ class Trajectory:
         return {"t": self.t, "z": self.z, "lambda": self.lam, "v": self.v,
                 "f": self.f, "F": self.F, "g": self.g, "G": self.G}
 
-    def state(self, j: int) -> BathtubState:
+    def profile(self, j: int, nodes: Optional[int] = None) -> np.ndarray:
+        """K at step ``j`` on the first ``nodes`` grid nodes (all by default):
+        the stored row when profiles are kept, else the reconstruction."""
         if self.x_grid is None:
             raise ContractError("this trajectory does not carry a distance grid")
         if self.K_history is not None:
-            K = self.K_history[j]
-        else:
-            K = reconstruct_profile(self, float(self.t[j]))
+            return self.K_history[j, :nodes]
+        return reconstruct_K(self, float(self.t[j]), self.x_grid[:nodes])
+
+    def profile_steps(self, limit: int) -> np.ndarray:
+        """Every step when profiles are stored, else at most ``limit``
+        evenly spaced steps (the first and the last among them)."""
+        if self.K_history is not None:
+            return np.arange(self.n_steps)
+        return np.unique(np.linspace(0, self.n_steps - 1,
+                                     min(limit, self.n_steps)).astype(int))
+
+    def state(self, j: int) -> BathtubState:
         return BathtubState(t=float(self.t[j]), z=float(self.z[j]),
                             lam=float(self.lam[j]), v=float(self.v[j]),
-                            x_grid=self.x_grid, K=np.asarray(K, dtype=float))
+                            x_grid=self.x_grid, K=self.profile(j))
 
     def states(self):
         for j in range(self.n_steps):
@@ -314,16 +342,11 @@ def solve_characteristic(s: Scenario) -> Trajectory:
         lam_list.append(float(K[0]))
         K_rows.append(K.copy())
 
-    t_arr = np.asarray(t_list)
-    lam_arr = np.asarray(lam_list)
-    z_arr = np.arange(t_arr.size) * dx
-    F_arr = np.asarray(F_list)
-    traj = _assemble(s, "characteristic", t_arr, z_arr, lam_arr,
-                     np.asarray(v_list), F_arr,
-                     np.asarray(ent_t), np.asarray(ent_z), np.asarray(ent_m),
-                     termination, truncated, x_nodes,
-                     K_history=np.asarray(K_rows))
-    return traj
+    return _gridded("characteristic", s.L, s.influx, s.distances, s.ic, grid,
+                    np.asarray(t_list), np.arange(len(t_list)) * dx,
+                    np.asarray(lam_list), np.asarray(v_list), np.asarray(F_list),
+                    np.asarray(ent_t), np.asarray(ent_z), np.asarray(ent_m),
+                    termination, truncated, K_history=np.asarray(K_rows))
 
 
 def _check_profile(K: np.ndarray):
@@ -367,7 +390,7 @@ class _Buf:
         return self.a[:self.n]
 
 
-def _march_integral(L: float, dt: float, horizon, coms: Sequence[_Commodity],
+def _march_integral(dt: float, horizon, coms: Sequence[_Commodity],
                     speed_of: Callable, v_min: float):
     """Fixed-step marcher shared by the single-commodity, mobility-service
     and multi-commodity solvers.  ``speed_of(t, lam, f, g)`` returns the
@@ -381,6 +404,8 @@ def _march_integral(L: float, dt: float, horizon, coms: Sequence[_Commodity],
     prefix of the log that stays dead.  One start index per commodity skips
     that prefix; likewise the initial-profile term is 0 once z passes X.
     The sum differs from one over the whole log only in summation order.
+    A step that would move z by more than one cell (v dt > dx) raises
+    :class:`DomainError`.
     """
     M = len(coms)
     lam = np.array([c.ic.lambda0 for c in coms], dtype=float)
@@ -427,6 +452,11 @@ def _march_integral(L: float, dt: float, horizon, coms: Sequence[_Commodity],
         for m in range(M):
             c = coms[m]
             dx, cells = c.grid.dx, c.grid.cells
+            vm = float(v_vec[m])
+            if vm * dt > dx * (1.0 + 1e-9):
+                raise DomainError(
+                    f"a step of dt = {dt:g} h at v = {vm:g} mph moves z by more "
+                    f"than one cell dx = {dx:g} mi; use dt <= dx/v = {dx / vm:g} h")
             zm = z_new[m]
             ent_z[m].push(z[m])
             ent_m[m].push(f_vec[m] * dt)
@@ -457,57 +487,31 @@ def _march_integral(L: float, dt: float, horizon, coms: Sequence[_Commodity],
             F_bufs[m].push(Fc[m])
 
     t_arr = t_buf.view().copy()
-    runs = []
-    for m in range(M):
-        runs.append((t_arr, z_bufs[m].view().copy(), lam_bufs[m].view().copy(),
-                     v_bufs[m].view().copy(), F_bufs[m].view().copy(),
-                     ent_t.view().copy(), ent_z[m].view().copy(),
-                     ent_m[m].view().copy(), truncated[m]))
-    return runs, termination
+    return [(t_arr, z_bufs[m].view().copy(), lam_bufs[m].view().copy(),
+             v_bufs[m].view().copy(), F_bufs[m].view().copy(),
+             ent_t.view().copy(), ent_z[m].view().copy(),
+             ent_m[m].view().copy(), termination, truncated[m])
+            for m in range(M)]
 
 
-def _assemble(s: Optional[Scenario], scheme: str, t, z, lam, v, F,
-              ent_t, ent_z, ent_m, termination, truncated, x_grid,
-              K_history=None, L=None, survival_fn=None, k0_fn=None,
-              metadata=None) -> Trajectory:
-    L = s.L if s is not None else L
-    lam0 = lam[0]
-    G = lam0 + F - lam
-    if t.size > 1:
-        dT = np.diff(t)
-        g = np.empty_like(t)
-        g[:-1] = np.diff(G) / dT
-        g[-1] = g[-2] if t.size > 2 else g[0]
-    else:
-        g = np.zeros_like(t)
-    if s is not None:
-        f_arr = s.influx.rate_array(t)
-        dx, cells = s.grid.dx, s.grid.cells
-        if survival_fn is None:
-            survival_fn = lambda ta, ya: _survival_capped_lin(s.distances, ta, ya, dx, cells)
-        if k0_fn is None:
-            nodes = s.ic.profile_array(s.grid.x_nodes()).astype(float)
-            k0_fn = lambda ya: _profile_capped_lin(nodes, ya, dx)
-        meta = {"dx": s.grid.dx, "X": s.grid.X, "horizon": s.grid.horizon,
-                "termination": termination.value, "demand": s.distances,
-                "ic": s.ic}
-        if s.grid.strict_truncation:
-            total_in = lam0 + F[-1]
-            if truncated > s.grid.truncation_tolerance * max(total_in, 1.0):
-                raise DataError(
-                    f"{truncated:.6g} trips were capped at the grid limit X, "
-                    f"more than the allowed fraction of the {total_in:.6g} total")
-    else:
-        f_arr = metadata.pop("_f_arr")
-        meta = {"termination": termination.value}
-    if metadata:
-        meta.update(metadata)
-    return Trajectory(scheme=scheme, L=L, t=t, z=z, lam=lam, v=v, f=f_arr,
-                      F=F, g=g, G=G, entry_t=ent_t, entry_z=ent_z,
+def _gridded(scheme: str, L: float, influx: InfluxProfile,
+             distances: DistanceDistribution, ic: InitialCondition,
+             grid: GridSpec, t, z, lam, v, F, ent_t, ent_z, ent_m,
+             termination, truncated, K_history=None) -> Trajectory:
+    """Trajectory of a run on ``grid``; enforces ``grid.strict_truncation``."""
+    if grid.strict_truncation:
+        total_in = lam[0] + F[-1]
+        if truncated > grid.truncation_tolerance * max(total_in, 1.0):
+            raise DataError(
+                f"{truncated:.6g} trips were capped at the grid limit X, "
+                f"more than the allowed fraction of the {total_in:.6g} total")
+    return Trajectory(scheme=scheme, L=L, t=t, z=z, lam=lam, v=v,
+                      f=influx.rate_array(t), F=F, entry_t=ent_t, entry_z=ent_z,
                       entry_mass=ent_m, termination=termination,
-                      truncated_mass=truncated, x_grid=x_grid,
-                      K_history=K_history, survival_fn=survival_fn,
-                      k0_fn=k0_fn, metadata=meta)
+                      distances=distances, ic=ic, truncated_mass=truncated,
+                      x_grid=grid.x_nodes(), K_history=K_history,
+                      metadata={"dx": grid.dx, "X": grid.X,
+                                "horizon": grid.horizon})
 
 
 def solve_integral(s: Scenario) -> Trajectory:
@@ -515,7 +519,8 @@ def solve_integral(s: Scenario) -> Trajectory:
 
     Each step evaluates lambda as the surviving initial trips plus the sum of
     the logged entering masses weighted by their survival at the distance
-    already traveled since entry.  Requires ``grid.dt``.
+    already traveled since entry.  Requires ``grid.dt``, short enough that
+    no step moves z by more than one cell (v dt <= dx).
 
     Only the live window of the log is evaluated: a mass that has traveled
     X or more since entry has survival exactly 0, and because every step
@@ -533,11 +538,9 @@ def solve_integral(s: Scenario) -> Trajectory:
         raise DomainError("solve_integral requires grid.dt")
     com = _Commodity(s.influx, s.distances, s.ic, s.grid)
     speed_of = lambda t, lam, f, g: np.array([s.fd.speed(lam[0] / s.L)])
-    runs, termination = _march_integral(s.L, s.grid.dt, s.grid.horizon,
-                                        [com], speed_of, s.grid.v_min)
-    (t, z, lam, v, F, et, ez, em, trunc) = runs[0]
-    return _assemble(s, "integral", t, z, lam, v, F, et, ez, em,
-                     termination, trunc, s.grid.x_nodes())
+    [run] = _march_integral(s.grid.dt, s.grid.horizon, [com], speed_of,
+                            s.grid.v_min)
+    return _gridded("integral", s.L, s.influx, s.distances, s.ic, s.grid, *run)
 
 
 def solve_mobility_service(s: Scenario, speed_relation,
@@ -568,11 +571,10 @@ def solve_mobility_service(s: Scenario, speed_relation,
         return np.array([speed_relation.speed(rho, lam[0], f[0], max(g[0], 0.0))])
 
     com = _Commodity(s.influx, s.distances, s.ic, s.grid)
-    runs, termination = _march_integral(s.L, s.grid.dt, s.grid.horizon,
-                                        [com], speed_of, s.grid.v_min)
-    (t, z, lam, v, F, et, ez, em, trunc) = runs[0]
-    return _assemble(s, "mobility_service", t, z, lam, v, F, et, ez, em,
-                     termination, trunc, s.grid.x_nodes())
+    [run] = _march_integral(s.grid.dt, s.grid.horizon, [com], speed_of,
+                            s.grid.v_min)
+    return _gridded("mobility_service", s.L, s.influx, s.distances, s.ic,
+                    s.grid, *run)
 
 
 @dataclass(frozen=True)
@@ -592,6 +594,8 @@ def solve_multi_commodity(L: float, commodities: Sequence[CommodityDemand],
     step).  With a single commodity whose relation depends only on its own
     density this reproduces :func:`solve_integral` exactly.
     """
+    if not (math.isfinite(L) and L > 0):
+        raise DomainError("lane-miles L must be finite and positive")
     if grid.dt is None:
         raise DomainError("solve_multi_commodity requires grid.dt")
     M = len(commodities)
@@ -606,29 +610,9 @@ def solve_multi_commodity(L: float, commodities: Sequence[CommodityDemand],
     def speed_of(t, lam, f, g):
         return np.array([rel(lam, f, np.maximum(g, 0.0)) for rel in speed_relations])
 
-    runs, termination = _march_integral(L, grid.dt, grid.horizon, coms,
-                                        speed_of, grid.v_min)
-    out = []
-    for m, c in enumerate(commodities):
-        (t, z, lam, v, F, et, ez, em, trunc) = runs[m]
-        s = Scenario(L=L, fd=_RelationDiagram(speed_relations[m], m),
-                     influx=c.influx, distances=c.distances, grid=grid, ic=c.ic)
-        out.append(_assemble(s, "multi_commodity", t, z, lam, v, F, et, ez, em,
-                             termination, trunc, grid.x_nodes()))
-    return out
-
-
-class _RelationDiagram(FundamentalDiagram):
-    """Placeholder diagram for multi-commodity trajectories; speed queries on
-    it are meaningless because the commodity's speed depends on the joint
-    state, so it raises if evaluated."""
-
-    def __init__(self, rel, m):
-        self._rel = rel
-        self._m = m
-
-    def _speed(self, rho):
-        raise ContractError("multi-commodity speed depends on the joint state")
+    runs = _march_integral(grid.dt, grid.horizon, coms, speed_of, grid.v_min)
+    return [_gridded("multi_commodity", L, c.influx, c.distances, c.ic, grid, *run)
+            for c, run in zip(commodities, runs)]
 
 
 # ---------------------------------------------------------------------------
@@ -638,11 +622,15 @@ class _RelationDiagram(FundamentalDiagram):
 def reconstruct_K(traj: Trajectory, t: float, x) -> float:
     """K(t, x) rebuilt from the initial profile and the entering-mass log.
 
-    Exact with respect to the discrete dynamics of the scheme that produced
-    the trajectory; ``t`` between stored steps interpolates z linearly.
+    ``t`` between stored steps interpolates z linearly.  The rebuild is
+    exact with respect to the discrete dynamics of the general schemes
+    (capped, grid-interpolated survival and initial profile, as in the
+    march) and of the deterministic and constant-distance solvers (a
+    deterministic entry counts while its effective distance exceeds
+    z + x + 1e-12, the march's own test).  Vickrey runs age each logged
+    mass by exp(-age/B), which differs from the Euler count by O(dt):
+    2.12 trips at a peak of 287 on the paper pulse with dt = 1e-3, B = 2.
     """
-    if traj.survival_fn is None or traj.k0_fn is None:
-        raise ContractError("trajectory does not support K reconstruction")
     if t < traj.t[0] - 1e-12 or t > traj.t[-1] + 1e-12:
         raise DomainError("t outside the solved range")
     scalar = np.isscalar(x) or np.ndim(x) == 0
@@ -653,14 +641,24 @@ def reconstruct_K(traj: Trajectory, t: float, x) -> float:
     # an entry logged at time s materializes in the state strictly after s,
     # so the state at t carries exactly the entries with s < t
     sel = traj.entry_t < t - 1e-12
-    out = traj.k0_fn(xx + z_t)
+    gridded = traj.x_grid is not None
+    if gridded:
+        dx, cells = float(traj.x_grid[1]), traj.x_grid.size - 1  # x_grid[1] is dx
+        nodes = traj.ic.profile_array(traj.x_grid).astype(float)
+        out = _profile_capped_lin(nodes, xx + z_t, dx)
+    else:
+        out = traj.ic.profile_array(xx + z_t)
     if np.any(sel):
         et = traj.entry_t[sel]
-        ez = traj.entry_z[sel]
-        em = traj.entry_mass[sel]
-        ages = xx[..., None] + (z_t - ez)
-        surv = traj.survival_fn(et, ages)
-        out = out + surv @ em
+        ages = xx[..., None] + (z_t - traj.entry_z[sel])
+        if gridded:
+            surv = _survival_capped_lin(traj.distances, et, ages, dx, cells)
+        elif traj.entry_theta is not None:
+            reach = (xx + z_t)[..., None] + 1e-12
+            surv = np.where(traj.entry_theta[sel] > reach, 1.0, 0.0)
+        else:
+            surv = traj.distances.survival_array(et, ages)
+        out = out + surv @ traj.entry_mass[sel]
     return float(out) if scalar else out
 
 
@@ -686,13 +684,9 @@ def outflux_from_profile(traj: Trajectory, max_points: int = 2048) -> np.ndarray
     if traj.x_grid is None:
         raise ContractError("trajectory does not carry a distance grid")
     dx = float(traj.x_grid[1] - traj.x_grid[0])
-    if traj.K_history is not None:
-        k0 = (traj.K_history[:, 0] - traj.K_history[:, 1]) / dx
-        return k0 * traj.v
     out = np.full(traj.n_steps, np.nan)
-    idx = np.unique(np.linspace(0, traj.n_steps - 1, min(max_points, traj.n_steps)).astype(int))
-    for j in idx:
-        K0, K1 = reconstruct_K(traj, float(traj.t[j]), np.array([0.0, dx]))
+    for j in traj.profile_steps(max_points):
+        K0, K1 = traj.profile(j, 2)
         out[j] = (K0 - K1) / dx * traj.v[j]
     return out
 

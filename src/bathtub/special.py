@@ -13,18 +13,26 @@ Three families admit reduced dynamics:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .demand import EmptyNetwork, InfluxProfile, InitialCondition
+from .demand import (DeterministicDistances, EmptyNetwork, ExponentialDistances,
+                     ExponentialProfile, InfluxProfile, InitialCondition)
 from .diagrams import FundamentalDiagram
 from .errors import ContractError, DataError, DomainError
 from .piecewise import PiecewiseLinear, as_profile
 from .solver import (MaxCumulativeDistance, MaxTime, Termination, Trajectory,
-                     _assemble, _Buf, reconstruct_profile)
+                     _Buf)
+
+
+def _finite_positive(**values):
+    bad = [k for k, v in values.items() if not (math.isfinite(v) and v > 0)]
+    if bad:
+        raise DomainError(f"{', '.join(bad)} must be finite and positive")
 
 
 # ---------------------------------------------------------------------------
@@ -45,10 +53,9 @@ class VickreyConfig:
     v_min: float = 1e-9
 
     def __post_init__(self):
-        if not (self.L > 0 and self.B > 0 and self.dt > 0):
-            raise DomainError("L, B and dt must be positive")
-        if self.lambda0 < 0:
-            raise DomainError("lambda0 must be non-negative")
+        _finite_positive(L=self.L, B=self.B, dt=self.dt, v_min=self.v_min)
+        if not (math.isfinite(self.lambda0) and self.lambda0 >= 0):
+            raise DomainError("lambda0 must be finite and non-negative")
         if not isinstance(self.horizon, (MaxTime, MaxCumulativeDistance)):
             raise DomainError("horizon must be MaxTime or MaxCumulativeDistance")
 
@@ -95,20 +102,15 @@ def solve_vickrey(c: VickreyConfig) -> Trajectory:
         F_l.append(F)
 
     t_arr = np.asarray(t_l)
-    B = c.B
-    survival_fn = lambda ta, ya: np.exp(-np.maximum(ya, 0.0) / B)
-    lam0 = float(c.lambda0)
-    k0_fn = lambda ya: lam0 * np.exp(-np.maximum(np.asarray(ya, float), 0.0) / B)
-    f_arr = c.influx.rate_array(t_arr)
-    traj = _assemble(None, "vickrey", t_arr, np.asarray(z_l), np.asarray(lam_l),
-                     np.asarray(v_l), np.asarray(F_l),
-                     np.asarray(ent_t), np.asarray(ent_z), np.asarray(ent_m),
-                     termination, 0.0, None, L=c.L,
-                     survival_fn=survival_fn, k0_fn=k0_fn,
-                     metadata={"_f_arr": f_arr, "B": B, "dt": c.dt})
     # the Vickrey out-flux lam*v/B replaces the conservation-difference column
-    traj.g = np.asarray(g_l)
-    return traj
+    return Trajectory(scheme="vickrey", L=c.L, t=t_arr, z=np.asarray(z_l),
+                      lam=np.asarray(lam_l), v=np.asarray(v_l),
+                      f=c.influx.rate_array(t_arr), F=np.asarray(F_l),
+                      entry_t=np.asarray(ent_t), entry_z=np.asarray(ent_z),
+                      entry_mass=np.asarray(ent_m), termination=termination,
+                      distances=ExponentialDistances(c.B),
+                      ic=ExponentialProfile(c.lambda0, c.B), g=np.asarray(g_l),
+                      metadata={"B": c.B, "dt": c.dt})
 
 
 @dataclass
@@ -134,19 +136,12 @@ def vickrey_equivalence_check(traj: Trajectory, B: float,
     if traj.x_grid is None:
         raise ContractError("profile comparison needs a trajectory with a grid")
     ref = np.exp(-traj.x_grid / B)
-    if traj.K_history is not None:
-        steps = range(traj.n_steps)
-        get_row = lambda j: traj.K_history[j]
-    else:
-        steps = np.unique(np.linspace(0, traj.n_steps - 1,
-                                      min(profile_samples, traj.n_steps)).astype(int))
-        get_row = lambda j: reconstruct_profile(traj, float(traj.t[j]))
     dev = 0.0
-    for j in steps:
+    for j in traj.profile_steps(profile_samples):
         lam = traj.lam[j]
         if lam <= 1e-9 * max(1.0, traj.lam.max()):
             continue
-        row = get_row(j) / lam
+        row = traj.profile(j) / lam
         dev = max(dev, float(np.max(np.abs(row - ref))))
 
     lam_dev = float("nan")
@@ -199,8 +194,7 @@ class DeterministicConfig:
     v_min: float = 1e-9
 
     def __post_init__(self):
-        if not (self.L > 0 and self.dz > 0):
-            raise DomainError("L and dz must be positive")
+        _finite_positive(L=self.L, dz=self.dz, v_min=self.v_min)
         if self.btilde_coordinate not in ("t", "z"):
             raise DomainError("btilde_coordinate must be 't' or 'z'")
         pl = as_profile(self.btilde, extend="clamp")
@@ -262,28 +256,13 @@ def solve_deterministic(c: DeterministicConfig) -> Trajectory:
         F_l.append(F_next)
 
     t_arr = np.asarray(t_l)
-    theta_by_entry = theta_buf.view().copy()
-    ez = np.asarray(ent_z)
-
-    def survival_fn(ta, ya):
-        # active strictly while age < Btilde(entry); entries are logged in
-        # time order, so a reconstruction over the first n entries sees a
-        # prefix of the per-entry distances
-        ya = np.asarray(ya, dtype=float)
-        n = ya.shape[-1] if ya.ndim else theta_by_entry.size
-        bt = (theta_by_entry - ez)[:n]
-        return np.where(ya < bt, 1.0, 0.0)
-
-    k0_fn = lambda ya: c.ic.profile_array(np.asarray(ya, dtype=float))
-    f_arr = c.influx.rate_array(t_arr)
-    traj = _assemble(None, "deterministic", t_arr, np.asarray(z_l),
-                     np.asarray(lam_l), np.asarray(v_l), np.asarray(F_l),
-                     np.asarray(ent_t), ez, mass_buf.view().copy(),
-                     termination, 0.0, None, L=c.L,
-                     survival_fn=survival_fn, k0_fn=k0_fn,
-                     metadata={"_f_arr": f_arr, "dz": dz,
-                               "entry_theta": theta_by_entry})
-    return traj
+    return Trajectory(scheme="deterministic", L=c.L, t=t_arr, z=np.asarray(z_l),
+                      lam=np.asarray(lam_l), v=np.asarray(v_l),
+                      f=c.influx.rate_array(t_arr), F=np.asarray(F_l),
+                      entry_t=np.asarray(ent_t), entry_z=np.asarray(ent_z),
+                      entry_mass=mass_buf.view().copy(), termination=termination,
+                      distances=None, ic=c.ic,
+                      entry_theta=theta_buf.view().copy(), metadata={"dz": dz})
 
 
 def classify_regime(c: DeterministicConfig, traj: Trajectory,
@@ -323,7 +302,7 @@ def theta_inverse(traj: Trajectory, z_exit: float, tol: float = 1e-12) -> float:
     monotone segment containing the crossing; raises if theta is not
     monotone there (an internal consistency failure of a declared regime).
     """
-    theta = traj.metadata.get("entry_theta")
+    theta = traj.entry_theta
     if theta is None:
         raise ContractError("trajectory carries no effective-distance log")
     ez = traj.entry_z
@@ -485,15 +464,13 @@ def solve_constant_distance(c: DeterministicConfig) -> Tuple[Trajectory, TripFra
         lam_l.append(lam)
 
     t_arr = np.asarray(t_l)
-    survival_fn = lambda ta, ya: np.where(np.asarray(ya, float) <= B, 1.0, 0.0)
-    k0_fn = lambda ya: np.zeros_like(np.asarray(ya, dtype=float))
-    f_arr = c.influx.rate_array(t_arr)
-    traj = _assemble(None, "constant_distance", t_arr, np.asarray(z_l),
-                     np.asarray(lam_l), np.asarray(v_l), np.asarray(F_l),
-                     np.asarray(ent_t), np.asarray(ent_z), np.asarray(ent_m),
-                     termination, 0.0, None, L=c.L,
-                     survival_fn=survival_fn, k0_fn=k0_fn,
-                     metadata={"_f_arr": f_arr, "dz": dz, "Btilde": B})
+    traj = Trajectory(scheme="constant_distance", L=c.L, t=t_arr,
+                      z=np.asarray(z_l), lam=np.asarray(lam_l), v=np.asarray(v_l),
+                      f=c.influx.rate_array(t_arr), F=np.asarray(F_l),
+                      entry_t=np.asarray(ent_t), entry_z=np.asarray(ent_z),
+                      entry_mass=np.asarray(ent_m), termination=termination,
+                      distances=DeterministicDistances(B), ic=c.ic,
+                      metadata={"dz": dz, "Btilde": B})
     frame = TripFrame(Btilde=B, z=traj.z, tau=traj.t, F=traj.F, G=traj.G)
     return traj, frame
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import bathtub as bt
+from bathtub.solver import _profile_capped_lin, _survival_capped_lin
 from helpers import (PAPER_FD, PAPER_L, paper_btilde, paper_char,
                      paper_integral, paper_pulse, paper_scenario)
 
@@ -210,12 +211,44 @@ class TestIntegralWindow:
         traj = bt.solve_integral(scen)
         assert traj.z[-1] >= 3 * X
         # step j carries the entries logged before it, aged to z_j
-        ref = np.array([traj.k0_fn(traj.z[j])
-                        + traj.survival_fn(traj.entry_t[:j],
-                                           traj.z[j] - traj.entry_z[:j])
+        nodes = ic.profile_array(grid.x_nodes()).astype(float)
+        ref = np.array([_profile_capped_lin(nodes, traj.z[j], dx)
+                        + _survival_capped_lin(scen.distances, traj.entry_t[:j],
+                                               traj.z[j] - traj.entry_z[:j],
+                                               dx, grid.cells)
                         @ traj.entry_mass[:j]
                         for j in range(traj.n_steps)])
         np.testing.assert_allclose(traj.lam, ref, rtol=1e-12, atol=0.0)
+
+
+class TestIntegralStepGuard:
+    """A fixed step that moves z by more than one cell is rejected.  Here a
+    3-mile step with X = 1 aged every entry past X before it was counted,
+    and the run reported lambda = 0 while trips kept entering."""
+
+    GRID = dict(dx=0.5, X=1.0, horizon=bt.MaxTime(1.0))
+
+    def test_integral_rejects_step_longer_than_a_cell(self):
+        scen = bt.Scenario(L=PAPER_L, fd=PAPER_FD, influx=bt.ConstantInflux(600.0),
+                           distances=bt.UniformDistances(0.5),
+                           grid=bt.GridSpec(dt=0.1, **self.GRID))
+        with pytest.raises(bt.DomainError, match=r"dt <= dx/v"):
+            bt.solve_integral(scen)
+
+    def test_multi_commodity_rejects_step_longer_than_a_cell(self):
+        com = bt.CommodityDemand(bt.ConstantInflux(600.0), bt.UniformDistances(0.5))
+        with pytest.raises(bt.DomainError, match=r"dt <= dx/v"):
+            bt.solve_multi_commodity(
+                PAPER_L, [com], [lambda lam, f, g: PAPER_FD.speed(lam[0] / PAPER_L)],
+                bt.GridSpec(dt=0.1, **self.GRID))
+
+    def test_step_of_exactly_one_cell_is_accepted(self):
+        scen = bt.Scenario(L=PAPER_L, fd=PAPER_FD, influx=bt.ConstantInflux(600.0),
+                           distances=bt.UniformDistances(0.5),
+                           grid=bt.GridSpec(dt=0.5 / 30.0, **self.GRID))
+        traj = bt.solve_integral(scen)
+        assert traj.termination is bt.Termination.HORIZON
+        assert traj.lam.max() > 0.0
 
 
 class TestOutflux:

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import bathtub as bt
-from helpers import PAPER_FD, paper_pulse, stationary_exponential_scenario
+from helpers import (PAPER_FD, PAPER_L, paper_btilde, paper_pulse,
+                     stationary_exponential_scenario)
 
 GS = bt.Greenshields(30.0, 200.0)
 
@@ -161,7 +162,7 @@ class TestDeterministicSolve:
                                      influx=bt.ConstantInflux(500.0), dz=2**-5,
                                      horizon=bt.MaxCumulativeDistance(5.0))
         traj = bt.solve_deterministic(cfg)
-        theta = traj.metadata["entry_theta"]
+        theta = traj.entry_theta
         # strictly increasing effective distances: exits follow entries
         assert np.all(np.diff(theta) > 0)
         exits = [traj.time_to_distance(th) for th in theta[10:60:10]]
@@ -174,18 +175,27 @@ class TestDeterministicSolve:
                                      influx=bt.ConstantInflux(200.0), dz=2**-6,
                                      horizon=bt.MaxCumulativeDistance(5.0))
         traj = bt.solve_deterministic(cfg)
-        theta = traj.metadata["entry_theta"]
+        theta = traj.entry_theta
         seg = theta[:3]  # inside the falling stretch
         assert np.all(np.diff(seg) < 0)
         exits = [traj.time_to_distance(th) for th in seg]
         assert exits[0] > exits[1] > exits[2]
+
+    def test_reconstruction_follows_the_march(self):
+        # an entry counts while theta > z + x + 1e-12, as in the march
+        cfg = bt.DeterministicConfig(L=PAPER_L, fd=PAPER_FD, btilde=paper_btilde(),
+                                     influx=paper_pulse(), dz=2**-7,
+                                     horizon=bt.MaxCumulativeDistance(30.0))
+        traj = bt.solve_deterministic(cfg)
+        rec = np.array([bt.reconstruct_K(traj, float(t), 0.0) for t in traj.t])
+        np.testing.assert_allclose(rec, traj.lam, rtol=1e-9, atol=0.0)
 
     def test_theta_inverse_recovers_entry_point(self):
         cfg = bt.DeterministicConfig(L=10.0, fd=PAPER_FD, btilde=2.0,
                                      influx=bt.ConstantInflux(500.0), dz=2**-5,
                                      horizon=bt.MaxCumulativeDistance(5.0))
         traj = bt.solve_deterministic(cfg)
-        theta = traj.metadata["entry_theta"]
+        theta = traj.entry_theta
         i = 40
         z_entry = bt.theta_inverse(traj, float(theta[i]))
         assert z_entry == pytest.approx(traj.entry_z[i], abs=1e-9)
@@ -334,3 +344,36 @@ class TestTripFrame:
         res = bt.delay_formulation_check(traj, frame)
         # only trips that complete before the jam are sampled
         assert res.max_flow_residual < 1e-6
+
+
+class TestConfigValidation:
+    @staticmethod
+    def vickrey(**kw):
+        args = dict(L=10.0, fd=PAPER_FD, B=2.0, lambda0=0.0,
+                    influx=bt.ConstantInflux(100.0), dt=1e-3,
+                    horizon=bt.MaxTime(1.0))
+        return bt.VickreyConfig(**dict(args, **kw))
+
+    @staticmethod
+    def deterministic(**kw):
+        args = dict(L=10.0, fd=PAPER_FD, btilde=2.0,
+                    influx=bt.ConstantInflux(100.0), dz=2**-5,
+                    horizon=bt.MaxTime(1.0))
+        return bt.DeterministicConfig(**dict(args, **kw))
+
+    @pytest.mark.parametrize("v_min", [0.0, -1.0, math.nan])
+    @pytest.mark.parametrize("make", ["vickrey", "deterministic"])
+    def test_v_min_must_be_finite_and_positive(self, make, v_min):
+        # with v_min = 0 a jammed z-grid step divides by a zero speed
+        with pytest.raises(bt.DomainError, match="v_min"):
+            getattr(self, make)(v_min=v_min)
+
+    @pytest.mark.parametrize("field", ["L", "B", "dt", "lambda0"])
+    def test_vickrey_rejects_infinite_values(self, field):
+        with pytest.raises(bt.DomainError):
+            self.vickrey(**{field: math.inf})
+
+    @pytest.mark.parametrize("field", ["L", "dz"])
+    def test_deterministic_rejects_infinite_values(self, field):
+        with pytest.raises(bt.DomainError):
+            self.deterministic(**{field: math.inf})
