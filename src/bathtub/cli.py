@@ -431,9 +431,9 @@ def _write_series(path: str, traj: solver.Trajectory):
 def _write_ksurface(path: str, traj: solver.Trajectory, max_rows: int = 257):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("t," + ",".join(_fmt(x) for x in traj.x_grid) + "\n")
-        for j in traj.profile_steps(max_rows):
-            fh.write(_fmt(traj.t[j]) + "," +
-                     ",".join(_fmt(v) for v in traj.profile(j)) + "\n")
+        steps = traj.profile_steps(max_rows)
+        for j, row in zip(steps, traj.profiles(steps)):
+            fh.write(_fmt(traj.t[j]) + "," + ",".join(_fmt(v) for v in row) + "\n")
 
 
 def _write_audit(path: str, traj: solver.Trajectory,

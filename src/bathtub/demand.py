@@ -34,8 +34,14 @@ class InfluxProfile:
     def _rate(self, t):
         raise NotImplementedError
 
-    def rate_array(self, t: np.ndarray) -> np.ndarray:
-        return np.asarray([self._rate(float(tt)) for tt in np.asarray(t)])
+    def rate_array(self, t) -> np.ndarray:
+        t = np.asarray(t, dtype=float)
+        if not np.all((t >= 0) & (t < np.inf)):
+            raise DomainError("times must be finite and non-negative")
+        return self._rate_array(t)
+
+    def _rate_array(self, t):
+        return np.asarray([self._rate(float(tt)) for tt in t])
 
     def cumulative(self, t: float) -> float:
         """Exact integral of the rate over [0, t]; 0 for t <= 0."""
@@ -47,8 +53,8 @@ class ZeroInflux(InfluxProfile):
     def _rate(self, t):
         return 0.0
 
-    def rate_array(self, t):
-        return np.zeros_like(np.asarray(t, dtype=float))
+    def _rate_array(self, t):
+        return np.zeros_like(t)
 
     def cumulative(self, t):
         return 0.0
@@ -65,8 +71,8 @@ class ConstantInflux(InfluxProfile):
     def _rate(self, t):
         return self.rate_vph
 
-    def rate_array(self, t):
-        return np.full(np.asarray(t, dtype=float).shape, self.rate_vph)
+    def _rate_array(self, t):
+        return np.full(t.shape, self.rate_vph)
 
     def cumulative(self, t):
         return self.rate_vph * max(0.0, float(t))
@@ -91,8 +97,8 @@ class PiecewiseLinearInflux(InfluxProfile):
     def _rate(self, t):
         return float(self._pl(t))
 
-    def rate_array(self, t):
-        return self._pl(np.asarray(t, dtype=float))
+    def _rate_array(self, t):
+        return self._pl(t)
 
     def cumulative(self, t):
         return self._pl.integral(t)
@@ -118,8 +124,7 @@ class TrapezoidalPulse(InfluxProfile):
     def _rate(self, t):
         return max(0.0, min(self.ramp * t, self.plateau, self.ramp * (self.end - t)))
 
-    def rate_array(self, t):
-        t = np.asarray(t, dtype=float)
+    def _rate_array(self, t):
         return np.maximum(0.0, np.minimum(self.ramp * t,
                                           np.minimum(self.plateau,
                                                      self.ramp * (self.end - t))))
@@ -160,7 +165,7 @@ class DistanceDistribution:
                                          np.asarray(x, dtype=float)))
 
     def survival_array(self, t, x) -> np.ndarray:
-        """Vectorized survival; ``t`` and ``x`` broadcast together."""
+        """Vectorized survival (``t``, ``x`` broadcast); unchecked: it runs per step."""
         raise NotImplementedError
 
     def mean_distance(self, t: float) -> float:

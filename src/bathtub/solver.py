@@ -147,13 +147,13 @@ class Trajectory:
 
     ``entry_z`` holds, per logged entry, the cumulative-distance coordinate
     from which that mass ages in the discrete dynamics, so that
-    :func:`reconstruct_K` reproduces the scheme's own K values exactly.
-    ``distances`` and ``ic`` are the run's distance law and initial
-    condition.  Deterministic runs log each entry's effective distance in
-    ``entry_theta`` instead of a distance law (their B~ may be given
-    against z).  ``G`` is derived from the counts, and ``g`` from
-    ``G`` unless the solver supplies it.  A trajectory holds data only, so
-    it pickles.
+    :func:`reconstruct_K` and :meth:`profiles`, its batch form, reproduce
+    the scheme's own K values exactly.  ``distances`` and ``ic`` are the
+    run's distance law and initial condition.  Deterministic runs log each
+    entry's effective distance in ``entry_theta`` instead of a distance
+    law (their B~ may be given against z).  ``G`` is derived from the
+    counts, and ``g`` from ``G`` unless the solver supplies it.  A
+    trajectory holds data only, so it pickles.
     """
 
     scheme: str
@@ -196,14 +196,22 @@ class Trajectory:
         return {"t": self.t, "z": self.z, "lambda": self.lam, "v": self.v,
                 "f": self.f, "F": self.F, "g": self.g, "G": self.G}
 
-    def profile(self, j: int, nodes: Optional[int] = None) -> np.ndarray:
-        """K at step ``j`` on the first ``nodes`` grid nodes (all by default):
-        the stored row when profiles are kept, else the reconstruction."""
+    def profiles(self, steps, nodes: Optional[int] = None) -> np.ndarray:
+        """Rows of K at ``steps`` on the first ``nodes`` grid nodes (all by
+        default): the stored rows (a view for contiguous steps), else one
+        batched rebuild from the log, windowed as :func:`reconstruct_K`."""
         if self.x_grid is None:
             raise ContractError("this trajectory does not carry a distance grid")
-        if self.K_history is not None:
-            return self.K_history[j, :nodes]
-        return reconstruct_K(self, float(self.t[j]), self.x_grid[:nodes])
+        steps = np.arange(self.n_steps)[steps].reshape(-1)
+        if self.K_history is None:
+            return _rebuild(self, self.t[steps], self.x_grid[:nodes])
+        if steps.size and np.all(np.diff(steps) == 1):
+            return self.K_history[steps[0]:steps[-1] + 1, :nodes]
+        return self.K_history[steps, :nodes]
+
+    def profile(self, j: int, nodes: Optional[int] = None) -> np.ndarray:
+        """K at step ``j`` on the first ``nodes`` grid nodes."""
+        return self.profiles([j], nodes)[0]
 
     def profile_steps(self, limit: int) -> np.ndarray:
         """Every step when profiles are stored, else at most ``limit``
@@ -214,13 +222,15 @@ class Trajectory:
                                      min(limit, self.n_steps)).astype(int))
 
     def state(self, j: int) -> BathtubState:
-        return BathtubState(t=float(self.t[j]), z=float(self.z[j]),
-                            lam=float(self.lam[j]), v=float(self.v[j]),
-                            x_grid=self.x_grid, K=self.profile(j))
+        return next(self.states([j]))
 
-    def states(self):
-        for j in range(self.n_steps):
-            yield self.state(j)
+    def states(self, steps=None):
+        """States at ``steps`` (all by default), profiles built in one batch."""
+        steps = np.arange(self.n_steps) if steps is None else steps
+        for j, K in zip(steps, self.profiles(steps)):
+            yield BathtubState(t=float(self.t[j]), z=float(self.z[j]),
+                               lam=float(self.lam[j]), v=float(self.v[j]),
+                               x_grid=self.x_grid, K=K)
 
     def time_to_distance(self, Z: float) -> float:
         """Time at which z first reaches Z, by linear interpolation."""
@@ -246,8 +256,7 @@ def _survival_capped_lin(dist: DistanceDistribution, t_arr, y_arr, dx: float,
     distance at X exactly as the characteristic update does.
     """
     t = np.asarray(t_arr, dtype=float)
-    # th = max(y/dx - k, 0) is formed in place: reconstruct_K passes whole
-    # (x, entry) matrices, and one more live temporary raises its peak memory
+    # th = max(y/dx - k, 0) is formed in place, saving a temporary per call
     th = np.asarray(y_arr, dtype=float) / dx
     k = np.floor(th + 1e-9).astype(np.int64)
     th -= k
@@ -619,45 +628,71 @@ def solve_multi_commodity(L: float, commodities: Sequence[CommodityDemand],
 # reconstruction and derived views
 # ---------------------------------------------------------------------------
 
+_CHUNK = 16  # steps per rebuild chunk, which share one survival table
+
+
+def _rebuild(traj: Trajectory, t: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """K of a gridded run at times ``t`` (one row each) and offsets ``x``."""
+    dx, cells = float(traj.x_grid[1]), traj.x_grid.size - 1  # x_grid[1] is dx
+    k0 = traj.ic.profile_array(traj.x_grid).astype(float)
+    et, ez, em = traj.entry_t, traj.entry_z, traj.entry_mass
+    z = np.interp(t, traj.t, traj.z)
+    # entries logged strictly before t, then the prefix of them aged X or more
+    hi = np.searchsorted(et, t - 1e-12)
+    lo = np.array([np.count_nonzero((zr - ez[:h]) / dx + 1e-9 >= cells)
+                   for zr, h in zip(z, hi)], dtype=np.int64)
+    out = np.empty((t.size, x.size))
+    for a in range(0, t.size, _CHUNK):
+        rows = range(a, min(a + _CHUNK, t.size))
+        base, top = lo[rows].min(), hi[rows].max()
+        surv = traj.distances.survival_array(et[base:top, None], np.arange(cells) * dx)
+        flat = np.pad(surv, ((0, 0), (0, 2))).ravel()  # a pair with k >= cells reads 0
+        for r in rows:
+            th = (x[:, None] + (z[r] - ez[lo[r]:hi[r]])) / dx
+            k = np.floor(th + 1e-9)
+            th = np.maximum(th - k, 0.0)
+            idx = np.clip(k, 0, cells).astype(np.int64)
+            idx += np.arange(lo[r] - base, hi[r] - base) * (cells + 2)
+            s = (1.0 - th) * flat[idx] + th * flat[idx + 1]
+            s[k < 0] = 0.0  # between steps an entry's age can be negative
+            out[r] = _profile_capped_lin(k0, x + z[r], dx) + s @ em[lo[r]:hi[r]]
+    return out
+
+
 def reconstruct_K(traj: Trajectory, t: float, x) -> float:
     """K(t, x) rebuilt from the initial profile and the entering-mass log.
 
-    ``t`` between stored steps interpolates z linearly.  The rebuild is
-    exact with respect to the discrete dynamics of the general schemes
-    (capped, grid-interpolated survival and initial profile, as in the
-    march) and of the deterministic and constant-distance solvers (a
-    deterministic entry counts while its effective distance exceeds
-    z + x + 1e-12, the march's own test).  Vickrey runs age each logged
-    mass by exp(-age/B), which differs from the Euler count by O(dt):
-    2.12 trips at a peak of 287 on the paper pulse with dt = 1e-3, B = 2.
+    ``t`` between stored steps interpolates z linearly; a non-finite ``t``
+    or ``x`` raises :class:`DomainError`.  Gridded runs skip the entries
+    logged after t and the prefix aged X or more, tabulate the live
+    entries' node survivals S(t_i, k dx) once per chunk of steps, and let
+    each (x, entry) pair read them with its own floor test, as the march
+    counts.  A deterministic entry counts while its effective distance
+    exceeds z + x + 1e-12, the march's own test.  Vickrey runs age each
+    logged mass by exp(-age/B), which differs from the Euler count by
+    O(dt): 2.12 trips at a peak of 287 on the paper pulse, dt = 1e-3, B = 2.
     """
-    if t < traj.t[0] - 1e-12 or t > traj.t[-1] + 1e-12:
-        raise DomainError("t outside the solved range")
     scalar = np.isscalar(x) or np.ndim(x) == 0
     xx = np.asarray(x, dtype=float)
+    if not (np.isfinite(t) and np.all(np.isfinite(xx))):
+        raise DomainError("t and x must be finite")
+    if t < traj.t[0] - 1e-12 or t > traj.t[-1] + 1e-12:
+        raise DomainError("t outside the solved range")
     if np.any(xx < 0):
         raise DomainError("x must be non-negative")
+    if traj.x_grid is not None:
+        out = _rebuild(traj, np.array([t], float), xx.reshape(-1))[0].reshape(xx.shape)
+        return float(out) if scalar else out
     z_t = float(np.interp(t, traj.t, traj.z))
-    # an entry logged at time s materializes in the state strictly after s,
-    # so the state at t carries exactly the entries with s < t
+    out = traj.ic.profile_array(xx + z_t)
     sel = traj.entry_t < t - 1e-12
-    gridded = traj.x_grid is not None
-    if gridded:
-        dx, cells = float(traj.x_grid[1]), traj.x_grid.size - 1  # x_grid[1] is dx
-        nodes = traj.ic.profile_array(traj.x_grid).astype(float)
-        out = _profile_capped_lin(nodes, xx + z_t, dx)
-    else:
-        out = traj.ic.profile_array(xx + z_t)
     if np.any(sel):
-        et = traj.entry_t[sel]
-        ages = xx[..., None] + (z_t - traj.entry_z[sel])
-        if gridded:
-            surv = _survival_capped_lin(traj.distances, et, ages, dx, cells)
-        elif traj.entry_theta is not None:
+        if traj.entry_theta is not None:
             reach = (xx + z_t)[..., None] + 1e-12
             surv = np.where(traj.entry_theta[sel] > reach, 1.0, 0.0)
         else:
-            surv = traj.distances.survival_array(et, ages)
+            ages = xx[..., None] + (z_t - traj.entry_z[sel])
+            surv = traj.distances.survival_array(traj.entry_t[sel], ages)
         out = out + surv @ traj.entry_mass[sel]
     return float(out) if scalar else out
 
@@ -685,9 +720,9 @@ def outflux_from_profile(traj: Trajectory, max_points: int = 2048) -> np.ndarray
         raise ContractError("trajectory does not carry a distance grid")
     dx = float(traj.x_grid[1] - traj.x_grid[0])
     out = np.full(traj.n_steps, np.nan)
-    for j in traj.profile_steps(max_points):
-        K0, K1 = traj.profile(j, 2)
-        out[j] = (K0 - K1) / dx * traj.v[j]
+    steps = traj.profile_steps(max_points)
+    K = traj.profiles(steps, 2)
+    out[steps] = (K[:, 0] - K[:, 1]) / dx * traj.v[steps]
     return out
 
 

@@ -137,12 +137,12 @@ def vickrey_equivalence_check(traj: Trajectory, B: float,
         raise ContractError("profile comparison needs a trajectory with a grid")
     ref = np.exp(-traj.x_grid / B)
     dev = 0.0
-    for j in traj.profile_steps(profile_samples):
+    steps = traj.profile_steps(profile_samples)
+    for j, row in zip(steps, traj.profiles(steps)):
         lam = traj.lam[j]
         if lam <= 1e-9 * max(1.0, traj.lam.max()):
             continue
-        row = traj.profile(j) / lam
-        dev = max(dev, float(np.max(np.abs(row - ref))))
+        dev = max(dev, float(np.max(np.abs(row / lam - ref))))
 
     lam_dev = float("nan")
     if influx is not None and fd is not None:

@@ -42,6 +42,35 @@ class TestInflux:
             bt.ConstantInflux(rate)
 
 
+class _RateOnly(bt.InfluxProfile):
+    """A profile that defines only the scalar rate."""
+
+    def _rate(self, t):
+        return 3.0 * t
+
+
+INFLUX_PROFILES = {
+    "zero": bt.ZeroInflux(), "constant": bt.ConstantInflux(5.0),
+    "piecewise": bt.PiecewiseLinearInflux([(0.0, 1.0), (2.0, 3.0)]),
+    "pulse": paper_pulse(), "rate_only": _RateOnly()}
+
+
+class TestRateArray:
+    """``rate_array`` checks its times as ``rate`` does, in every profile."""
+
+    @pytest.mark.parametrize("name", sorted(INFLUX_PROFILES))
+    @pytest.mark.parametrize("bad", [-1.0, -1e-300, math.nan, math.inf])
+    def test_bad_time_rejected(self, name, bad):
+        with pytest.raises(bt.DomainError):
+            INFLUX_PROFILES[name].rate_array([0.0, bad, 0.5])
+
+    @pytest.mark.parametrize("name", sorted(INFLUX_PROFILES))
+    def test_matches_scalar_rate(self, name):
+        prof = INFLUX_PROFILES[name]
+        ts = np.array([0.0, 0.1, 0.5, 0.95, 1.5, 3.0])
+        assert np.array_equal(prof.rate_array(ts), [prof.rate(t) for t in ts])
+        assert prof.rate_array(np.array([])).shape == (0,)
+
 class TestCumulativeInflow:
     def test_zero(self):
         assert bt.cumulative_inflow(bt.ZeroInflux(), 7.0) == 0.0

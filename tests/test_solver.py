@@ -1,10 +1,12 @@
+import dataclasses
+import functools
 import math
 
 import numpy as np
 import pytest
 
 import bathtub as bt
-from bathtub.solver import _profile_capped_lin, _survival_capped_lin
+from bathtub.solver import _CHUNK, _profile_capped_lin, _survival_capped_lin
 from helpers import (PAPER_FD, PAPER_L, paper_btilde, paper_char,
                      paper_integral, paper_pulse, paper_scenario)
 
@@ -193,32 +195,121 @@ def window_distances():
             "tabulated": table}
 
 
+def full_log_K(traj, t, xs):
+    """K(t, x) summed over every entry logged before t, none skipped."""
+    dx, cells = traj.metadata["dx"], traj.x_grid.size - 1
+    z = np.interp(t, traj.t, traj.z)
+    sel = traj.entry_t < t - 1e-12
+    nodes = traj.ic.profile_array(traj.x_grid).astype(float)
+    ages = xs[:, None] + (z - traj.entry_z[sel])
+    return (_profile_capped_lin(nodes, xs + z, dx)
+            + _survival_capped_lin(traj.distances, traj.entry_t[sel], ages, dx, cells)
+            @ traj.entry_mass[sel])
+
+
+@functools.lru_cache(maxsize=None)
+def window_run(kind, ic_kind):
+    dx, X = 2**-4, 2.0
+    ic = bt.EmptyNetwork() if ic_kind == "empty" else bt.ExponentialProfile(300.0, 1.0)
+    grid = bt.GridSpec(dx=dx, X=X, horizon=bt.MaxCumulativeDistance(3 * X),
+                       dt=dx / 30.0)
+    return bt.solve_integral(bt.Scenario(L=PAPER_L, fd=PAPER_FD,
+                                         influx=bt.ConstantInflux(6000.0),
+                                         distances=window_distances()[kind],
+                                         grid=grid, ic=ic))
+
+
 class TestIntegralWindow:
     """The march weights only the live window of the entering-mass log; a
     full-log sum over every logged entry must give the same lambda."""
 
-    @pytest.mark.parametrize("ic", [bt.EmptyNetwork(),
-                                    bt.ExponentialProfile(300.0, 1.0)],
-                             ids=["empty", "exponential_ic"])
+    @pytest.mark.parametrize("ic_kind", ["empty", "exponential_ic"])
     @pytest.mark.parametrize("kind", sorted(window_distances()))
-    def test_lambda_matches_full_log_sum(self, kind, ic):
-        dx, X = 2**-4, 2.0
-        grid = bt.GridSpec(dx=dx, X=X, horizon=bt.MaxCumulativeDistance(3 * X),
-                           dt=dx / 30.0)
-        scen = bt.Scenario(L=PAPER_L, fd=PAPER_FD,
-                           influx=bt.ConstantInflux(6000.0),
-                           distances=window_distances()[kind], grid=grid, ic=ic)
-        traj = bt.solve_integral(scen)
-        assert traj.z[-1] >= 3 * X
+    def test_lambda_matches_full_log_sum(self, kind, ic_kind):
+        traj = window_run(kind, ic_kind)
+        assert traj.z[-1] >= 3 * traj.metadata["X"]
         # step j carries the entries logged before it, aged to z_j
-        nodes = ic.profile_array(grid.x_nodes()).astype(float)
-        ref = np.array([_profile_capped_lin(nodes, traj.z[j], dx)
-                        + _survival_capped_lin(scen.distances, traj.entry_t[:j],
-                                               traj.z[j] - traj.entry_z[:j],
-                                               dx, grid.cells)
-                        @ traj.entry_mass[:j]
-                        for j in range(traj.n_steps)])
+        ref = np.array([full_log_K(traj, t, np.zeros(1))[0] for t in traj.t])
         np.testing.assert_allclose(traj.lam, ref, rtol=1e-12, atol=0.0)
+
+
+class TestProfiles:
+    """``Trajectory.profiles`` rebuilds K in one batch from the live window
+    of the log and a table of node survivals; every row must equal a sum
+    over the whole log, and stored rows come back unchanged."""
+
+    @pytest.mark.parametrize("ic_kind", ["empty", "exponential_ic"])
+    @pytest.mark.parametrize("kind", sorted(window_distances()))
+    def test_rows_match_full_log_sum(self, kind, ic_kind):
+        traj = window_run(kind, ic_kind)
+        assert traj.z[-1] >= 3 * traj.metadata["X"]
+        rows = traj.profiles(np.arange(traj.n_steps))
+        assert rows.shape == (traj.n_steps, traj.x_grid.size)
+        ref = np.array([full_log_K(traj, t, traj.x_grid) for t in traj.t])
+        np.testing.assert_allclose(rows, ref, rtol=1e-12, atol=0.0)
+
+    def test_step_count_not_a_multiple_of_the_chunk(self):
+        traj = window_run("uniform", "exponential_ic")
+        steps = np.arange(5, traj.n_steps, 3)[:2 * _CHUNK + 3]
+        assert steps.size % _CHUNK != 0
+        rows = traj.profiles(steps, 9)
+        ref = np.array([full_log_K(traj, traj.t[j], traj.x_grid[:9]) for j in steps])
+        np.testing.assert_allclose(rows, ref, rtol=1e-12, atol=0.0)
+        # one-step calls and unordered batches give the same rows
+        np.testing.assert_allclose(traj.profile(int(steps[-1]), 9), ref[-1],
+                                   rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(traj.profiles(steps[::-1], 9), ref[::-1],
+                                   rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("kind", sorted(window_distances()))
+    def test_reconstruct_K_off_grid(self, kind):
+        traj = window_run(kind, "exponential_ic")
+        dx = traj.metadata["dx"]
+        xs = np.array([0.0, 0.37, 1.3, 5.5, 31.77, 32.2, 40.0]) * dx
+        for j in (1, traj.n_steps // 3, traj.n_steps - 1):
+            t = float(traj.t[j])
+            np.testing.assert_allclose(bt.reconstruct_K(traj, t, xs),
+                                       full_log_K(traj, t, xs), rtol=1e-12, atol=0.0)
+
+    def test_reconstruct_K_between_steps(self):
+        # a characteristic entry ages from the end of its step, so between
+        # steps the newest entry has a negative age at small x
+        stored = bt.solve_characteristic(paper_scenario(2**-4, stop=6.0))
+        traj = dataclasses.replace(stored, K_history=None)
+        dx = traj.metadata["dx"]
+        xs = np.array([0.0, 0.2, 0.5, 0.99, 1.0, 1.4, 7.3]) * dx
+        for j in (3, traj.n_steps // 2, traj.n_steps - 2):
+            t = float(0.6 * traj.t[j] + 0.4 * traj.t[j + 1])
+            got = bt.reconstruct_K(traj, t, xs)
+            np.testing.assert_allclose(got, full_log_K(traj, t, xs),
+                                       rtol=1e-12, atol=0.0)
+
+    def test_stored_rows_are_returned_bitwise(self):
+        traj = paper_char(2**-5)
+        every = traj.profiles(traj.profile_steps(9))
+        assert np.shares_memory(every, traj.K_history)
+        assert np.array_equal(every, traj.K_history)
+        steps = np.array([0, 4, 5, 17, traj.n_steps - 1])
+        assert np.array_equal(traj.profiles(steps, 7), traj.K_history[steps, :7])
+        assert np.array_equal(traj.profile(-1), traj.K_history[-1])
+
+    def test_states_use_the_batched_rows(self):
+        traj = window_run("exponential", "exponential_ic")
+        rows = traj.profiles(np.arange(traj.n_steps))
+        states = list(traj.states())
+        assert len(states) == traj.n_steps
+        assert all(np.array_equal(st.K, row) for st, row in zip(states, rows))
+        assert np.array_equal(traj.state(7).K, rows[7])
+
+    @pytest.mark.parametrize("t, x", [(math.nan, 0.0), (None, math.nan),
+                                      (None, math.inf), (math.inf, 0.0)])
+    def test_non_finite_query_rejected(self, t, x):
+        traj = paper_integral(2**-5)
+        t = float(traj.t[-1]) if t is None else t
+        with pytest.raises(bt.DomainError):
+            bt.reconstruct_K(traj, t, x)
+        with pytest.raises(bt.DomainError):
+            bt.reconstruct_K(traj, t, np.array([0.0, x]))
 
 
 class TestIntegralStepGuard:

@@ -116,3 +116,20 @@ def test_stored_profile_equals_its_reconstruction(ramp, plateau, distances, ic):
     for j in rebuilt.profile_steps(9):
         np.testing.assert_allclose(rebuilt.profile(j), stored.profile(j),
                                    rtol=0.0, atol=tol)
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(ramp=st.floats(500.0, 20000.0), plateau=st.floats(100.0, 4000.0),
+       distances=_distances, ic=_initial)
+def test_rebuilt_profiles_are_monotone_and_start_at_lambda(ramp, plateau,
+                                                          distances, ic):
+    grid = bt.GridSpec(dx=2**-3, X=2.0, horizon=bt.MaxCumulativeDistance(6.0),
+                       dt=2**-3 / 30.0)
+    traj = bt.solve_integral(bt.Scenario(
+        L=PAPER_L, fd=PAPER_FD, influx=bt.TrapezoidalPulse(ramp, plateau, 1.0),
+        distances=distances, grid=grid, ic=ic))
+    K = traj.profiles(np.arange(traj.n_steps))
+    tol = 1e-9 * max(1.0, float(traj.lam.max()))
+    assert np.all(K >= 0.0)
+    assert np.all(np.diff(K, axis=1) <= tol)
+    np.testing.assert_allclose(K[:, 0], traj.lam, rtol=1e-12, atol=tol * 1e-3)
