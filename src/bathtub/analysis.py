@@ -9,7 +9,7 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from .demand import DistanceDistribution, ExponentialDistances, InitialCondition
+from .demand import DistanceDistribution, ExponentialDistances
 from .diagrams import FundamentalDiagram, flow_slope_sign
 from .errors import ContractError, DomainError, TripNotCompleted
 from .solver import BathtubState, Trajectory
@@ -258,7 +258,7 @@ class AuditReport:
 
 
 def audit(traj: Trajectory, demand: Optional[DistanceDistribution] = None,
-          ic: Optional[InitialCondition] = None, max_profiles: int = 129) -> AuditReport:
+          max_profiles: int = 129) -> AuditReport:
     """Check conservation of total trips and of trip-miles at stored steps.
 
     The total-trip identity G = lam(0) + F - lam is checked relative to the
@@ -269,9 +269,9 @@ def audit(traj: Trajectory, demand: Optional[DistanceDistribution] = None,
     from the stored history or reconstructed on at most ``max_profiles``
     steps.  Monotonicity violations count grid pairs with K increasing in x.
 
-    ``demand`` defaults to the distribution stored with the trajectory;
-    ``ic`` is accepted for interface symmetry but the initial trip-miles are
-    read from the stored step-0 profile, which already embeds it.
+    ``demand`` defaults to the distribution stored with the trajectory.
+    The initial trip-miles are read from the step-0 profile, which already
+    embeds the initial condition.
     """
     scale = np.maximum(traj.lam[0] + traj.F, 1e-12)
     tt_steps = np.abs(traj.G - (traj.lam[0] + traj.F - traj.lam)) / scale

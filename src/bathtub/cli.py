@@ -13,6 +13,7 @@ Exit codes: 0 run reached its horizon, 1 error, 2 run ended in gridlock
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -22,21 +23,19 @@ import numpy as np
 
 from . import analysis, demand as demand_mod, diagrams, solver, special
 from .errors import BathtubError, ConfigError
+from .piecewise import PiecewiseLinear
 
-_FLOAT_KEYS = {
-    "network.L": (0.0, False), "fd.u": (0.0, False), "fd.w": (0.0, False),
-    "fd.kappa": (0.0, False), "fd.C": (0.0, False),
-    "demand.influx.ramp": (0.0, False), "demand.influx.plateau": (0.0, False),
-    "demand.influx.end": (0.0, False), "demand.influx.rate": (0.0, True),
-    "demand.distance.B": (0.0, False), "ic.lambda0": (0.0, True),
-    "ic.B": (0.0, False), "grid.dx": (0.0, False), "grid.X": (0.0, False),
-    "grid.dt": (0.0, False), "grid.dz": (0.0, False),
-}
+# Numeric keys must be finite and positive; these two may also be zero.
+_FLOAT_KEYS = {"network.L", "fd.u", "fd.w", "fd.kappa", "fd.C",
+               "demand.influx.ramp", "demand.influx.plateau", "demand.influx.end",
+               "demand.influx.rate", "demand.distance.B", "ic.lambda0", "ic.B",
+               "grid.dx", "grid.X", "grid.dt", "grid.dz"}
+_ZERO_OK = {"demand.influx.rate", "ic.lambda0"}
 _STR_KEYS = {"fd.variant", "demand.influx.kind", "demand.distance.kind",
              "demand.table", "fd.table", "ic.kind", "ic.table", "grid.stop",
              "model.kind", "model.scheme", "outputs", "output_dir"}
 _NODE_KEYS = {"demand.distance.Btilde_nodes", "demand.influx.nodes"}
-_KNOWN = set(_FLOAT_KEYS) | _STR_KEYS | _NODE_KEYS
+_KNOWN = _FLOAT_KEYS | _STR_KEYS | _NODE_KEYS
 
 _OUTPUTS = ("series", "ksurface", "audit", "traveltimes")
 
@@ -111,27 +110,53 @@ def _parse_nodes(key: str, chunks: List[str]) -> List[Tuple[float, float]]:
     return nodes
 
 
-def _get_float(raw: Dict[str, object], key: str) -> Optional[float]:
-    if key not in raw:
-        return None
+def _float(key: str, text: str) -> float:
     try:
-        v = float(raw[key])  # type: ignore[arg-type]
+        v = float(text)
     except ValueError:
-        raise ConfigError(f"{key}: not a number: {raw[key]!r}") from None
-    lo, inclusive = _FLOAT_KEYS[key]
-    if (v < lo) or (v == lo and not inclusive):
-        bound = "non-negative" if inclusive else "positive"
+        raise ConfigError(f"{key}: not a number: {text!r}") from None
+    if not math.isfinite(v):
+        raise ConfigError(f"{key}: must be finite, got {v}")
+    if v < 0 or (v == 0 and key not in _ZERO_OK):
+        bound = "non-negative" if key in _ZERO_OK else "positive"
         raise ConfigError(f"{key}: must be {bound}, got {v}")
     return v
 
 
-def _require(raw, key, kind_desc):
-    if key not in raw:
-        raise ConfigError(f"{key} is required {kind_desc}")
-    return raw[key]
+def _need(vals: Dict[str, object], label: str, keys: Sequence[str]):
+    missing = [key for key in keys if vals.get(key) is None]
+    if missing:
+        raise ConfigError(f"{label} needs {', '.join(missing)}")
 
 
-def _read_csv_columns(path: str, key: str) -> np.ndarray:
+def _kind(vals: Dict[str, object], key: str, table, default: str = "") -> str:
+    kind = str(vals.get(key, default)).strip()
+    if kind not in table:
+        raise ConfigError(f"{key} must be one of {', '.join(table)}, got {kind!r}")
+    return kind
+
+
+def _build(vals: Dict[str, object], kind_key: str, table, default: str = ""):
+    """The kind named by ``kind_key`` and the object its row of ``table``
+    builds: the row's constructor called with the values of its keys, each
+    of which must be set.  A :class:`BathtubError` from the constructor
+    becomes a :class:`ConfigError` naming those keys."""
+    kind = _kind(vals, kind_key, table, default)
+    make, keys = table[kind]
+    _need(vals, f"{kind_key}={kind}", keys)
+    return kind, _call(", ".join(keys), make, *(vals[key] for key in keys))
+
+
+def _call(label: str, make, *args):
+    try:
+        return make(*args)
+    except ConfigError:
+        raise
+    except BathtubError as exc:
+        raise ConfigError(f"{label}: {exc}") from None
+
+
+def _read_csv_columns(path: str, key: str) -> List[List[float]]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = [ln.strip() for ln in fh if ln.strip()]
@@ -151,6 +176,70 @@ def _read_csv_columns(path: str, key: str) -> np.ndarray:
     return rows
 
 
+def _two_columns(make, key: str, names: str):
+    """A row constructor that reads the two-column table at the path set
+    by ``key`` and returns ``make(first_column, second_column)``."""
+    def build(path: str):
+        rows = _read_csv_columns(path, key)
+        if any(len(r) != 2 for r in rows):
+            raise ConfigError(f"{key}: expected two columns {names}")
+        return make([r[0] for r in rows], [r[1] for r in rows])
+    return build
+
+
+def _tabulated_survival(path: str) -> demand_mod.DistanceDistribution:
+    rows = _read_csv_columns(path, "demand.table")
+    x_grid, body = rows[0], rows[1:]
+    if any(len(r) != len(x_grid) + 1 for r in body):
+        raise ConfigError("demand.table: row lengths do not match the x grid")
+    return demand_mod.TabulatedSurvival(x_grid, [r[0] for r in body],
+                                        [r[1:] for r in body])
+
+
+# The mean of a distance law: demand.distance.Btilde_nodes when given, else
+# the constant demand.distance.B.  Not a config key, only a row's label.
+_MEAN = "demand.distance.B or Btilde_nodes"
+
+# kind -> (constructor, the keys whose values it takes in order)
+_FD = {
+    "triangular": (diagrams.Triangular, ("fd.u", "fd.w", "fd.kappa")),
+    "trapezoidal": (diagrams.Trapezoidal, ("fd.u", "fd.C", "fd.w", "fd.kappa")),
+    "greenshields": (diagrams.Greenshields, ("fd.u", "fd.kappa")),
+    "tabulated": (_two_columns(diagrams.TabulatedSpeed, "fd.table", "density,speed"),
+                  ("fd.table",)),
+}
+_INFLUX = {
+    "zero": (demand_mod.ZeroInflux, ()),
+    "constant": (demand_mod.ConstantInflux, ("demand.influx.rate",)),
+    "pulse": (demand_mod.TrapezoidalPulse, ("demand.influx.ramp",
+                                            "demand.influx.plateau",
+                                            "demand.influx.end")),
+    "piecewise_linear": (demand_mod.PiecewiseLinearInflux, ("demand.influx.nodes",)),
+}
+_DISTANCES = {
+    "exponential": (demand_mod.ExponentialDistances, (_MEAN,)),
+    "uniform": (demand_mod.UniformDistances, (_MEAN,)),
+    "deterministic": (demand_mod.DeterministicDistances, (_MEAN,)),
+    "tabulated": (_tabulated_survival, ("demand.table",)),
+}
+_IC = {
+    "empty": (demand_mod.EmptyNetwork, ()),
+    "exponential": (demand_mod.ExponentialProfile, ("ic.lambda0", "ic.B")),
+    "tabulated": (_two_columns(demand_mod.TabulatedProfile, "ic.table", "x,count"),
+                  ("ic.table",)),
+}
+_SCHEMES = ("characteristic", "integral")
+
+# model.kind -> (keys it needs, the demand.distance.kind it solves or None
+# for any, the outputs it can write)
+_MODELS = {
+    "generalized": (("grid.dx", "grid.X"), None, _OUTPUTS),
+    "vickrey": (("grid.dt", "demand.distance.B"), "exponential", ("series", "audit")),
+    "deterministic": (("grid.dz",), "deterministic", ("series",)),
+    "constant": (("grid.dz", "demand.distance.B"), "deterministic", ("series", "audit")),
+}
+
+
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a config; unknown keys and bad values are errors."""
     return _config_from_raw(_scan(text))
@@ -161,42 +250,52 @@ def _config_from_raw(raw: Dict[str, object]) -> RunConfig:
     unknown = sorted(set(raw) - _KNOWN)
     if unknown:
         raise ConfigError(f"unknown key(s): {', '.join(unknown)}")
-
-    L = _get_float(raw, "network.L")
-    if L is None:
+    # every numeric and node-list key is checked, whether or not a kind uses it
+    vals = {key: _float(key, text) if key in _FLOAT_KEYS
+            else _parse_nodes(key, text) if key in _NODE_KEYS else text
+            for key, text in raw.items()}
+    if "network.L" not in vals:
         raise ConfigError("network.L is required")
+    if "grid.stop" not in vals:
+        raise ConfigError("grid.stop is required (e.g. grid.stop = z:30)")
 
-    fd = _build_fd(raw)
-    influx = _build_influx(raw)
-    model_kind = str(raw.get("model.kind", "")).strip()
-    if model_kind not in ("generalized", "vickrey", "deterministic", "constant"):
-        raise ConfigError("model.kind must be one of generalized, vickrey, "
-                          "deterministic, constant")
-    scheme = str(raw.get("model.scheme", "characteristic")).strip()
-    if scheme not in ("characteristic", "integral"):
-        raise ConfigError("model.scheme must be characteristic or integral")
+    nodes = vals.get("demand.distance.Btilde_nodes")
+    vals[_MEAN] = (vals.get("demand.distance.B") if nodes is None else
+                   _call("demand.distance.Btilde_nodes", PiecewiseLinear, *zip(*nodes)))
 
-    dist_kind, distances, btilde, B = _build_distances(raw, model_kind)
-    ic = _build_ic(raw)
-    stop = _parse_stop(_require(raw, "grid.stop", "(e.g. grid.stop = z:30)"))
+    _, fd = _build(vals, "fd.variant", _FD)
+    _, influx = _build(vals, "demand.influx.kind", _INFLUX)
+    dist_kind, distances = _build(vals, "demand.distance.kind", _DISTANCES)
+    _, ic = _build(vals, "ic.kind", _IC, default="empty")
+    model_kind = _kind(vals, "model.kind", _MODELS)
+    scheme = _kind(vals, "model.scheme", _SCHEMES, default="characteristic")
+    stop = _parse_stop(vals["grid.stop"])
 
-    outputs_raw = str(raw.get("outputs", "series"))
+    needs, model_distance, model_outputs = _MODELS[model_kind]
+    _need(vals, f"model.kind={model_kind}", needs)
+    if model_kind == "generalized" and scheme == "integral":
+        _need(vals, "model.scheme=integral", ("grid.dt",))
+    if model_distance not in (None, dist_kind):
+        raise ConfigError(f"model.kind={model_kind} needs "
+                          f"demand.distance.kind={model_distance}")
+    outputs_raw = str(vals.get("outputs", "series"))
     outputs = tuple(s.strip() for s in outputs_raw.split(",") if s.strip())
+    if not outputs:
+        raise ConfigError("outputs: empty list")
     for o in outputs:
         if o not in _OUTPUTS:
             raise ConfigError(f"outputs: unknown output {o!r}")
-    if not outputs:
-        raise ConfigError("outputs: empty list")
+        if o not in model_outputs:
+            raise ConfigError(f"outputs={o} is not available for "
+                              f"model.kind={model_kind}")
 
-    cfg = RunConfig(L=L, fd=fd, influx=influx, distance_kind=dist_kind,
-                    distances=distances, btilde=btilde, B=B, ic=ic,
-                    model_kind=model_kind, scheme=scheme, stop=stop,
-                    dx=_get_float(raw, "grid.dx"), X=_get_float(raw, "grid.X"),
-                    dt=_get_float(raw, "grid.dt"), dz=_get_float(raw, "grid.dz"),
-                    outputs=outputs,
-                    output_dir=str(raw.get("output_dir", ".")))
-    _validate_model_requirements(cfg)
-    return cfg
+    return RunConfig(L=vals["network.L"], fd=fd, influx=influx,
+                     distance_kind=dist_kind, distances=distances,
+                     btilde=vals[_MEAN], B=vals.get("demand.distance.B"), ic=ic,
+                     model_kind=model_kind, scheme=scheme, stop=stop,
+                     dx=vals.get("grid.dx"), X=vals.get("grid.X"),
+                     dt=vals.get("grid.dt"), dz=vals.get("grid.dz"),
+                     outputs=outputs, output_dir=str(vals.get("output_dir", ".")))
 
 
 def _parse_stop(text: str) -> Tuple[str, float]:
@@ -210,190 +309,16 @@ def _parse_stop(text: str) -> Tuple[str, float]:
         v = float(val)
     except ValueError:
         raise ConfigError(f"grid.stop: not a number: {val!r}") from None
-    if v <= 0:
-        raise ConfigError("grid.stop: target must be positive")
+    if not 0 < v < math.inf:
+        raise ConfigError("grid.stop: target must be finite and positive")
     return kind, v
-
-
-def _build_fd(raw) -> diagrams.FundamentalDiagram:
-    variant = str(_require(raw, "fd.variant", "")).strip()
-    u = _get_float(raw, "fd.u")
-    w = _get_float(raw, "fd.w")
-    kappa = _get_float(raw, "fd.kappa")
-    C = _get_float(raw, "fd.C")
-    if variant == "triangular":
-        if None in (u, w, kappa):
-            raise ConfigError("fd.variant=triangular needs fd.u, fd.w, fd.kappa")
-        return diagrams.Triangular(u=u, w=w, kappa=kappa)
-    if variant == "trapezoidal":
-        if None in (u, C, w, kappa):
-            raise ConfigError("fd.variant=trapezoidal needs fd.u, fd.C, fd.w, "
-                              "fd.kappa")
-        return diagrams.Trapezoidal(u=u, C=C, w=w, kappa=kappa)
-    if variant == "greenshields":
-        if None in (u, kappa):
-            raise ConfigError("fd.variant=greenshields needs fd.u, fd.kappa")
-        return diagrams.Greenshields(u=u, kappa=kappa)
-    if variant == "tabulated":
-        path = _require(raw, "fd.table", "for fd.variant=tabulated")
-        rows = _read_csv_columns(str(path), "fd.table")
-        if any(len(r) != 2 for r in rows):
-            raise ConfigError("fd.table: expected two columns density,speed")
-        d = [r[0] for r in rows]
-        v = [r[1] for r in rows]
-        try:
-            return diagrams.TabulatedSpeed(tuple(d), tuple(v))
-        except BathtubError as exc:
-            raise ConfigError(f"fd.table: {exc}") from None
-    raise ConfigError(f"fd.variant: unknown variant {variant!r}")
-
-
-def _build_influx(raw) -> demand_mod.InfluxProfile:
-    kind = str(_require(raw, "demand.influx.kind", "")).strip()
-    if kind == "zero":
-        return demand_mod.ZeroInflux()
-    if kind == "constant":
-        rate = _get_float(raw, "demand.influx.rate")
-        if rate is None:
-            raise ConfigError("demand.influx.kind=constant needs "
-                              "demand.influx.rate")
-        return demand_mod.ConstantInflux(rate)
-    if kind == "pulse":
-        ramp = _get_float(raw, "demand.influx.ramp")
-        plateau = _get_float(raw, "demand.influx.plateau")
-        end = _get_float(raw, "demand.influx.end")
-        if None in (ramp, plateau, end):
-            raise ConfigError("demand.influx.kind=pulse needs ramp, plateau, end")
-        return demand_mod.TrapezoidalPulse(ramp=ramp, plateau=plateau, end=end)
-    if kind == "piecewise_linear":
-        if "demand.influx.nodes" not in raw:
-            raise ConfigError("demand.influx.kind=piecewise_linear needs "
-                              "demand.influx.nodes")
-        nodes = _parse_nodes("demand.influx.nodes", raw["demand.influx.nodes"])
-        try:
-            return demand_mod.PiecewiseLinearInflux(nodes)
-        except BathtubError as exc:
-            raise ConfigError(f"demand.influx.nodes: {exc}") from None
-    raise ConfigError(f"demand.influx.kind: unknown kind {kind!r}")
-
-
-def _btilde_profile(raw):
-    from .piecewise import PiecewiseLinear
-    if "demand.distance.Btilde_nodes" in raw:
-        nodes = _parse_nodes("demand.distance.Btilde_nodes",
-                             raw["demand.distance.Btilde_nodes"])
-        ts = [a for a, _ in nodes]
-        bs = [b for _, b in nodes]
-        try:
-            return PiecewiseLinear(ts, bs, extend="clamp")
-        except BathtubError as exc:
-            raise ConfigError(f"demand.distance.Btilde_nodes: {exc}") from None
-    return None
-
-
-def _build_distances(raw, model_kind):
-    kind = str(_require(raw, "demand.distance.kind", "")).strip()
-    B = _get_float(raw, "demand.distance.B")
-    btilde = _btilde_profile(raw)
-    param = btilde if btilde is not None else B
-    try:
-        if kind == "exponential":
-            if param is None:
-                raise ConfigError("demand.distance.B or Btilde_nodes required")
-            return kind, demand_mod.ExponentialDistances(param), param, B
-        if kind == "uniform":
-            if param is None:
-                raise ConfigError("demand.distance.B or Btilde_nodes required")
-            return kind, demand_mod.UniformDistances(param), param, B
-        if kind == "deterministic":
-            if param is None:
-                raise ConfigError("demand.distance.B or Btilde_nodes required")
-            return kind, demand_mod.DeterministicDistances(param), param, B
-        if kind == "tabulated":
-            path = _require(raw, "demand.table", "for demand.distance.kind=tabulated")
-            rows = _read_csv_columns(str(path), "demand.table")
-            x_grid = rows[0]
-            t_grid = [r[0] for r in rows[1:]]
-            values = [r[1:] for r in rows[1:]]
-            if any(len(v) != len(x_grid) for v in values):
-                raise ConfigError("demand.table: row lengths do not match the "
-                                  "x grid")
-            dist = demand_mod.TabulatedSurvival(x_grid, t_grid, values)
-            return kind, dist, None, None
-    except ConfigError:
-        raise
-    except BathtubError as exc:
-        raise ConfigError(f"demand.distance: {exc}") from None
-    raise ConfigError(f"demand.distance.kind: unknown kind {kind!r}")
-
-
-def _build_ic(raw) -> demand_mod.InitialCondition:
-    kind = str(raw.get("ic.kind", "empty")).strip()
-    try:
-        if kind == "empty":
-            return demand_mod.EmptyNetwork()
-        if kind == "exponential":
-            lam0 = _get_float(raw, "ic.lambda0")
-            B = _get_float(raw, "ic.B")
-            if None in (lam0, B):
-                raise ConfigError("ic.kind=exponential needs ic.lambda0, ic.B")
-            return demand_mod.ExponentialProfile(lam0, B)
-        if kind == "tabulated":
-            path = _require(raw, "ic.table", "for ic.kind=tabulated")
-            rows = _read_csv_columns(str(path), "ic.table")
-            if any(len(r) != 2 for r in rows):
-                raise ConfigError("ic.table: expected two columns x,count")
-            return demand_mod.TabulatedProfile([r[0] for r in rows],
-                                               [r[1] for r in rows])
-    except ConfigError:
-        raise
-    except BathtubError as exc:
-        raise ConfigError(f"ic: {exc}") from None
-    raise ConfigError(f"ic.kind: unknown kind {kind!r}")
-
-
-def _validate_model_requirements(cfg: RunConfig):
-    kind = cfg.model_kind
-    if kind == "generalized":
-        if cfg.dx is None or cfg.X is None:
-            raise ConfigError("model.kind=generalized needs grid.dx and grid.X")
-        if cfg.scheme == "integral" and cfg.dt is None:
-            raise ConfigError("model.scheme=integral needs grid.dt")
-    elif kind == "vickrey":
-        if cfg.dt is None:
-            raise ConfigError("model.kind=vickrey needs grid.dt")
-        if cfg.distance_kind != "exponential" or cfg.B is None:
-            raise ConfigError("model.kind=vickrey needs "
-                              "demand.distance.kind=exponential with a "
-                              "constant demand.distance.B")
-    elif kind in ("deterministic", "constant"):
-        if cfg.dz is None:
-            raise ConfigError(f"model.kind={kind} needs grid.dz")
-        if cfg.distance_kind != "deterministic":
-            raise ConfigError(f"model.kind={kind} needs "
-                              "demand.distance.kind=deterministic")
-        if kind == "constant" and cfg.B is None:
-            raise ConfigError("model.kind=constant needs a constant "
-                              "demand.distance.B")
-    if "ksurface" in cfg.outputs and kind != "generalized":
-        raise ConfigError("outputs=ksurface requires model.kind=generalized")
-    if "traveltimes" in cfg.outputs and kind != "generalized":
-        raise ConfigError("outputs=traveltimes requires model.kind=generalized")
-    if "audit" in cfg.outputs and kind in ("deterministic",):
-        raise ConfigError("outputs=audit is not available for "
-                          "model.kind=deterministic")
-
-
-def _horizon(cfg: RunConfig):
-    kind, val = cfg.stop
-    if kind == "z":
-        return solver.MaxCumulativeDistance(val)
-    return solver.MaxTime(val)
 
 
 def execute(cfg: RunConfig):
     """Solve the configured model; returns the trajectory."""
-    horizon = _horizon(cfg)
+    kind, val = cfg.stop
+    horizon = (solver.MaxCumulativeDistance(val) if kind == "z"
+               else solver.MaxTime(val))
     if cfg.model_kind == "generalized":
         grid = solver.GridSpec(dx=cfg.dx, X=cfg.X, horizon=horizon, dt=cfg.dt)
         scen = solver.Scenario(L=cfg.L, fd=cfg.fd, influx=cfg.influx,
@@ -549,12 +474,16 @@ def sweep(text: str, param: str, values: Sequence[float],
     return 1 if any_failed else 0
 
 
-def load_config(path: str) -> RunConfig:
+def _read_config(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return parse_config(fh.read())
+            return fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from None
+
+
+def load_config(path: str) -> RunConfig:
+    return parse_config(_read_config(path))
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -579,8 +508,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"termination: "
                   f"{'Gridlock' if code == 2 else 'HorizonReached'}")
             return code
-        with open(args.config, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        text = _read_config(args.config)
         try:
             values = [float(v) for v in args.values.split(",") if v.strip()]
         except ValueError:

@@ -15,7 +15,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .errors import DataError, DomainError
+from .errors import DataError, DomainError, finite_non_negative, finite_positive
 from .piecewise import PiecewiseLinear, as_profile
 
 
@@ -27,8 +27,8 @@ class InfluxProfile:
     """Base class for entering-trip rates f(t) with exact cumulatives."""
 
     def rate(self, t: float) -> float:
-        if t < 0:
-            raise DomainError("time must be non-negative")
+        if not 0 <= t < math.inf:
+            raise DomainError("time must be finite and non-negative")
         return self._rate(t)
 
     def _rate(self, t):
@@ -45,6 +45,11 @@ class InfluxProfile:
 
     def cumulative(self, t: float) -> float:
         """Exact integral of the rate over [0, t]; 0 for t <= 0."""
+        if not t < math.inf:
+            raise DomainError("time must be finite")
+        return self._cumulative(t)
+
+    def _cumulative(self, t):
         raise NotImplementedError
 
 
@@ -56,7 +61,7 @@ class ZeroInflux(InfluxProfile):
     def _rate_array(self, t):
         return np.zeros_like(t)
 
-    def cumulative(self, t):
+    def _cumulative(self, t):
         return 0.0
 
 
@@ -65,8 +70,7 @@ class ConstantInflux(InfluxProfile):
     rate_vph: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.rate_vph) and self.rate_vph >= 0):
-            raise DomainError("rate must be finite and non-negative")
+        finite_non_negative(rate_vph=self.rate_vph)
 
     def _rate(self, t):
         return self.rate_vph
@@ -74,7 +78,7 @@ class ConstantInflux(InfluxProfile):
     def _rate_array(self, t):
         return np.full(t.shape, self.rate_vph)
 
-    def cumulative(self, t):
+    def _cumulative(self, t):
         return self.rate_vph * max(0.0, float(t))
 
 
@@ -100,7 +104,7 @@ class PiecewiseLinearInflux(InfluxProfile):
     def _rate_array(self, t):
         return self._pl(t)
 
-    def cumulative(self, t):
+    def _cumulative(self, t):
         return self._pl.integral(t)
 
 
@@ -108,8 +112,7 @@ class TrapezoidalPulse(InfluxProfile):
     """Pulse max{0, min{ramp*t, plateau, ramp*(end-t)}} on [0, end]."""
 
     def __init__(self, ramp: float, plateau: float, end: float):
-        if not (ramp > 0 and plateau > 0 and end > 0):
-            raise DomainError("ramp, plateau and end must be positive")
+        finite_positive(ramp=ramp, plateau=plateau, end=end)
         self.ramp = float(ramp)
         self.plateau = float(plateau)
         self.end = float(end)
@@ -129,7 +132,7 @@ class TrapezoidalPulse(InfluxProfile):
                                           np.minimum(self.plateau,
                                                      self.ramp * (self.end - t))))
 
-    def cumulative(self, t):
+    def _cumulative(self, t):
         return self._pl.integral(t)
 
 
@@ -148,9 +151,10 @@ def cumulative_inflow(profile: InfluxProfile, t: float) -> float:
 # ---------------------------------------------------------------------------
 
 def _check_tx(t, x):
-    if np.any(np.asarray(t) < 0):
-        raise DomainError("time must be non-negative")
-    if np.any(np.asarray(x) < 0):
+    t = np.asarray(t)
+    if not np.all((t >= 0) & (t < np.inf)):
+        raise DomainError("time must be finite and non-negative")
+    if not np.all(np.asarray(x) >= 0):
         raise DomainError("distance must be non-negative")
 
 
@@ -181,38 +185,8 @@ class DistanceDistribution:
         raise NotImplementedError
 
 
-class ExponentialDistances(DistanceDistribution):
-    """Negative-exponential distances with mean B (optionally varying in t)."""
-
-    def __init__(self, B):
-        self._B = as_profile(B, extend="clamp")
-        if self._B.minimum() <= 0:
-            raise DomainError("mean distance must be positive")
-        self.time_dependent = self._B.x.size > 1
-
-    @property
-    def B(self) -> float:
-        return float(self._B(0.0))
-
-    def btilde(self, t):
-        return self._B(t)
-
-    def survival_array(self, t, x):
-        return np.exp(-np.asarray(x, dtype=float) / self._B(t))
-
-    def mean_distance(self, t):
-        return float(self._B(t))
-
-    def mean_distance_capped(self, t, X):
-        b = self._B(t)
-        return b * (1.0 - np.exp(-X / b))
-
-    def tail_beyond(self, t, x):
-        return np.exp(-x / self._B(t))
-
-
-class UniformDistances(DistanceDistribution):
-    """Uniform distances on [0, 2*Btilde(t)] so the mean is Btilde(t)."""
+class _MeanDistances(DistanceDistribution):
+    """A law set by its mean distance Btilde(t), a constant or a profile."""
 
     def __init__(self, Btilde):
         self._B = as_profile(Btilde, extend="clamp")
@@ -223,11 +197,33 @@ class UniformDistances(DistanceDistribution):
     def btilde(self, t):
         return self._B(t)
 
-    def survival_array(self, t, x):
-        return np.maximum(0.0, 1.0 - np.asarray(x, dtype=float) / (2.0 * self._B(t)))
-
     def mean_distance(self, t):
         return float(self._B(t))
+
+
+class ExponentialDistances(_MeanDistances):
+    """Negative-exponential distances with mean B (optionally varying in t)."""
+
+    @property
+    def B(self) -> float:
+        return float(self._B(0.0))
+
+    def survival_array(self, t, x):
+        return np.exp(-np.asarray(x, dtype=float) / self._B(t))
+
+    def mean_distance_capped(self, t, X):
+        b = self._B(t)
+        return b * (1.0 - np.exp(-X / b))
+
+    def tail_beyond(self, t, x):
+        return np.exp(-x / self._B(t))
+
+
+class UniformDistances(_MeanDistances):
+    """Uniform distances on [0, 2*Btilde(t)] so the mean is Btilde(t)."""
+
+    def survival_array(self, t, x):
+        return np.maximum(0.0, 1.0 - np.asarray(x, dtype=float) / (2.0 * self._B(t)))
 
     def mean_distance_capped(self, t, X):
         b = self._B(t)
@@ -239,23 +235,11 @@ class UniformDistances(DistanceDistribution):
         return np.maximum(0.0, 1.0 - x / (2.0 * self._B(t)))
 
 
-class DeterministicDistances(DistanceDistribution):
+class DeterministicDistances(_MeanDistances):
     """All trips entering at t share the single distance Btilde(t)."""
-
-    def __init__(self, Btilde):
-        self._B = as_profile(Btilde, extend="clamp")
-        if self._B.minimum() <= 0:
-            raise DomainError("mean distance must be positive")
-        self.time_dependent = self._B.x.size > 1
-
-    def btilde(self, t):
-        return self._B(t)
 
     def survival_array(self, t, x):
         return np.where(np.asarray(x, dtype=float) <= self._B(t), 1.0, 0.0)
-
-    def mean_distance(self, t):
-        return float(self._B(t))
 
     def mean_distance_capped(self, t, X):
         return np.minimum(self._B(t), X)
@@ -347,8 +331,8 @@ def survival(dist: DistanceDistribution, t: float, x: float) -> float:
 
 def mean_distance(dist: DistanceDistribution, t: float) -> float:
     """Average entering-trip distance at time t."""
-    if t < 0:
-        raise DomainError("time must be non-negative")
+    if not 0 <= t < math.inf:
+        raise DomainError("time must be finite and non-negative")
     return dist.mean_distance(t)
 
 
@@ -362,7 +346,7 @@ class InitialCondition:
     lambda0: float = 0.0
 
     def profile(self, x: float) -> float:
-        if x < 0:
+        if not x >= 0:
             raise DomainError("distance must be non-negative")
         return float(self.profile_array(np.asarray(x, dtype=float)))
 
@@ -386,10 +370,8 @@ class ExponentialProfile(InitialCondition):
     """lambda0 initial trips with exponential remaining distances, mean B."""
 
     def __init__(self, lambda0: float, B: float):
-        if not (math.isfinite(lambda0) and lambda0 >= 0):
-            raise DomainError("lambda0 must be finite and non-negative")
-        if not (math.isfinite(B) and B > 0):
-            raise DomainError("B must be finite and positive")
+        finite_non_negative(lambda0=lambda0)
+        finite_positive(B=B)
         self.lambda0 = float(lambda0)
         self.B = float(B)
 

@@ -11,7 +11,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import DataError, DomainError
+from .errors import DataError, DomainError, finite_non_negative, finite_positive
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -19,7 +19,7 @@ _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 def _as_density(rho):
     scalar = np.isscalar(rho) or np.ndim(rho) == 0
     r = np.asarray(rho, dtype=float)
-    if np.any(r < 0):
+    if not np.all(r >= 0):
         raise DomainError("density must be non-negative")
     return r, scalar
 
@@ -109,8 +109,7 @@ class Triangular(FundamentalDiagram):
     kappa: float
 
     def __post_init__(self):
-        if not (self.u > 0 and self.w > 0 and self.kappa > 0):
-            raise DomainError("u, w and kappa must be positive")
+        finite_positive(u=self.u, w=self.w, kappa=self.kappa)
 
     def _speed(self, rho):
         with np.errstate(divide="ignore"):
@@ -136,8 +135,7 @@ class Trapezoidal(FundamentalDiagram):
     kappa: float
 
     def __post_init__(self):
-        if not (self.u > 0 and self.w > 0 and self.kappa > 0 and self.C > 0):
-            raise DomainError("u, C, w and kappa must be positive")
+        finite_positive(u=self.u, C=self.C, w=self.w, kappa=self.kappa)
 
     def _speed(self, rho):
         with np.errstate(divide="ignore"):
@@ -166,8 +164,7 @@ class Greenshields(FundamentalDiagram):
     kappa: float
 
     def __post_init__(self):
-        if not (self.u > 0 and self.kappa > 0):
-            raise DomainError("u and kappa must be positive")
+        finite_positive(u=self.u, kappa=self.kappa)
 
     def _speed(self, rho):
         return self.u * (1.0 - rho / self.kappa)
@@ -324,10 +321,8 @@ class BoardingDelaySpeed:
     lane_miles: float = 1.0
 
     def __post_init__(self):
-        if self.alpha < 0:
-            raise DomainError("alpha must be non-negative")
-        if not self.lane_miles > 0:
-            raise DomainError("lane_miles must be positive")
+        finite_non_negative(alpha=self.alpha)
+        finite_positive(lane_miles=self.lane_miles)
 
     def speed(self, rho: float, lam: float, f: float, g: float) -> float:
         base = self.fd.speed(rho)

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the bounds check that
+every model parameter goes through."""
+
+import math
 
 
 class BathtubError(Exception):
@@ -31,3 +34,22 @@ class TripNotCompleted(BathtubError):
 
 class ConfigError(BathtubError, ValueError):
     """A run configuration failed to parse or validate."""
+
+
+def finite_positive(**values):
+    """Raise :class:`DomainError` naming each value that is not finite and
+    positive.  The comparison ``0 < v < inf`` is false for NaN, so NaN fails
+    too; a NaN or infinite parameter would otherwise stall a march whose
+    step or clock it sets."""
+    _reject([k for k, v in values.items() if not 0 < v < math.inf], "positive")
+
+
+def finite_non_negative(**values):
+    """As :func:`finite_positive`, but zero is allowed."""
+    _reject([k for k, v in values.items() if not 0 <= v < math.inf],
+            "non-negative")
+
+
+def _reject(bad, bound):
+    if bad:
+        raise DomainError(f"{', '.join(bad)} must be finite and {bound}")

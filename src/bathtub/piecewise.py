@@ -87,14 +87,6 @@ class PiecewiseLinear:
         area += 0.5 * (self.y[ib] + self(b)) * (b - self.x[ib])
         return area
 
-    def slopes(self):
-        """Per-segment slopes as ``(x_lo, x_hi, dy/dx)`` triples."""
-        if self.x.size < 2:
-            return []
-        d = np.diff(self.y) / np.diff(self.x)
-        return [(float(self.x[i]), float(self.x[i + 1]), float(d[i]))
-                for i in range(self.x.size - 1)]
-
     def minimum(self) -> float:
         return float(self.y.min())
 

@@ -21,7 +21,6 @@ schemes and :func:`reconstruct_K` mutually consistent at first order.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, List, Optional, Sequence
@@ -30,7 +29,8 @@ import numpy as np
 
 from .demand import DistanceDistribution, EmptyNetwork, InfluxProfile, InitialCondition
 from .diagrams import FundamentalDiagram
-from .errors import ContractError, DataError, DomainError, UndefinedStatisticsError
+from .errors import (ContractError, DataError, DomainError, UndefinedStatisticsError,
+                     finite_positive)
 from .piecewise import PiecewiseLinear
 
 
@@ -45,8 +45,7 @@ class MaxTime:
     T: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.T) and self.T > 0):
-            raise DomainError("horizon time must be finite and positive")
+        finite_positive(T=self.T)
 
 
 @dataclass(frozen=True)
@@ -55,11 +54,7 @@ class MaxCumulativeDistance:
     Z: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.Z) and self.Z > 0):
-            raise DomainError("horizon distance must be finite and positive")
-
-
-Horizon = object  # MaxTime | MaxCumulativeDistance
+        finite_positive(Z=self.Z)
 
 
 @dataclass(frozen=True)
@@ -76,24 +71,19 @@ class GridSpec:
 
     dx: float
     X: float
-    horizon: Horizon
+    horizon: object  # MaxTime | MaxCumulativeDistance
     dt: Optional[float] = None
     v_min: float = 1e-9
     strict_truncation: bool = False
     truncation_tolerance: float = 1e-6
 
     def __post_init__(self):
-        if not (math.isfinite(self.dx) and self.dx > 0):
-            raise DomainError("dx must be finite and positive")
-        if not (math.isfinite(self.X) and self.X > 0):
-            raise DomainError("X must be finite and positive")
+        finite_positive(dx=self.dx, X=self.X, v_min=self.v_min)
+        if self.dt is not None:
+            finite_positive(dt=self.dt)
         n = self.X / self.dx
         if abs(n - round(n)) > 1e-9 * max(1.0, n):
             raise DomainError("X must be an integer multiple of dx")
-        if self.dt is not None and not (math.isfinite(self.dt) and self.dt > 0):
-            raise DomainError("dt must be finite and positive")
-        if not (math.isfinite(self.v_min) and self.v_min > 0):
-            raise DomainError("v_min must be finite and positive")
         if not isinstance(self.horizon, (MaxTime, MaxCumulativeDistance)):
             raise DomainError("horizon must be MaxTime or MaxCumulativeDistance")
 
@@ -117,8 +107,7 @@ class Scenario:
     ic: InitialCondition = field(default_factory=EmptyNetwork)
 
     def __post_init__(self):
-        if not (math.isfinite(self.L) and self.L > 0):
-            raise DomainError("lane-miles L must be finite and positive")
+        finite_positive(L=self.L)
 
 
 @dataclass
@@ -462,7 +451,7 @@ def _march_integral(dt: float, horizon, coms: Sequence[_Commodity],
             c = coms[m]
             dx, cells = c.grid.dx, c.grid.cells
             vm = float(v_vec[m])
-            if vm * dt > dx * (1.0 + 1e-9):
+            if not vm * dt <= dx * (1.0 + 1e-9):  # NaN fails too
                 raise DomainError(
                     f"a step of dt = {dt:g} h at v = {vm:g} mph moves z by more "
                     f"than one cell dx = {dx:g} mi; use dt <= dx/v = {dx / vm:g} h")
@@ -603,8 +592,7 @@ def solve_multi_commodity(L: float, commodities: Sequence[CommodityDemand],
     step).  With a single commodity whose relation depends only on its own
     density this reproduces :func:`solve_integral` exactly.
     """
-    if not (math.isfinite(L) and L > 0):
-        raise DomainError("lane-miles L must be finite and positive")
+    finite_positive(L=L)
     if grid.dt is None:
         raise DomainError("solve_multi_commodity requires grid.dt")
     M = len(commodities)

@@ -13,7 +13,6 @@ Three families admit reduced dynamics:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import List, Optional, Tuple
@@ -23,16 +22,11 @@ import numpy as np
 from .demand import (DeterministicDistances, EmptyNetwork, ExponentialDistances,
                      ExponentialProfile, InfluxProfile, InitialCondition)
 from .diagrams import FundamentalDiagram
-from .errors import ContractError, DataError, DomainError
+from .errors import (ContractError, DataError, DomainError, finite_non_negative,
+                     finite_positive)
 from .piecewise import PiecewiseLinear, as_profile
 from .solver import (MaxCumulativeDistance, MaxTime, Termination, Trajectory,
                      _Buf)
-
-
-def _finite_positive(**values):
-    bad = [k for k, v in values.items() if not (math.isfinite(v) and v > 0)]
-    if bad:
-        raise DomainError(f"{', '.join(bad)} must be finite and positive")
 
 
 # ---------------------------------------------------------------------------
@@ -53,9 +47,8 @@ class VickreyConfig:
     v_min: float = 1e-9
 
     def __post_init__(self):
-        _finite_positive(L=self.L, B=self.B, dt=self.dt, v_min=self.v_min)
-        if not (math.isfinite(self.lambda0) and self.lambda0 >= 0):
-            raise DomainError("lambda0 must be finite and non-negative")
+        finite_positive(L=self.L, B=self.B, dt=self.dt, v_min=self.v_min)
+        finite_non_negative(lambda0=self.lambda0)
         if not isinstance(self.horizon, (MaxTime, MaxCumulativeDistance)):
             raise DomainError("horizon must be MaxTime or MaxCumulativeDistance")
 
@@ -194,7 +187,7 @@ class DeterministicConfig:
     v_min: float = 1e-9
 
     def __post_init__(self):
-        _finite_positive(L=self.L, dz=self.dz, v_min=self.v_min)
+        finite_positive(L=self.L, dz=self.dz, v_min=self.v_min)
         if self.btilde_coordinate not in ("t", "z"):
             raise DomainError("btilde_coordinate must be 't' or 'z'")
         pl = as_profile(self.btilde, extend="clamp")

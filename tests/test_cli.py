@@ -1,5 +1,7 @@
 import csv
+import re
 
+import numpy as np
 import pytest
 
 import bathtub as bt
@@ -291,3 +293,235 @@ class TestSweep:
         rows = read_csv(tmp_path / "summary.csv")
         assert rows[0]["status"] == "ok"
         assert rows[1]["status"].startswith("failed")
+
+
+def with_section(text, prefix, lines):
+    """``text`` with every line starting ``prefix`` replaced by ``lines``."""
+    kept = [ln for ln in text.splitlines() if not ln.startswith(prefix)]
+    return "\n".join(kept + lines.splitlines()) + "\n"
+
+
+def probe(obj):
+    """Values that tell two built section objects apart."""
+    if isinstance(obj, bt.FundamentalDiagram):
+        return type(obj), obj.speed(np.array([0.0, 50.0, 150.0, 250.0])).tolist()
+    if isinstance(obj, bt.InfluxProfile):
+        ts = [0.0, 0.05, 0.15, 0.3]
+        return type(obj), [obj.rate(t) for t in ts], obj.cumulative(0.3)
+    if isinstance(obj, bt.DistanceDistribution):
+        return (type(obj), obj.survival(0.1, 1.0), obj.mean_distance(0.1),
+                obj.mean_distance(0.5))
+    return type(obj), obj.lambda0, obj.profile_array(np.array([0.0, 1.0, 3.0])).tolist()
+
+
+# One row per section kind: the section's attribute on RunConfig, the config
+# lines that state the kind, and the object those lines must build.
+SECTION_ROWS = {
+    "fd=triangular": ("fd", "fd.variant = triangular\nfd.u = 30\nfd.w = 10\n"
+                      "fd.kappa = 200", bt.Triangular(u=30.0, w=10.0, kappa=200.0)),
+    "fd=trapezoidal": ("fd", "fd.variant = trapezoidal\nfd.u = 30\nfd.C = 750\n"
+                       "fd.w = 10\nfd.kappa = 200",
+                       bt.Trapezoidal(u=30.0, C=750.0, w=10.0, kappa=200.0)),
+    "fd=greenshields": ("fd", "fd.variant = greenshields\nfd.u = 30\nfd.kappa = 200",
+                        bt.Greenshields(u=30.0, kappa=200.0)),
+    "influx=zero": ("influx", "demand.influx.kind = zero", bt.ZeroInflux()),
+    "influx=constant": ("influx", "demand.influx.kind = constant\n"
+                        "demand.influx.rate = 500", bt.ConstantInflux(500.0)),
+    "influx=pulse": ("influx", "demand.influx.kind = pulse\ndemand.influx.ramp = 8000\n"
+                     "demand.influx.plateau = 600\ndemand.influx.end = 0.2",
+                     bt.TrapezoidalPulse(ramp=8000.0, plateau=600.0, end=0.2)),
+    "influx=piecewise_linear": ("influx", "demand.influx.kind = piecewise_linear\n"
+                                "demand.influx.nodes = 0:0, 0.1:800\n"
+                                "demand.influx.nodes = 0.2:0",
+                                bt.PiecewiseLinearInflux([(0.0, 0.0), (0.1, 800.0),
+                                                          (0.2, 0.0)])),
+    "distance=exponential": ("distances", "demand.distance.kind = exponential\n"
+                             "demand.distance.B = 2", bt.ExponentialDistances(2.0)),
+    "distance=uniform": ("distances", "demand.distance.kind = uniform\n"
+                         "demand.distance.Btilde_nodes = 0:1, 0.4:3",
+                         bt.UniformDistances(bt.PiecewiseLinear([0.0, 0.4], [1.0, 3.0]))),
+    "distance=deterministic": ("distances", "demand.distance.kind = deterministic\n"
+                               "demand.distance.B = 1.5",
+                               bt.DeterministicDistances(1.5)),
+    "ic=empty": ("ic", "ic.kind = empty", bt.EmptyNetwork()),
+    "ic=exponential": ("ic", "ic.kind = exponential\nic.lambda0 = 50\nic.B = 0.5",
+                       bt.ExponentialProfile(50.0, 0.5)),
+}
+_PREFIX = {"fd": "fd.", "influx": "demand.influx.", "distances": "demand.distance.",
+           "ic": "ic."}
+
+
+def row_config(name):
+    attr, lines, _expected = SECTION_ROWS[name]
+    return with_section(MINIMAL_CONF, _PREFIX[attr], lines)
+
+
+class TestSectionRows:
+    @pytest.mark.parametrize("name", sorted(SECTION_ROWS))
+    def test_row_builds_its_object_and_runs(self, name, tmp_path):
+        attr, _lines, expected = SECTION_ROWS[name]
+        cfg = cli.parse_config(row_config(name))
+        assert probe(getattr(cfg, attr)) == probe(expected)
+        assert cli.run(cfg, output_dir=str(tmp_path)) == 0
+        assert len(read_csv(tmp_path / "series.csv")) > 1
+
+    @pytest.mark.parametrize("name, key", sorted({
+        (name, line.split("=")[0].strip())
+        for name, (_a, lines, _e) in SECTION_ROWS.items()
+        for line in lines.splitlines()[1:]}))
+    def test_row_without_a_key_names_it(self, name, key):
+        text = "".join(ln + "\n" for ln in row_config(name).splitlines()
+                       if not ln.startswith(key + " "))
+        short = re.escape(key.rsplit(".", 1)[1])
+        with pytest.raises(bt.ConfigError, match=rf"\b{short}\b"):
+            cli.parse_config(text)
+
+    @pytest.mark.parametrize("key, value", [
+        ("fd.variant", "parabolic"), ("demand.influx.kind", "sine"),
+        ("demand.distance.kind", "gamma"), ("ic.kind", "full")])
+    def test_unknown_kind_names_its_key(self, key, value):
+        text = with_section(MINIMAL_CONF, key + " ", f"{key} = {value}")
+        with pytest.raises(bt.ConfigError, match=re.escape(key)):
+            cli.parse_config(text)
+
+
+# One config per model.kind (and scheme) that the model accepts; each
+# ``needs`` entry is a key whose removal the model must reject.
+DET_CONF = with_section(
+    with_section(MINIMAL_CONF, "demand.distance.", "demand.distance.kind = "
+                 "deterministic\ndemand.distance.Btilde_nodes = 0:1.5, 0.5:2.5"),
+    "grid.stop", "grid.stop = z:3\ngrid.dz = 0.125")
+MODEL_ROWS = {
+    "generalized": (MINIMAL_CONF, ("grid.dx", "grid.X")),
+    "integral": (MINIMAL_CONF + "model.scheme = integral\ngrid.dt = 0.002\n",
+                 ("grid.dx", "grid.X", "grid.dt")),
+    "vickrey": (with_section(row_config("influx=constant"), "model.kind",
+                             "model.kind = vickrey\ngrid.dt = 0.002"),
+                ("grid.dt", "demand.distance.B")),
+    "deterministic": (with_section(with_section(DET_CONF, "demand.influx.",
+                                                SECTION_ROWS["influx=pulse"][1]),
+                                   "model.kind", "model.kind = deterministic"),
+                      ("grid.dz",)),
+    "constant": (with_section(with_section(DET_CONF, "demand.distance.B",
+                                           "demand.distance.B = 1.5"),
+                              "model.kind", "model.kind = constant"),
+                 ("grid.dz", "demand.distance.B")),
+}
+
+
+class TestModelRows:
+    @pytest.mark.parametrize("model", sorted(MODEL_ROWS))
+    def test_model_parses_and_runs(self, model, tmp_path):
+        text, _needs = MODEL_ROWS[model]
+        cfg = cli.parse_config(text)
+        assert cfg.model_kind == ("generalized" if model == "integral" else model)
+        assert cli.run(cfg, output_dir=str(tmp_path)) == 0
+        rows = read_csv(tmp_path / "series.csv")
+        assert len(rows) > 1 and float(rows[-1]["t"]) > 0.0
+
+    @pytest.mark.parametrize("model, key", [
+        (model, key) for model, (_t, needs) in sorted(MODEL_ROWS.items())
+        for key in needs])
+    def test_model_without_a_key_names_it(self, model, key):
+        text = "".join(ln + "\n" for ln in MODEL_ROWS[model][0].splitlines()
+                       if not ln.startswith(key + " "))
+        with pytest.raises(bt.ConfigError, match=re.escape(key)):
+            cli.parse_config(text)
+
+    @pytest.mark.parametrize("model, kind", [
+        ("vickrey", "uniform"), ("deterministic", "exponential"),
+        ("constant", "uniform")])
+    def test_model_rejects_other_distance_kinds(self, model, kind):
+        text = MODEL_ROWS[model][0].replace(
+            "demand.distance.kind = " + ("exponential" if model == "vickrey"
+                                         else "deterministic"),
+            "demand.distance.kind = " + kind)
+        with pytest.raises(bt.ConfigError, match="demand.distance.kind"):
+            cli.parse_config(text)
+
+    @pytest.mark.parametrize("model", ["vickrey", "constant"])
+    def test_reduced_model_needs_a_constant_mean(self, model):
+        text = with_section(MODEL_ROWS[model][0], "demand.distance.B ",
+                            "demand.distance.Btilde_nodes = 0:1.5, 0.5:2.5")
+        with pytest.raises(bt.ConfigError, match=r"demand\.distance\.B\b"):
+            cli.parse_config(text)
+
+    @pytest.mark.parametrize("model, output", [
+        ("vickrey", "ksurface"), ("vickrey", "traveltimes"),
+        ("deterministic", "ksurface"), ("deterministic", "audit"),
+        ("constant", "traveltimes")])
+    def test_model_rejects_outputs_it_cannot_write(self, model, output):
+        text = MODEL_ROWS[model][0] + f"outputs = series,{output}\n"
+        with pytest.raises(bt.ConfigError, match=f"outputs={output}"):
+            cli.parse_config(text)
+
+
+# A config that reads each numeric key, with the key's line last.
+NUMERIC_USES = {
+    "network.L": MINIMAL_CONF,
+    **{key: row_config("fd=trapezoidal") for key in ("fd.u", "fd.C", "fd.w",
+                                                     "fd.kappa")},
+    **{key: row_config("influx=pulse") for key in (
+        "demand.influx.ramp", "demand.influx.plateau", "demand.influx.end")},
+    "demand.influx.rate": row_config("influx=constant"),
+    "demand.distance.B": MINIMAL_CONF,
+    "ic.lambda0": row_config("ic=exponential"),
+    "ic.B": row_config("ic=exponential"),
+    "grid.dx": MINIMAL_CONF, "grid.X": MINIMAL_CONF,
+    "grid.dt": MINIMAL_CONF + "grid.dt = 0.002\n",
+    "grid.dz": MINIMAL_CONF + "grid.dz = 0.125\n",
+}
+
+
+class TestNumericKeys:
+    def test_every_numeric_key_is_covered(self):
+        assert set(NUMERIC_USES) == set(cli._FLOAT_KEYS)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1"])
+    @pytest.mark.parametrize("key", sorted(NUMERIC_USES))
+    def test_bad_value_names_the_key(self, key, value):
+        text = with_section(NUMERIC_USES[key], key + " ", f"{key} = {value}")
+        with pytest.raises(bt.ConfigError, match=re.escape(key)):
+            cli.parse_config(text)
+
+    @pytest.mark.parametrize("key", sorted(NUMERIC_USES))
+    def test_zero_only_where_allowed(self, key):
+        text = with_section(NUMERIC_USES[key], key + " ", f"{key} = 0")
+        if key in ("demand.influx.rate", "ic.lambda0"):
+            assert cli.parse_config(text) is not None
+        else:
+            with pytest.raises(bt.ConfigError, match=re.escape(key)):
+                cli.parse_config(text)
+
+    @pytest.mark.parametrize("stop", ["t:inf", "z:nan", "t:-1", "z:0"])
+    def test_bad_stop_target_names_the_key(self, stop):
+        text = with_section(MINIMAL_CONF, "grid.stop", f"grid.stop = {stop}")
+        with pytest.raises(bt.ConfigError, match="grid.stop"):
+            cli.parse_config(text)
+
+    def test_run_with_infinite_speed_fails_at_parse_time(self, tmp_path, capsys):
+        # an infinite free-flow speed makes every characteristic step dt = 0,
+        # so a t: stop is never reached
+        conf = tmp_path / "inf.conf"
+        conf.write_text(with_section(MINIMAL_CONF, "fd.u", "fd.u = inf"))
+        assert cli.main(["run", str(conf), "--out", str(tmp_path / "out")]) == 1
+        assert "fd.u" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+class TestConfigFile:
+    @pytest.mark.parametrize("command", [["run"], ["sweep", "--param", "grid.dx",
+                                                   "--values", "0.25"]])
+    def test_missing_config_file_is_an_error(self, command, tmp_path, capsys):
+        missing = str(tmp_path / "missing.conf")
+        argv = command[:1] + [missing] + command[1:] + ["--out", str(tmp_path)]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "cannot read config" in err
+
+    def test_sweep_reads_the_config_file(self, tmp_path):
+        conf = tmp_path / "sweep.conf"
+        conf.write_text(MINIMAL_CONF)
+        assert cli.main(["sweep", str(conf), "--param", "network.L",
+                         "--values", "10,20", "--out", str(tmp_path)]) == 0
+        assert len(read_csv(tmp_path / "summary.csv")) == 2

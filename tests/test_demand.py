@@ -229,3 +229,27 @@ class TestInitialProfile:
     def test_exponential_rejects_non_finite(self, lam0, B):
         with pytest.raises(bt.DomainError):
             bt.ExponentialProfile(lam0, B)
+
+
+class TestNonFiniteArguments:
+    # a NaN or infinite time and a NaN distance lie outside the valid range,
+    # but pass a plain ``t < 0`` / ``x < 0`` test and then read as numbers
+    @pytest.mark.parametrize("call", [
+        lambda: bt.ConstantInflux(5.0).rate(math.nan),
+        lambda: paper_pulse().rate(math.inf),
+        lambda: paper_pulse().rate(math.nan),
+        lambda: bt.UniformDistances(2.0).survival(math.nan, 1.0),
+        lambda: bt.UniformDistances(2.0).survival(0.0, math.nan),
+        lambda: bt.ExponentialProfile(100.0, 1.0).profile(math.nan),
+        lambda: bt.mean_distance(bt.UniformDistances(2.0), math.nan),
+        lambda: bt.mean_distance(bt.UniformDistances(2.0), math.inf),
+        lambda: paper_pulse().cumulative(math.nan),
+        lambda: bt.ConstantInflux(5.0).cumulative(math.nan),
+        lambda: bt.PiecewiseLinearInflux([(0.0, 1.0), (1.0, 2.0)]).cumulative(math.inf),
+    ], ids=["constant-rate-nan", "pulse-rate-inf", "pulse-rate-nan",
+            "survival-t-nan", "survival-x-nan", "profile-nan",
+            "mean-distance-nan", "mean-distance-inf", "pulse-cumulative-nan",
+            "constant-cumulative-nan", "piecewise-cumulative-inf"])
+    def test_rejected(self, call):
+        with pytest.raises(bt.DomainError):
+            call()

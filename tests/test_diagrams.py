@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,12 @@ class TestSpeed:
     def test_negative_density_rejected(self):
         with pytest.raises(bt.DomainError):
             bt.speed(TRAP, -1.0)
+
+    @pytest.mark.parametrize("rho", [math.nan, np.array([10.0, math.nan])])
+    def test_nan_density_rejected(self, rho):
+        # a NaN density passes a plain ``rho < 0`` test and reads as free flow
+        with pytest.raises(bt.DomainError):
+            bt.speed(TRAP, rho)
 
     @pytest.mark.parametrize("fd", [TRAP, TRI, GS])
     def test_non_increasing_on_grid(self, fd):

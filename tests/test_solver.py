@@ -586,3 +586,62 @@ class TestMobilityService:
         mask = traj.lam > 0.5 * traj.lam.max()
         rel = np.abs(g[mask][:-1] - pred[mask][:-1]) / pred[mask][:-1]
         assert np.max(rel) < 0.03
+
+
+def _one_commodity(L, T=0.01):
+    grid = bt.GridSpec(dx=0.25, X=1.0, horizon=bt.MaxTime(T), dt=1e-3)
+    dem = bt.CommodityDemand(bt.ZeroInflux(), bt.ExponentialDistances(1.0))
+    return bt.solve_multi_commodity(L, [dem], [lambda lam, f, g: 30.0], grid)
+
+
+_GS = bt.Greenshields(30.0, 200.0)
+# Every constructor that takes a model parameter: a factory and the keyword
+# arguments that build a valid object.
+FINITE_CONSTRUCTORS = {
+    "Triangular": (bt.Triangular, dict(u=30.0, w=10.0, kappa=200.0)),
+    "Trapezoidal": (bt.Trapezoidal, dict(u=30.0, C=750.0, w=10.0, kappa=200.0)),
+    "Greenshields": (bt.Greenshields, dict(u=30.0, kappa=200.0)),
+    "BoardingDelaySpeed": (functools.partial(bt.BoardingDelaySpeed, _GS),
+                           dict(alpha=1e-3, lane_miles=10.0)),
+    "TrapezoidalPulse": (bt.TrapezoidalPulse, dict(ramp=1e4, plateau=4e3, end=1.0)),
+    "MaxTime": (bt.MaxTime, dict(T=1.0)),
+    "MaxCumulativeDistance": (bt.MaxCumulativeDistance, dict(Z=1.0)),
+    "GridSpec": (functools.partial(bt.GridSpec, horizon=bt.MaxTime(1.0)),
+                 dict(dx=0.25, X=1.0, dt=1e-3, v_min=1e-9)),
+    "Scenario": (lambda L: bt.Scenario(
+        L=L, fd=_GS, influx=bt.ZeroInflux(), distances=bt.ExponentialDistances(1.0),
+        grid=bt.GridSpec(dx=0.25, X=1.0, horizon=bt.MaxTime(1.0))), dict(L=10.0)),
+    "solve_multi_commodity": (_one_commodity, dict(L=10.0)),
+    "ConstantInflux": (bt.ConstantInflux, dict(rate_vph=500.0)),
+    "ExponentialProfile": (bt.ExponentialProfile, dict(lambda0=50.0, B=1.0)),
+}
+
+
+class TestFiniteParameters:
+    @pytest.mark.parametrize("name", sorted(FINITE_CONSTRUCTORS))
+    def test_valid_parameters_build(self, name):
+        make, args = FINITE_CONSTRUCTORS[name]
+        make(**args)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("name, param", sorted(
+        (name, param) for name, (_m, args) in FINITE_CONSTRUCTORS.items()
+        for param in args))
+    def test_non_finite_parameter_is_named(self, name, param, value):
+        make, args = FINITE_CONSTRUCTORS[name]
+        with pytest.raises(bt.DomainError, match=rf"\b{param}\b"):
+            make(**dict(args, **{param: value}))
+
+    def test_nan_speed_from_a_relation_raises(self):
+        # a NaN speed passes the gridlock test v < v_min and never moves z,
+        # so a z horizon is never reached without the step guard
+        class NanSpeed:
+            def speed(self, rho, lam, f, g):
+                return math.nan
+
+        grid = bt.GridSpec(dx=0.25, X=1.0, horizon=bt.MaxCumulativeDistance(5.0),
+                           dt=1e-3)
+        scen = bt.Scenario(L=10.0, fd=_GS, influx=bt.ConstantInflux(100.0),
+                           distances=bt.ExponentialDistances(1.0), grid=grid)
+        with pytest.raises(bt.DomainError, match="v = nan"):
+            bt.solve_mobility_service(scen, NanSpeed())
