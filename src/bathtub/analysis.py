@@ -61,7 +61,7 @@ def stationary_state(fd: FundamentalDiagram, L: float, f: float,
     :func:`stationary_demand_from_profile` to go from a profile to the
     demand that sustains it.
     """
-    if f < 0:
+    if not f >= 0:
         raise DomainError("inflow must be non-negative")
     if not isinstance(dist, ExponentialDistances):
         raise ContractError("stationary_state inverts the exponential relation "
@@ -136,7 +136,7 @@ def stability_classify(fd: FundamentalDiagram, L: float,
     Positive flow slope at the stationary density is stable, negative
     (hypercongestion) unstable, vanishing slope marginal.
     """
-    if lam0 < 0:
+    if not lam0 >= 0:
         raise DomainError("lam0 must be non-negative")
     sign = flow_slope_sign(fd, lam0 / L)
     if sign > 0:
@@ -153,7 +153,7 @@ def gridlock_predict(f: float, Btilde: float, L: float,
     The condition is sufficient but not necessary, so the negative answer is
     reported as NOT_IMPLIED rather than as safety.
     """
-    if f < 0 or Btilde < 0:
+    if not (f >= 0 and Btilde >= 0):
         raise DomainError("f and Btilde must be non-negative")
     C, _ = fd.capacity()
     if f * Btilde > L * C:
@@ -187,9 +187,9 @@ def trip_travel_time(traj: Trajectory, t_enter: float, x: float) -> float:
     :class:`TripNotCompleted` (carrying the remaining distance at the
     horizon) if the trip does not finish within the solved range.
     """
-    if x < 0:
+    if not x >= 0:
         raise DomainError("x must be non-negative")
-    if t_enter < traj.t[0] or t_enter > traj.t[-1]:
+    if not traj.t[0] <= t_enter <= traj.t[-1]:
         raise DomainError("t_enter outside the solved range")
     z_enter = float(np.interp(t_enter, traj.t, traj.z))
     target = z_enter + x

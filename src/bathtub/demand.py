@@ -181,8 +181,9 @@ class DistanceDistribution:
         raise NotImplementedError
 
     def tail_beyond(self, t, x: float):
-        """Proportion of entering trips with distance strictly beyond ``x``."""
-        raise NotImplementedError
+        """Proportion of entering trips with distance strictly beyond ``x``:
+        the survival at ``x`` for a law without an atom there."""
+        return self.survival_array(t, x)
 
 
 class _MeanDistances(DistanceDistribution):
@@ -215,9 +216,6 @@ class ExponentialDistances(_MeanDistances):
         b = self._B(t)
         return b * (1.0 - np.exp(-X / b))
 
-    def tail_beyond(self, t, x):
-        return np.exp(-x / self._B(t))
-
 
 class UniformDistances(_MeanDistances):
     """Uniform distances on [0, 2*Btilde(t)] so the mean is Btilde(t)."""
@@ -230,9 +228,6 @@ class UniformDistances(_MeanDistances):
         sup = 2.0 * b
         xc = np.minimum(X, sup)
         return xc - xc * xc / (4.0 * b)
-
-    def tail_beyond(self, t, x):
-        return np.maximum(0.0, 1.0 - x / (2.0 * self._B(t)))
 
 
 class DeterministicDistances(_MeanDistances):
@@ -319,9 +314,6 @@ class TabulatedSurvival(DistanceDistribution):
         xs = np.append(self.x_grid[self.x_grid < X], X)
         rows = self.survival_array(t[..., None] if t.ndim else t, xs)
         return np.trapezoid(rows, xs, axis=-1)
-
-    def tail_beyond(self, t, x):
-        return self.survival_array(t, x)
 
 
 def survival(dist: DistanceDistribution, t: float, x: float) -> float:

@@ -46,10 +46,6 @@ class FundamentalDiagram:
         return float(q) if scalar else q
 
     @property
-    def free_flow_speed(self) -> float:
-        return float(self.speed(0.0))
-
-    @property
     def jam_density(self) -> Optional[float]:
         """Density at which speed reaches zero, if the variant defines one."""
         return None
@@ -293,7 +289,7 @@ def flow_slope_sign(fd: FundamentalDiagram, rho: float) -> int:
     ``[0, density_scale]`` at the boundaries.
     """
     scale = fd.density_scale
-    if rho < 0 or rho > scale * (1 + 1e-9):
+    if not 0 <= rho <= scale * (1 + 1e-9):
         raise DomainError("rho must lie in [0, jam density]")
     h = scale * 1e-6
     lo = max(0.0, rho - h)
@@ -336,6 +332,6 @@ def extended_speed(relation, rho: float, lam: float, f: float, g: float) -> floa
     :class:`BoardingDelaySpeed`.  All arguments must be non-negative.
     """
     for name, val in (("rho", rho), ("lam", lam), ("f", f), ("g", g)):
-        if val < 0:
+        if not val >= 0:
             raise DomainError(f"{name} must be non-negative")
     return float(relation.speed(rho, lam, f, g))

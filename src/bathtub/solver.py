@@ -31,7 +31,6 @@ from .demand import DistanceDistribution, EmptyNetwork, InfluxProfile, InitialCo
 from .diagrams import FundamentalDiagram
 from .errors import (ContractError, DataError, DomainError, UndefinedStatisticsError,
                      finite_positive)
-from .piecewise import PiecewiseLinear
 
 
 class Termination(Enum):
@@ -228,9 +227,6 @@ class Trajectory:
         zz, idx = np.unique(self.z, return_index=True)
         return float(np.interp(Z, zz, self.t[idx]))
 
-    def z_at(self, t: float) -> float:
-        return float(np.interp(t, self.t, self.z))
-
 
 # ---------------------------------------------------------------------------
 # capped grid-node evaluation
@@ -274,6 +270,51 @@ def _profile_capped_lin(nodes: np.ndarray, y_arr, dx: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# march on the cumulative-distance axis (shared with bathtub.special)
+# ---------------------------------------------------------------------------
+
+def _march_z(fd: FundamentalDiagram, L: float, dz: float, horizon, v_min: float,
+             lam0: float, step: Callable):
+    """March shared by the solvers on the cumulative-distance axis.
+
+    Step j starts at z = j dz with lambda_j, takes the speed
+    v_j = V(lambda_j / L) and lasts dt_j = dz / v_j, so z advances exactly
+    one cell.  ``step(j, t_j, dt_j)`` advances the solver's own state and
+    logs the mass entering during the step; it returns lambda_{j+1}.  The
+    run ends in gridlock once v_j < ``v_min``, at a z stop once j dz
+    reaches Z, and at a time stop once the next step would pass T.  One
+    entry is logged per step taken, at its start, so the entry times are
+    ``t[:-1]``.  Returns the t, z, lambda and v series (v holds the speed
+    at the final state too) and the termination.
+    """
+    t_list = [0.0]
+    lam_list = [lam0]
+    v_list: List[float] = []
+    t = 0.0
+    lam = lam0
+    j = 0
+    termination = Termination.HORIZON
+    while True:
+        v = float(fd.speed(lam / L))
+        v_list.append(v)
+        if v < v_min:
+            termination = Termination.GRIDLOCK
+            break
+        if isinstance(horizon, MaxCumulativeDistance) and j * dz >= horizon.Z - 1e-12:
+            break
+        dt = dz / v
+        if isinstance(horizon, MaxTime) and t + dt > horizon.T + 1e-12:
+            break
+        lam = step(j, t, dt)
+        t += dt
+        j += 1
+        t_list.append(t)
+        lam_list.append(lam)
+    return (np.asarray(t_list), np.arange(len(t_list)) * dz, np.asarray(lam_list),
+            np.asarray(v_list), termination)
+
+
+# ---------------------------------------------------------------------------
 # characteristic scheme
 # ---------------------------------------------------------------------------
 
@@ -291,60 +332,34 @@ def solve_characteristic(s: Scenario) -> Trajectory:
     refined, not their values on any one grid.
     """
     grid = s.grid
-    dx, I = grid.dx, grid.cells
+    dx = grid.dx
     x_nodes = grid.x_nodes()
     K = s.ic.profile_array(x_nodes).astype(float)
     _check_profile(K)
-
-    t_list = [0.0]
-    lam_list = [float(K[0])]
-    v_list: List[float] = []
     K_rows = [K.copy()]
-    ent_t: List[float] = []
-    ent_z: List[float] = []
     ent_m: List[float] = []
     F_list = [0.0]
     truncated = float(s.ic.tail_beyond(grid.X))
 
-    t = 0.0
-    j = 0
-    termination = Termination.HORIZON
-    while True:
-        lam = float(K[0])
-        v = float(s.fd.speed(lam / s.L))
-        v_list.append(v)
-        if v < grid.v_min:
-            termination = Termination.GRIDLOCK
-            break
-        if isinstance(grid.horizon, MaxCumulativeDistance):
-            if j * dx >= grid.horizon.Z - 1e-12:
-                break
-        dt = dx / v
-        if isinstance(grid.horizon, MaxTime):
-            if t + dt > grid.horizon.T + 1e-12:
-                break
-        f_t = s.influx.rate(t)
-        mass = f_t * dt
+    def step(j, t, dt):
+        nonlocal truncated
+        mass = s.influx.rate(t) * dt
         inflow = mass * s.distances.survival_array(t, x_nodes[:-1])
         K[:-1] = K[1:] + inflow
         K[-1] = 0.0
         _check_profile(K)
         truncated += mass * float(s.distances.tail_beyond(t, grid.X))
-        ent_t.append(t)
-        ent_z.append((j + 1) * dx)
         ent_m.append(mass)
         F_list.append(F_list[-1] + mass)
-        t += dt
-        j += 1
-        t_list.append(t)
-        lam_list.append(float(K[0]))
         K_rows.append(K.copy())
+        return float(K[0])
 
+    t, z, lam, v, termination = _march_z(s.fd, s.L, dx, grid.horizon, grid.v_min,
+                                         float(K[0]), step)
     return _gridded("characteristic", s.L, s.influx, s.distances, s.ic, grid,
-                    np.asarray(t_list), np.arange(len(t_list)) * dx,
-                    np.asarray(lam_list), np.asarray(v_list), np.asarray(F_list),
-                    np.asarray(ent_t), np.asarray(ent_z), np.asarray(ent_m),
-                    termination, truncated, K_history=np.asarray(K_rows))
+                    t, z, lam, v, np.asarray(F_list), t[:-1], z[1:],
+                    np.asarray(ent_m), termination, truncated,
+                    K_history=np.asarray(K_rows))
 
 
 def _check_profile(K: np.ndarray):
@@ -546,24 +561,18 @@ def solve_mobility_service(s: Scenario, speed_relation,
     """Fixed-step march with speed from an extended relation.
 
     ``speed_relation`` exposes ``speed(rho, lam, f, g)``; ``vehicle_density``
-    is an exogenous profile of per-lane vehicle density (callable or
-    :class:`PiecewiseLinear`); when omitted the trip density lam/L is fed
+    is an exogenous profile of per-lane vehicle density, a callable of t
+    such as a :class:`PiecewiseLinear`; when omitted the trip density lam/L is fed
     back, which reduces to :func:`solve_integral` when the relation ignores
     (f, g).  The out-flux enters the speed evaluation lagged one step.
     """
     if s.grid.dt is None:
         raise DomainError("solve_mobility_service requires grid.dt")
-    if vehicle_density is None:
-        rho_of = None
-    elif isinstance(vehicle_density, PiecewiseLinear):
-        rho_of = vehicle_density
-    elif callable(vehicle_density):
-        rho_of = vehicle_density
-    else:
-        raise ContractError("vehicle_density must be callable or PiecewiseLinear")
+    if vehicle_density is not None and not callable(vehicle_density):
+        raise ContractError("vehicle_density must be a callable of t")
 
     def speed_of(t, lam, f, g):
-        rho = lam[0] / s.L if rho_of is None else float(rho_of(t))
+        rho = lam[0] / s.L if vehicle_density is None else float(vehicle_density(t))
         if rho < 0:
             raise DomainError("vehicle density must be non-negative")
         return np.array([speed_relation.speed(rho, lam[0], f[0], max(g[0], 0.0))])

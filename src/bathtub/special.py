@@ -22,11 +22,10 @@ import numpy as np
 from .demand import (DeterministicDistances, EmptyNetwork, ExponentialDistances,
                      ExponentialProfile, InfluxProfile, InitialCondition)
 from .diagrams import FundamentalDiagram
-from .errors import (ContractError, DataError, DomainError, finite_non_negative,
-                     finite_positive)
-from .piecewise import PiecewiseLinear, as_profile
+from .errors import ContractError, DomainError, finite_non_negative, finite_positive
+from .piecewise import as_profile
 from .solver import (MaxCumulativeDistance, MaxTime, Termination, Trajectory,
-                     _Buf)
+                     _Buf, _march_z)
 
 
 # ---------------------------------------------------------------------------
@@ -210,49 +209,24 @@ def solve_deterministic(c: DeterministicConfig) -> Trajectory:
     solutions uniformly across regime changes.
     """
     dz = c.dz
-    tau = 0.0
-    z = 0.0
-    k = 0
-    lam = float(c.ic.lambda0)
-    F_prev = 0.0
-    t_l, z_l, lam_l, v_l, F_l = [0.0], [0.0], [lam], [], [0.0]
-    ent_t, ent_z = [], []
+    F_l = [0.0]
     theta_buf, mass_buf = _Buf(), _Buf()
-    termination = Termination.HORIZON
-    while True:
-        v = float(c.fd.speed(lam / c.L))
-        v_l.append(v)
-        if v < c.v_min:
-            termination = Termination.GRIDLOCK
-            break
-        if isinstance(c.horizon, MaxCumulativeDistance) and z >= c.horizon.Z - 1e-12:
-            break
-        dtau = dz / v
-        if isinstance(c.horizon, MaxTime) and tau + dtau > c.horizon.T + 1e-12:
-            break
-        F_next = c.influx.cumulative(tau + dtau)
-        theta = z + c.btilde_at(tau, z)
-        ent_t.append(tau)
-        ent_z.append(z)
-        mass_buf.push(max(F_next - F_prev, 0.0))
-        theta_buf.push(theta)
-        k += 1
-        z = k * dz
-        tau = tau + dtau
-        F_prev = F_next
-        masses = mass_buf.view()
-        active = float(np.sum(masses[theta_buf.view() > z + 1e-12]))
-        lam = float(c.ic.profile(z)) + active
-        t_l.append(tau)
-        z_l.append(z)
-        lam_l.append(lam)
-        F_l.append(F_next)
 
-    t_arr = np.asarray(t_l)
-    return Trajectory(scheme="deterministic", L=c.L, t=t_arr, z=np.asarray(z_l),
-                      lam=np.asarray(lam_l), v=np.asarray(v_l),
-                      f=c.influx.rate_array(t_arr), F=np.asarray(F_l),
-                      entry_t=np.asarray(ent_t), entry_z=np.asarray(ent_z),
+    def step(j, tau, dtau):
+        z = j * dz
+        F_next = c.influx.cumulative(tau + dtau)
+        theta_buf.push(z + c.btilde_at(tau, z))
+        mass_buf.push(max(F_next - F_l[-1], 0.0))
+        F_l.append(F_next)
+        z_end = (j + 1) * dz
+        active = float(np.sum(mass_buf.view()[theta_buf.view() > z_end + 1e-12]))
+        return float(c.ic.profile(z_end)) + active
+
+    t, z, lam, v, termination = _march_z(c.fd, c.L, dz, c.horizon, c.v_min,
+                                         float(c.ic.lambda0), step)
+    return Trajectory(scheme="deterministic", L=c.L, t=t, z=z, lam=lam, v=v,
+                      f=c.influx.rate_array(t), F=np.asarray(F_l),
+                      entry_t=t[:-1], entry_z=z[:-1],
                       entry_mass=mass_buf.view().copy(), termination=termination,
                       distances=None, ic=c.ic,
                       entry_theta=theta_buf.view().copy(), metadata={"dz": dz})
@@ -288,12 +262,12 @@ def classify_regime(c: DeterministicConfig, traj: Trajectory,
     return out
 
 
-def theta_inverse(traj: Trajectory, z_exit: float, tol: float = 1e-12) -> float:
+def theta_inverse(traj: Trajectory, z_exit: float) -> float:
     """Entry z-coordinate whose effective distance equals ``z_exit``.
 
-    Inverts theta over the logged entries by bisection within the maximal
-    monotone segment containing the crossing; raises if theta is not
-    monotone there (an internal consistency failure of a declared regime).
+    Finds the first pair of consecutive logged entries whose theta values
+    bracket ``z_exit`` and interpolates linearly between them; raises
+    :class:`DomainError` if no pair does.
     """
     theta = traj.entry_theta
     if theta is None:
@@ -309,17 +283,7 @@ def theta_inverse(traj: Trajectory, z_exit: float, tol: float = 1e-12) -> float:
     fa, fb = float(theta[i] - z_exit), float(theta[i + 1] - z_exit)
     if fa == 0.0:
         return a
-    if fa * fb > 0:
-        raise DataError("effective distance is not monotone across the segment")
-    pl = PiecewiseLinear([a, b], [theta[i], theta[i + 1]])
-    while b - a > tol:
-        mid = 0.5 * (a + b)
-        fm = float(pl(mid)) - z_exit
-        if fa * fm <= 0:
-            b, fb = mid, fm
-        else:
-            a, fa = mid, fm
-    return 0.5 * (a + b)
+    return a + (b - a) * fa / (fa - fb)
 
 
 # ---------------------------------------------------------------------------
@@ -426,41 +390,19 @@ def solve_constant_distance(c: DeterministicConfig) -> Tuple[Trajectory, TripFra
     I = int(round(I))
 
     dz = c.dz
-    tau = 0.0
-    lam = 0.0
     F_l = [0.0]
-    t_l, z_l, lam_l, v_l = [0.0], [0.0], [0.0], []
-    ent_t, ent_z, ent_m = [], [], []
-    termination = Termination.HORIZON
-    j = 0
-    while True:
-        v = float(c.fd.speed(lam / c.L))
-        v_l.append(v)
-        if v < c.v_min:
-            termination = Termination.GRIDLOCK
-            break
-        if isinstance(c.horizon, MaxCumulativeDistance) and j * dz >= c.horizon.Z - 1e-12:
-            break
-        dtau = dz / v
-        if isinstance(c.horizon, MaxTime) and tau + dtau > c.horizon.T + 1e-12:
-            break
-        f_j = c.influx.rate(tau)
-        ent_t.append(tau)
-        ent_z.append(j * dz)
-        ent_m.append(f_j * dtau)
-        F_l.append(F_l[-1] + f_j * dtau)
-        j += 1
-        tau += dtau
-        lam = F_l[j] - (F_l[j - I] if j >= I else 0.0)
-        t_l.append(tau)
-        z_l.append(j * dz)
-        lam_l.append(lam)
+    ent_m: List[float] = []
 
-    t_arr = np.asarray(t_l)
-    traj = Trajectory(scheme="constant_distance", L=c.L, t=t_arr,
-                      z=np.asarray(z_l), lam=np.asarray(lam_l), v=np.asarray(v_l),
-                      f=c.influx.rate_array(t_arr), F=np.asarray(F_l),
-                      entry_t=np.asarray(ent_t), entry_z=np.asarray(ent_z),
+    def step(j, tau, dtau):
+        mass = c.influx.rate(tau) * dtau
+        ent_m.append(mass)
+        F_l.append(F_l[-1] + mass)
+        return F_l[j + 1] - (F_l[j + 1 - I] if j + 1 >= I else 0.0)
+
+    t, z, lam, v, termination = _march_z(c.fd, c.L, dz, c.horizon, c.v_min, 0.0, step)
+    traj = Trajectory(scheme="constant_distance", L=c.L, t=t, z=z, lam=lam, v=v,
+                      f=c.influx.rate_array(t), F=np.asarray(F_l),
+                      entry_t=t[:-1], entry_z=z[:-1],
                       entry_mass=np.asarray(ent_m), termination=termination,
                       distances=DeterministicDistances(B), ic=c.ic,
                       metadata={"dz": dz, "Btilde": B})

@@ -296,3 +296,26 @@ class TestConvergenceStudy:
         traj = paper_char(2**-4)
         extract = bt.time_to_distance_target(30.0)
         assert extract(traj) == pytest.approx(traj.t[-1])
+
+
+NAN = np.nan
+NAN_CALLS = {
+    "flow_slope_sign": lambda: bt.flow_slope_sign(PAPER_FD, NAN),
+    "stability_classify": lambda: bt.stability_classify(PAPER_FD, 10.0, NAN),
+    "gridlock_predict": lambda: bt.gridlock_predict(NAN, 2.0, 10.0, PAPER_FD),
+    "extended_speed": lambda: bt.extended_speed(bt.BoardingDelaySpeed(PAPER_FD),
+                                                10.0, 1.0, NAN, 0.0),
+    "stationary_state": lambda: bt.stationary_state(PAPER_FD, 10.0, NAN,
+                                                    bt.ExponentialDistances(2.0)),
+    "trip_travel_time_x": lambda: bt.trip_travel_time(
+        TestTripTravelTime().free_flow_run(), 0.1, NAN),
+    "trip_travel_time_t_enter": lambda: bt.trip_travel_time(
+        TestTripTravelTime().free_flow_run(), NAN, 0.5),
+}
+
+
+@pytest.mark.parametrize("call", NAN_CALLS.values(), ids=NAN_CALLS.keys())
+def test_nan_argument_rejected(call):
+    # NaN fails every range comparison, so it must be rejected, not answered
+    with pytest.raises(bt.DomainError):
+        call()

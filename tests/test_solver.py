@@ -645,3 +645,58 @@ class TestFiniteParameters:
                            distances=bt.ExponentialDistances(1.0), grid=grid)
         with pytest.raises(bt.DomainError, match="v = nan"):
             bt.solve_mobility_service(scen, NanSpeed())
+
+
+def z_grid_run(solver, horizon, gridlock=False):
+    """One run of a solver on the z-grid and its cell: the paper pulse, or
+    an oversaturating constant inflow with Btilde = 4 and v_min = 0.5."""
+    influx = bt.ConstantInflux(6000.0) if gridlock else paper_pulse()
+    v_min = 0.5 if gridlock else 1e-9
+    if solver == "characteristic":
+        dist = (bt.DeterministicDistances(4.0) if gridlock
+                else bt.UniformDistances(paper_btilde()))
+        grid = bt.GridSpec(dx=2**-5, X=5.0, horizon=horizon, v_min=v_min)
+        scen = bt.Scenario(L=PAPER_L, fd=PAPER_FD, influx=influx,
+                           distances=dist, grid=grid)
+        return bt.solve_characteristic(scen), grid.dx
+    if gridlock:
+        btilde = 4.0
+    else:
+        btilde = paper_btilde() if solver == "deterministic" else 2.0
+    c = bt.DeterministicConfig(L=PAPER_L, fd=PAPER_FD, btilde=btilde,
+                               influx=influx, dz=2**-6, horizon=horizon,
+                               v_min=v_min)
+    if solver == "deterministic":
+        return bt.solve_deterministic(c), c.dz
+    return bt.solve_constant_distance(c)[0], c.dz
+
+
+@pytest.mark.parametrize("solver", ["characteristic", "deterministic",
+                                    "constant_distance"])
+class TestZGridStops:
+    """Every solver on the z-grid stops under the same three tests."""
+
+    def check_series(self, traj, dz):
+        assert traj.v.size == traj.t.size
+        np.testing.assert_array_equal(traj.z, np.arange(traj.t.size) * dz)
+
+    def test_off_grid_distance_stop_takes_the_first_node_past_Z(self, solver):
+        Z = 7.3
+        traj, dz = z_grid_run(solver, bt.MaxCumulativeDistance(Z))
+        self.check_series(traj, dz)
+        assert traj.termination is bt.Termination.HORIZON
+        assert traj.z[-1] == math.ceil(Z / dz) * dz
+        assert traj.z[-2] < Z
+
+    def test_unaligned_time_stop_skips_the_step_that_passes_T(self, solver):
+        T = 0.77
+        traj, dz = z_grid_run(solver, bt.MaxTime(T))
+        self.check_series(traj, dz)
+        assert traj.termination is bt.Termination.HORIZON
+        assert traj.t[-1] <= T + 1e-12 < traj.t[-1] + dz / traj.v[-1]
+
+    def test_gridlock_stops_at_the_first_slow_speed(self, solver):
+        traj, dz = z_grid_run(solver, bt.MaxTime(20.0), gridlock=True)
+        self.check_series(traj, dz)
+        assert traj.termination is bt.Termination.GRIDLOCK
+        assert traj.v[-1] < 0.5 <= traj.v[:-1].min()
