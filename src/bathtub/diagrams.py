@@ -29,18 +29,28 @@ class FundamentalDiagram:
 
     Subclasses implement :meth:`_speed` on a validated non-negative density
     array.  ``speed`` clamps to zero at and beyond the jam density where one
-    exists.
+    exists.  A float density takes :meth:`_speed_float`, which the + - * /
+    laws override with float arithmetic equal to the array path's bit for bit.
     """
 
     def _speed(self, rho: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def _speed_float(self, rho: float) -> float:
+        return float(self._speed(np.asarray(rho)))
+
     def speed(self, rho):
+        if isinstance(rho, float):
+            if not rho >= 0:
+                raise DomainError("density must be non-negative")
+            return max(self._speed_float(float(rho)), 0.0)
         r, scalar = _as_density(rho)
         v = np.maximum(self._speed(r), 0.0)
         return float(v) if scalar else v
 
     def flow(self, rho):
+        if isinstance(rho, float):
+            return float(rho) * self.speed(rho)
         r, scalar = _as_density(rho)
         q = r * np.maximum(self._speed(r), 0.0)
         return float(q) if scalar else q
@@ -108,9 +118,12 @@ class Triangular(FundamentalDiagram):
         finite_positive(u=self.u, w=self.w, kappa=self.kappa)
 
     def _speed(self, rho):
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", over="ignore"):
             congested = np.where(rho > 0, self.w * (self.kappa / np.where(rho > 0, rho, 1.0) - 1.0), np.inf)
         return np.minimum(self.u, congested)
+
+    def _speed_float(self, rho):
+        return self.u if not rho > 0 else min(self.u, self.w * (self.kappa / rho - 1.0))
 
     @property
     def jam_density(self):
@@ -134,11 +147,14 @@ class Trapezoidal(FundamentalDiagram):
         finite_positive(u=self.u, C=self.C, w=self.w, kappa=self.kappa)
 
     def _speed(self, rho):
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", over="ignore"):
             pos = np.where(rho > 0, rho, 1.0)
             capped = np.where(rho > 0, self.C / pos, np.inf)
             congested = np.where(rho > 0, self.w * (self.kappa / pos - 1.0), np.inf)
         return np.minimum(self.u, np.minimum(capped, congested))
+
+    def _speed_float(self, rho):
+        return self.u if not rho > 0 else min(self.u, min(self.C / rho, self.w * (self.kappa / rho - 1.0)))
 
     @property
     def jam_density(self):
@@ -164,6 +180,8 @@ class Greenshields(FundamentalDiagram):
 
     def _speed(self, rho):
         return self.u * (1.0 - rho / self.kappa)
+
+    _speed_float = _speed
 
     @property
     def jam_density(self):

@@ -10,6 +10,7 @@ slowly-varying parameters).
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 
 import numpy as np
 
@@ -20,7 +21,9 @@ class PiecewiseLinear:
     """Piecewise-linear interpolant through ``(x, y)`` nodes.
 
     ``x`` must be strictly increasing and all values finite.  Calling the
-    object evaluates it; scalars in, scalar out; arrays in, array out.
+    object evaluates it; scalars in, scalar out; arrays in, array out.  A
+    float is evaluated in plain floats on node lists, with the arithmetic
+    of ``np.interp``, so it gives the array path's result bit for bit.
     """
 
     def __init__(self, x, y, extend: str = "clamp"):
@@ -37,14 +40,23 @@ class PiecewiseLinear:
         self.x = x
         self.y = y
         self.extend = extend
+        self._xs, self._ys = x.tolist(), y.tolist()
         # cumulative trapezoid areas between consecutive nodes
         if x.size > 1:
             seg = 0.5 * (y[1:] + y[:-1]) * np.diff(x)
-            self._cum = np.concatenate([[0.0], np.cumsum(seg)])
+            self._cum = [0.0] + np.cumsum(seg).tolist()
         else:
-            self._cum = np.zeros(1)
+            self._cum = [0.0]
 
     def __call__(self, t):
+        if isinstance(t, float) and t == t:  # NaN takes the numpy path
+            xs, ys, t = self._xs, self._ys, float(t)
+            j = bisect_right(xs, t) - 1
+            if j < 0 or (j == len(xs) - 1 and t > xs[j]):
+                return 0.0 if self.extend == "zero" else ys[0 if j < 0 else j]
+            if t == xs[j]:
+                return ys[j]
+            return (ys[j + 1] - ys[j]) / (xs[j + 1] - xs[j]) * (t - xs[j]) + ys[j]
         scalar = np.isscalar(t) or np.ndim(t) == 0
         tt = np.asarray(t, dtype=float)
         out = np.interp(tt, self.x, self.y)
@@ -57,7 +69,7 @@ class PiecewiseLinear:
         t = float(t)
         if t <= 0.0:
             return 0.0
-        x, y = self.x, self.y
+        x, y = self._xs, self._ys
         total = 0.0
         # stretch before the first node
         if x[0] > 0.0:
@@ -71,20 +83,19 @@ class PiecewiseLinear:
         if hi > lo:
             total += self._segment_area(lo, hi)
         if t > x[-1] and self.extend == "clamp":
-            total += y[-1] * (t - x[-1])
+            total += y[-1] * (t - max(x[-1], 0.0))
         return total
 
     def _segment_area(self, a: float, b: float) -> float:
         # exact area over [a, b] with [a, b] inside the node span
-        ia = int(np.searchsorted(self.x, a, side="right")) - 1
-        ib = int(np.searchsorted(self.x, b, side="right")) - 1
-        ia = max(0, min(ia, self.x.size - 2))
-        ib = max(0, min(ib, self.x.size - 2))
+        x, y = self._xs, self._ys
+        ia = max(0, min(bisect_right(x, a) - 1, len(x) - 2))
+        ib = max(0, min(bisect_right(x, b) - 1, len(x) - 2))
         if ia == ib:
             return 0.5 * (self(a) + self(b)) * (b - a)
-        area = 0.5 * (self(a) + self.y[ia + 1]) * (self.x[ia + 1] - a)
+        area = 0.5 * (self(a) + y[ia + 1]) * (x[ia + 1] - a)
         area += self._cum[ib] - self._cum[ia + 1]
-        area += 0.5 * (self.y[ib] + self(b)) * (b - self.x[ib])
+        area += 0.5 * (y[ib] + self(b)) * (b - x[ib])
         return area
 
     def minimum(self) -> float:

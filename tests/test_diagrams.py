@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bathtub as bt
 from helpers import brute_force_capacity
@@ -28,20 +30,62 @@ class TestSpeed:
         assert bt.speed(GS, 300.0) == 0.0
 
     def test_negative_density_rejected(self):
-        with pytest.raises(bt.DomainError):
-            bt.speed(TRAP, -1.0)
+        for rho in (-1.0, -0.5, np.float64(-0.5)):
+            with pytest.raises(bt.DomainError):
+                bt.speed(TRAP, rho)
+            with pytest.raises(bt.DomainError):
+                bt.flow(TRAP, rho)
 
-    @pytest.mark.parametrize("rho", [math.nan, np.array([10.0, math.nan])])
+    @pytest.mark.parametrize("rho", [math.nan, np.array([10.0, math.nan]),
+                                     pytest.param(np.float64(math.nan), id="float64-nan")])
     def test_nan_density_rejected(self, rho):
         # a NaN density passes a plain ``rho < 0`` test and reads as free flow
         with pytest.raises(bt.DomainError):
             bt.speed(TRAP, rho)
+        with pytest.raises(bt.DomainError):
+            bt.flow(TRAP, rho)
 
     @pytest.mark.parametrize("fd", [TRAP, TRI, GS])
     def test_non_increasing_on_grid(self, fd):
         rho = np.linspace(0.0, fd.kappa, 1000)
         v = fd.speed(rho)
         assert np.all(np.diff(v) <= 1e-12)
+
+
+def _bits(v):
+    return np.float64(v).tobytes()
+
+
+def _assert_float_path_matches_array(fd, r):
+    # the float path is separate code; it must give the array path's bits
+    for rho in (float(r), np.float64(r)):
+        for fn in (fd.speed, fd.flow):
+            got = fn(rho)
+            assert type(got) is float
+            assert _bits(got) == _bits(fn(np.array([r]))[0]), (fn.__name__, rho)
+
+
+class TestFloatPath:
+    @pytest.mark.parametrize("fd", [TRAP, TRI, GS], ids=["trap", "tri", "gs"])
+    def test_matches_array_path_at_named_densities(self, fd):
+        rho_cap = fd.capacity()[1]
+        for r in (0.0, 5e-324, 1e-310, rho_cap, np.nextafter(rho_cap, 0.0),
+                  np.nextafter(rho_cap, np.inf), fd.kappa / 2.0, fd.kappa,
+                  2.0 * fd.kappa, 1e6):
+            _assert_float_path_matches_array(fd, r)
+
+    @pytest.mark.parametrize("fd", [TRAP, TRI, GS], ids=["trap", "tri", "gs"])
+    @settings(max_examples=25, derandomize=True, deadline=None)
+    @given(r=st.floats(min_value=0.0, max_value=1e9, allow_subnormal=True))
+    def test_matches_array_path_on_generated_densities(self, fd, r):
+        _assert_float_path_matches_array(fd, r)
+
+    def test_tabulated_laws_keep_the_array_path(self):
+        tab = bt.TabulatedSpeed((0.0, 50.0, 200.0), (30.0, 15.0, 0.0))
+        step = bt.PiecewiseConstantSpeed(((0.0, 30.0), (50.0, 15.0), (200.0, 0.0)))
+        for fd in (tab, step):
+            for r in (0.0, 25.0, 50.0, 120.0, 300.0):
+                _assert_float_path_matches_array(fd, r)
 
 
 class TestFlow:

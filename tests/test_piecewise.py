@@ -51,3 +51,33 @@ def test_vectorized_evaluation():
     pl = PiecewiseLinear([0.0, 2.0], [0.0, 4.0], extend="zero")
     out = pl(np.array([-1.0, 1.0, 3.0]))
     assert np.array_equal(out, np.array([0.0, 2.0, 0.0]))
+
+
+@pytest.mark.parametrize("extend", ["zero", "clamp"])
+def test_float_path_matches_array_path(extend):
+    # the float path mirrors np.interp; compare bits, not values
+    profiles = [PiecewiseLinear([0.0, 0.4, 0.6, 1.0], [2.0, 5.0, 5.0, 2.0], extend=extend),
+                PiecewiseLinear([-1.5, 0.1, 0.7, 3.0], [0.3, 1e-3, 7.25, 0.0], extend=extend),
+                PiecewiseLinear([2.0], [4.5], extend=extend)]
+    for pl in profiles:
+        x = pl.x
+        pts = [*x, *(0.5 * (x[1:] + x[:-1])), *np.nextafter(x, -np.inf),
+               *np.nextafter(x, np.inf), x[0] - 1.0, x[-1] + 1.0, -1e300, 1e300]
+        array = pl(np.asarray(pts))
+        for t, want in zip(pts, array):
+            for arg in (float(t), np.float64(t)):
+                got = pl(arg)
+                assert type(got) is float
+                assert np.float64(got).tobytes() == want.tobytes(), (extend, t)
+
+
+@pytest.mark.parametrize("x, y, t, exact", [
+    ([-2.0, -1.0], [1.0, 1.0], 1.0, 1.0),
+    ([-2.0, -1.0], [1.0, 3.0], 2.0, 6.0),
+    ([-3.0], [2.5], 4.0, 10.0),
+    ([-2.0, 0.0], [1.0, 3.0], 2.0, 6.0),
+    ([-2.0, 2.0], [1.0, 3.0], 3.0, 0.5 * (2.0 + 3.0) * 2.0 + 3.0),
+])
+def test_clamp_integral_with_nodes_before_zero(x, y, t, exact):
+    # only [0, t] counts, however far before 0 the nodes lie
+    assert PiecewiseLinear(x, y, extend="clamp").integral(t) == pytest.approx(exact, rel=1e-15)
