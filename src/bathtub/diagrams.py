@@ -6,6 +6,7 @@ All diagram objects are immutable and safe to share between concurrent runs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -19,18 +20,19 @@ _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 def _as_density(rho):
     scalar = np.isscalar(rho) or np.ndim(rho) == 0
     r = np.asarray(rho, dtype=float)
-    if not np.all(r >= 0):
-        raise DomainError("density must be non-negative")
+    if not np.all((r >= 0) & (r < np.inf)):
+        raise DomainError("density must be finite and non-negative")
     return r, scalar
 
 
 class FundamentalDiagram:
     """Base class for speed-density relations.
 
-    Subclasses implement :meth:`_speed` on a validated non-negative density
-    array.  ``speed`` clamps to zero at and beyond the jam density where one
-    exists.  A float density takes :meth:`_speed_float`, which the + - * /
-    laws override with float arithmetic equal to the array path's bit for bit.
+    Subclasses implement :meth:`_speed` on a validated finite non-negative
+    density array.  ``speed`` clamps to zero at and beyond the jam density where one
+    exists.  A float density takes :meth:`_speed_float`, which Trapezoidal
+    and Greenshields override with float arithmetic equal to the array
+    path's bit for bit.  A NaN, negative or infinite density is rejected.
     """
 
     def _speed(self, rho: np.ndarray) -> np.ndarray:
@@ -41,8 +43,8 @@ class FundamentalDiagram:
 
     def speed(self, rho):
         if isinstance(rho, float):
-            if not rho >= 0:
-                raise DomainError("density must be non-negative")
+            if not 0 <= rho < math.inf:
+                raise DomainError("density must be finite and non-negative")
             return max(self._speed_float(float(rho)), 0.0)
         r, scalar = _as_density(rho)
         v = np.maximum(self._speed(r), 0.0)
@@ -121,9 +123,6 @@ class Triangular(FundamentalDiagram):
         with np.errstate(divide="ignore", over="ignore"):
             congested = np.where(rho > 0, self.w * (self.kappa / np.where(rho > 0, rho, 1.0) - 1.0), np.inf)
         return np.minimum(self.u, congested)
-
-    def _speed_float(self, rho):
-        return self.u if not rho > 0 else min(self.u, self.w * (self.kappa / rho - 1.0))
 
     @property
     def jam_density(self):

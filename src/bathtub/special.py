@@ -207,27 +207,19 @@ def solve_deterministic(c: DeterministicConfig) -> Trajectory:
     theta = z_entry + Btilde(entry); a trip is active at z exactly while its
     theta exceeds z, which realizes the FIFO / LIFO / simultaneous-exit
     solutions uniformly across regime changes.
-
-    As z only grows, an inactive entry stays so: the sum skips the log's
-    inactive prefix and picks the entries a whole-log mask would, in order.
     """
     dz = c.dz
     F_l = [0.0]
     theta_buf, mass_buf = _Buf(), _Buf()
-    lo = 0
 
     def step(j, tau, dtau):
-        nonlocal lo
         z = j * dz
         F_next = c.influx.cumulative(tau + dtau)
         theta_buf.push(z + c.btilde_at(tau, z))
         mass_buf.push(max(F_next - F_l[-1], 0.0))
         F_l.append(F_next)
         z_end = (j + 1) * dz
-        theta, cut = theta_buf.view(), z_end + 1e-12
-        while lo < theta.size and theta[lo] <= cut:
-            lo += 1
-        active = float(np.sum(mass_buf.view()[lo:][theta[lo:] > cut]))
+        active = float(np.sum(mass_buf.view()[theta_buf.view() > z_end + 1e-12]))
         return float(c.ic.profile(z_end)) + active
 
     t, z, lam, v, termination = _march_z(c.fd, c.L, dz, c.horizon, c.v_min,

@@ -37,13 +37,17 @@ class TestSpeed:
                 bt.flow(TRAP, rho)
 
     @pytest.mark.parametrize("rho", [math.nan, np.array([10.0, math.nan]),
-                                     pytest.param(np.float64(math.nan), id="float64-nan")])
+                                     pytest.param(np.float64(math.nan), id="float64-nan"),
+                                     math.inf, np.array([10.0, math.inf]),
+                                     pytest.param(np.float64(math.inf), id="float64-inf")])
     def test_nan_density_rejected(self, rho):
-        # a NaN density passes a plain ``rho < 0`` test and reads as free flow
-        with pytest.raises(bt.DomainError):
-            bt.speed(TRAP, rho)
-        with pytest.raises(bt.DomainError):
-            bt.flow(TRAP, rho)
+        # a NaN density passes a plain ``rho < 0`` test and reads as free
+        # flow; an infinite one gives flow inf * 0 = nan
+        for fd in (TRAP, GS):
+            with pytest.raises(bt.DomainError):
+                bt.speed(fd, rho)
+            with pytest.raises(bt.DomainError):
+                bt.flow(fd, rho)
 
     @pytest.mark.parametrize("fd", [TRAP, TRI, GS])
     def test_non_increasing_on_grid(self, fd):

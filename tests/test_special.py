@@ -190,25 +190,6 @@ class TestDeterministicSolve:
         rec = np.array([bt.reconstruct_K(traj, float(t), 0.0) for t in traj.t])
         np.testing.assert_allclose(rec, traj.lam, rtol=1e-9, atol=0.0)
 
-    def test_windowed_sum_equals_full_log_sum(self):
-        # LIFO at first (dBtilde/dz = -3), so entries leave out of index
-        # order and a live entry can sit behind inactive ones in the log
-        bz = bt.PiecewiseLinear([0.0, 1.0, 3.0, 50.0], [4.0, 1.0, 6.0, 1.0])
-        ic = bt.ExponentialProfile(50.0, 1.0)
-        cfg = bt.DeterministicConfig(L=10.0, fd=PAPER_FD, btilde=bz,
-                                     btilde_coordinate="z", ic=ic,
-                                     influx=bt.ConstantInflux(300.0), dz=2**-6,
-                                     horizon=bt.MaxCumulativeDistance(12.0))
-        traj = bt.solve_deterministic(cfg)
-        theta, mass = traj.entry_theta, traj.entry_mass
-        assert np.any(np.diff(theta) < 0)
-        full = [float(traj.lam[0])]
-        for j in range(theta.size):
-            z_end = float(traj.z[j + 1])
-            active = float(np.sum(mass[:j + 1][theta[:j + 1] > z_end + 1e-12]))
-            full.append(float(ic.profile(z_end)) + active)
-        np.testing.assert_array_equal(traj.lam, np.asarray(full))
-
     def test_theta_inverse_recovers_entry_point(self):
         cfg = bt.DeterministicConfig(L=10.0, fd=PAPER_FD, btilde=2.0,
                                      influx=bt.ConstantInflux(500.0), dz=2**-5,
