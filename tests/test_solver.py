@@ -700,3 +700,67 @@ class TestZGridStops:
         self.check_series(traj, dz)
         assert traj.termination is bt.Termination.GRIDLOCK
         assert traj.v[-1] < 0.5 <= traj.v[:-1].min()
+
+
+def fixed_step_run(solver, horizon, gridlock=False):
+    """One run of a fixed-step solver and its step: the paper pulse, or an
+    oversaturating constant inflow with v_min = 0.5.  Multi-commodity runs
+    split the demand over two commodities sharing one density, except under
+    a distance stop, which takes a single commodity."""
+    v_min = 0.5 if gridlock else 1e-9
+    if solver == "vickrey":
+        c = bt.VickreyConfig(L=PAPER_L, fd=PAPER_FD, B=5.0 if gridlock else 2.0,
+                             lambda0=0.0,
+                             influx=bt.ConstantInflux(8000.0) if gridlock else paper_pulse(),
+                             dt=1e-3, horizon=horizon, v_min=v_min)
+        return bt.solve_vickrey(c), c.dt
+    dx, X = (0.25, 8.0) if gridlock else (2**-4, 5.0)
+    dist = (bt.DeterministicDistances(4.0) if gridlock
+            else bt.UniformDistances(paper_btilde()))
+    grid = bt.GridSpec(dx=dx, X=X, horizon=horizon, dt=dx / 30.0, v_min=v_min)
+    scen = bt.Scenario(L=PAPER_L, fd=PAPER_FD, distances=dist, grid=grid,
+                       influx=bt.ConstantInflux(6000.0) if gridlock else paper_pulse())
+    if solver == "integral":
+        return bt.solve_integral(scen), grid.dt
+    if solver == "mobility_service":
+        esr = bt.BoardingDelaySpeed(PAPER_FD, alpha=1e-3, lane_miles=PAPER_L)
+        return bt.solve_mobility_service(scen, esr), grid.dt
+    M = 1 if isinstance(horizon, bt.MaxCumulativeDistance) else 2
+    if gridlock:
+        influx = bt.ConstantInflux(6000.0 / M)
+    else:
+        influx = paper_pulse() if M == 1 else bt.TrapezoidalPulse(5000.0, 2000.0, 1.0)
+    rel = lambda lam, f, g: PAPER_FD.speed(lam.sum() / PAPER_L)
+    runs = bt.solve_multi_commodity(PAPER_L, [bt.CommodityDemand(influx, dist)] * M,
+                                    [rel] * M, grid)
+    return runs[0], grid.dt
+
+
+@pytest.mark.parametrize("solver", ["integral", "mobility_service",
+                                    "multi_commodity", "vickrey"])
+class TestFixedStepStops:
+    """Every fixed-step solver stops under the same three tests."""
+
+    def check_series(self, traj, dt):
+        assert traj.v.size == traj.t.size
+        np.testing.assert_array_equal(traj.t, np.arange(traj.t.size) * dt)
+
+    def test_distance_stop_takes_the_first_step_past_Z(self, solver):
+        Z = 7.3
+        traj, dt = fixed_step_run(solver, bt.MaxCumulativeDistance(Z))
+        self.check_series(traj, dt)
+        assert traj.termination is bt.Termination.HORIZON
+        assert traj.z[-2] < Z - 1e-12 <= traj.z[-1]
+
+    def test_unaligned_time_stop_takes_the_first_step_past_T(self, solver):
+        T = 0.7705
+        traj, dt = fixed_step_run(solver, bt.MaxTime(T))
+        self.check_series(traj, dt)
+        assert traj.termination is bt.Termination.HORIZON
+        assert traj.t[-2] < T - 1e-12 <= traj.t[-1]
+
+    def test_gridlock_stops_at_the_first_slow_speed(self, solver):
+        traj, dt = fixed_step_run(solver, bt.MaxTime(20.0), gridlock=True)
+        self.check_series(traj, dt)
+        assert traj.termination is bt.Termination.GRIDLOCK
+        assert traj.v[-1] < 0.5 <= traj.v[:-1].min()
