@@ -94,10 +94,6 @@ class PiecewiseLinearInflux(InfluxProfile):
             raise DomainError("rates must be non-negative")
         self._pl = PiecewiseLinear(t, r, extend="zero")
 
-    @property
-    def nodes(self):
-        return list(zip(self._pl.x.tolist(), self._pl.y.tolist()))
-
     def _rate(self, t):
         return float(self._pl(t))
 
@@ -195,9 +191,6 @@ class _MeanDistances(DistanceDistribution):
             raise DomainError("mean distance must be positive")
         self.time_dependent = self._B.x.size > 1
 
-    def btilde(self, t):
-        return self._B(t)
-
     def mean_distance(self, t):
         return float(self._B(t))
 
@@ -277,9 +270,6 @@ class TabulatedSurvival(DistanceDistribution):
         self.t_grid = t
         self.values = np.maximum(v, 0.0)
         self.time_dependent = t.size > 1
-
-    def btilde(self, t):
-        return self.mean_distance(t)
 
     def _row(self, t):
         t = np.asarray(t, dtype=float)

@@ -133,8 +133,11 @@ class Trajectory:
     """A solved run: aligned series, the entering-mass log, and the data
     that rebuilds K(t, x) from that log.
 
-    ``entry_z`` holds, per logged entry, the cumulative-distance coordinate
-    from which that mass ages in the discrete dynamics, so that
+    Every solver logs one entering mass per step taken, at the step's start,
+    so only ``entry_mass`` is stored: ``entry_t`` is ``t[:-1]``, and
+    ``entry_z``, the cumulative distance from which each mass ages in the
+    discrete dynamics, is the step end ``z[1:]`` in the characteristic
+    scheme and the step start ``z[:-1]`` in every other, so that
     :func:`reconstruct_K` and :meth:`profiles`, its batch form, reproduce
     the scheme's own K values exactly.  ``distances`` and ``ic`` are the
     run's distance law and initial condition.  Deterministic runs log each
@@ -152,8 +155,6 @@ class Trajectory:
     v: np.ndarray
     f: np.ndarray
     F: np.ndarray
-    entry_t: np.ndarray
-    entry_z: np.ndarray
     entry_mass: np.ndarray
     termination: Termination
     distances: Optional[DistanceDistribution]
@@ -173,11 +174,18 @@ class Trajectory:
             if self.t.size > 1:
                 self.g[:-1] = np.diff(self.G) / np.diff(self.t)
                 self.g[-1] = self.g[-2]
-        self.metadata.setdefault("termination", self.termination.value)
 
     @property
     def n_steps(self) -> int:
         return self.t.size
+
+    @property
+    def entry_t(self) -> np.ndarray:
+        return self.t[:-1]
+
+    @property
+    def entry_z(self) -> np.ndarray:
+        return self.z[1:] if self.scheme == "characteristic" else self.z[:-1]
 
     @property
     def series(self) -> dict:
@@ -357,9 +365,8 @@ def solve_characteristic(s: Scenario) -> Trajectory:
     t, z, lam, v, termination = _march_z(s.fd, s.L, dx, grid.horizon, grid.v_min,
                                          float(K[0]), step)
     return _gridded("characteristic", s.L, s.influx, s.distances, s.ic, grid,
-                    t, z, lam, v, np.asarray(F_list), t[:-1], z[1:],
-                    np.asarray(ent_m), termination, truncated,
-                    K_history=np.asarray(K_rows))
+                    t, z, lam, v, np.asarray(F_list), np.asarray(ent_m),
+                    termination, truncated, K_history=np.asarray(K_rows))
 
 
 def _check_profile(K: np.ndarray):
@@ -375,6 +382,20 @@ def _check_profile(K: np.ndarray):
 # ---------------------------------------------------------------------------
 
 class _Commodity:
+    """One commodity of the fixed-step march: its z, lambda, F, v and
+    entering-mass series, and the live window of its log.
+
+    Step j logs the mass entering during it at the step start (t_j, z_j),
+    then weights only the live window of the log.  An entry whose age
+    z - z_i has reached X (``cells`` cells, by the same floor test as
+    :func:`_survival_capped_lin`) has capped survival exactly 0.  Every step
+    taken has v >= v_min > 0, so z never decreases: ages only grow, and
+    since z_i is non-decreasing the dead entries form a prefix of the log
+    that stays dead.  ``start`` skips that prefix; likewise the
+    initial-profile term is 0 once z passes X.  The sum differs from one
+    over the whole log only in summation order.
+    """
+
     def __init__(self, influx, distances, ic, grid: GridSpec):
         self.influx = influx
         self.distances = distances
@@ -384,6 +405,51 @@ class _Commodity:
         # the negation of _profile_capped_lin's ``inside`` test: beyond this
         # offset every initial trip has left
         self.k0_reach = grid.cells * grid.dx + 1e-9 * grid.dx
+        self.z, self.lam, self.F, self.mass = _Buf(), _Buf(), _Buf(), _Buf()
+        self.z.push(0.0)
+        self.lam.push(ic.lambda0)
+        self.F.push(0.0)
+        self.v: List[float] = []
+        self.start = 0  # first live entry of the log
+        self.truncated = float(ic.tail_beyond(grid.X))
+
+    def step(self, t_log: np.ndarray, dt: float, f: float, v: float) -> float:
+        """Advance one step from the last time in ``t_log``; returns its
+        out-flux.  A step that moves z by more than one cell raises."""
+        dx, cells = self.grid.dx, self.grid.cells
+        if not v * dt <= dx * (1.0 + 1e-9):  # NaN fails too
+            raise DomainError(
+                f"a step of dt = {dt:g} h at v = {v:g} mph moves z by more "
+                f"than one cell dx = {dx:g} mi; use dt <= dx/v = {dx / v:g} h")
+        ez = self.z.view()
+        z = ez[-1] + v * dt
+        self.mass.push(f * dt)
+        self.truncated += f * dt * float(self.distances.tail_beyond(t_log[-1], self.grid.X))
+        i = self.start
+        while i < ez.size and (z - ez[i]) / dx + 1e-9 >= cells:
+            i += 1
+        self.start = i
+        surv = _survival_capped_lin(self.distances, t_log[i:], z - ez[i:], dx, cells)
+        boundary = float(np.dot(self.mass.view()[i:], surv))
+        if z > self.k0_reach:
+            initial = 0.0
+        else:
+            initial = float(_profile_capped_lin(self.k0_nodes, z, dx))
+        lam_new = initial + boundary
+        lam0, lam = self.lam.a[0], self.lam.view()[-1]
+        F = self.F.view()[-1] + f * dt
+        g = ((lam0 + F - lam_new) - (lam0 + (F - f * dt) - lam)) / dt
+        self.z.push(z)
+        self.lam.push(lam_new)
+        self.F.push(F)
+        return g
+
+    def trajectory(self, scheme: str, L: float, t: np.ndarray,
+                   termination: Termination) -> Trajectory:
+        return _gridded(scheme, L, self.influx, self.distances, self.ic, self.grid,
+                        t, self.z.view().copy(), self.lam.view().copy(),
+                        np.asarray(self.v), self.F.view().copy(),
+                        self.mass.view().copy(), termination, self.truncated)
 
 
 class _Buf:
@@ -407,110 +473,39 @@ def _march_integral(dt: float, horizon, coms: Sequence[_Commodity],
                     speed_of: Callable, v_min: float):
     """Fixed-step marcher shared by the single-commodity, mobility-service
     and multi-commodity solvers.  ``speed_of(t, lam, f, g)`` returns the
-    per-commodity speed vector from the joint state.
-
-    Each step weights only the live window of the entering-mass log.  An
-    entry whose age z - entry_z has reached X (``cells`` cells, by the same
-    floor test as :func:`_survival_capped_lin`) has capped survival exactly
-    0.  Every step taken has v >= v_min > 0, so z never decreases: ages only
-    grow, and since ``entry_z`` is non-decreasing the dead entries form a
-    prefix of the log that stays dead.  One start index per commodity skips
-    that prefix; likewise the initial-profile term is 0 once z passes X.
-    The sum differs from one over the whole log only in summation order.
-    A step that would move z by more than one cell (v dt > dx) raises
-    :class:`DomainError`.
+    per-commodity speed vector from the joint state.  Returns the time
+    series and the termination; each commodity keeps its own series.
     """
-    M = len(coms)
-    lam = np.array([c.ic.lambda0 for c in coms], dtype=float)
-    lam0 = lam.copy()
-    z = np.zeros(M)
-    Fc = np.zeros(M)
-    g_prev = np.zeros(M)
-
     t_buf = _Buf()
     t_buf.push(0.0)
-    z_bufs = [_Buf() for _ in range(M)]
-    lam_bufs = [_Buf() for _ in range(M)]
-    v_bufs = [_Buf() for _ in range(M)]
-    F_bufs = [_Buf() for _ in range(M)]
-    ent_t = _Buf()
-    ent_z = [_Buf() for _ in range(M)]
-    ent_m = [_Buf() for _ in range(M)]
-    truncated = [float(c.ic.tail_beyond(c.grid.X)) for c in coms]
-    start = [0] * M  # first live entry of each commodity's log
-    for m in range(M):
-        z_bufs[m].push(0.0)
-        lam_bufs[m].push(lam[m])
-        F_bufs[m].push(0.0)
-
+    g = np.zeros(len(coms))
     t = 0.0
-    j = 0
     termination = Termination.HORIZON
     while True:
-        f_vec = np.array([c.influx.rate(t) for c in coms])
-        v_vec = np.asarray(speed_of(t, lam, f_vec, g_prev), dtype=float)
-        for m in range(M):
-            v_bufs[m].push(v_vec[m])
-        if np.any(v_vec < v_min):
+        f = np.array([c.influx.rate(t) for c in coms])
+        lam = np.array([c.lam.view()[-1] for c in coms])
+        v = np.asarray(speed_of(t, lam, f, g), dtype=float)
+        for c, vm in zip(coms, v):
+            c.v.append(vm)
+        if np.any(v < v_min):
             termination = Termination.GRIDLOCK
             break
         if isinstance(horizon, MaxTime) and t >= horizon.T - 1e-12:
             break
-        if isinstance(horizon, MaxCumulativeDistance) and z[0] >= horizon.Z - 1e-12:
+        if (isinstance(horizon, MaxCumulativeDistance)
+                and coms[0].z.view()[-1] >= horizon.Z - 1e-12):
             break
-
-        z_new = z + v_vec * dt
-        ent_t.push(t)
-        lam_new = np.empty(M)
-        for m in range(M):
-            c = coms[m]
-            dx, cells = c.grid.dx, c.grid.cells
-            vm = float(v_vec[m])
-            if not vm * dt <= dx * (1.0 + 1e-9):  # NaN fails too
-                raise DomainError(
-                    f"a step of dt = {dt:g} h at v = {vm:g} mph moves z by more "
-                    f"than one cell dx = {dx:g} mi; use dt <= dx/v = {dx / vm:g} h")
-            zm = z_new[m]
-            ent_z[m].push(z[m])
-            ent_m[m].push(f_vec[m] * dt)
-            truncated[m] += f_vec[m] * dt * float(c.distances.tail_beyond(t, c.grid.X))
-            ez = ent_z[m].view()
-            i = start[m]
-            while i < ez.size and (zm - ez[i]) / dx + 1e-9 >= cells:
-                i += 1
-            start[m] = i
-            surv = _survival_capped_lin(c.distances, ent_t.view()[i:], zm - ez[i:],
-                                        dx, cells)
-            boundary = float(np.dot(ent_m[m].view()[i:], surv))
-            if zm > c.k0_reach:
-                initial = 0.0
-            else:
-                initial = float(_profile_capped_lin(c.k0_nodes, zm, dx))
-            lam_new[m] = initial + boundary
-        Fc = Fc + f_vec * dt
-        g_prev = ((lam0 + Fc - lam_new) - (lam0 + (Fc - f_vec * dt) - lam)) / dt
-        lam = lam_new
-        z = z_new
-        j += 1
-        t = j * dt
+        g = np.array([c.step(t_buf.view(), dt, fm, float(vm))
+                      for c, fm, vm in zip(coms, f, v)])
+        t = t_buf.n * dt  # the step count times dt
         t_buf.push(t)
-        for m in range(M):
-            z_bufs[m].push(z[m])
-            lam_bufs[m].push(lam[m])
-            F_bufs[m].push(Fc[m])
-
-    t_arr = t_buf.view().copy()
-    return [(t_arr, z_bufs[m].view().copy(), lam_bufs[m].view().copy(),
-             v_bufs[m].view().copy(), F_bufs[m].view().copy(),
-             ent_t.view().copy(), ent_z[m].view().copy(),
-             ent_m[m].view().copy(), termination, truncated[m])
-            for m in range(M)]
+    return t_buf.view().copy(), termination
 
 
 def _gridded(scheme: str, L: float, influx: InfluxProfile,
              distances: DistanceDistribution, ic: InitialCondition,
-             grid: GridSpec, t, z, lam, v, F, ent_t, ent_z, ent_m,
-             termination, truncated, K_history=None) -> Trajectory:
+             grid: GridSpec, t, z, lam, v, F, ent_m, termination, truncated,
+             K_history=None) -> Trajectory:
     """Trajectory of a run on ``grid``; enforces ``grid.strict_truncation``."""
     if grid.strict_truncation:
         total_in = lam[0] + F[-1]
@@ -519,10 +514,10 @@ def _gridded(scheme: str, L: float, influx: InfluxProfile,
                 f"{truncated:.6g} trips were capped at the grid limit X, "
                 f"more than the allowed fraction of the {total_in:.6g} total")
     return Trajectory(scheme=scheme, L=L, t=t, z=z, lam=lam, v=v,
-                      f=influx.rate_array(t), F=F, entry_t=ent_t, entry_z=ent_z,
-                      entry_mass=ent_m, termination=termination,
-                      distances=distances, ic=ic, truncated_mass=truncated,
-                      x_grid=grid.x_nodes(), K_history=K_history,
+                      f=influx.rate_array(t), F=F, entry_mass=ent_m,
+                      termination=termination, distances=distances, ic=ic,
+                      truncated_mass=truncated, x_grid=grid.x_nodes(),
+                      K_history=K_history,
                       metadata={"dx": grid.dx, "X": grid.X,
                                 "horizon": grid.horizon})
 
@@ -551,9 +546,9 @@ def solve_integral(s: Scenario) -> Trajectory:
         raise DomainError("solve_integral requires grid.dt")
     com = _Commodity(s.influx, s.distances, s.ic, s.grid)
     speed_of = lambda t, lam, f, g: np.array([s.fd.speed(lam[0] / s.L)])
-    [run] = _march_integral(s.grid.dt, s.grid.horizon, [com], speed_of,
-                            s.grid.v_min)
-    return _gridded("integral", s.L, s.influx, s.distances, s.ic, s.grid, *run)
+    t, termination = _march_integral(s.grid.dt, s.grid.horizon, [com], speed_of,
+                                     s.grid.v_min)
+    return com.trajectory("integral", s.L, t, termination)
 
 
 def solve_mobility_service(s: Scenario, speed_relation,
@@ -578,10 +573,9 @@ def solve_mobility_service(s: Scenario, speed_relation,
         return np.array([speed_relation.speed(rho, lam[0], f[0], max(g[0], 0.0))])
 
     com = _Commodity(s.influx, s.distances, s.ic, s.grid)
-    [run] = _march_integral(s.grid.dt, s.grid.horizon, [com], speed_of,
-                            s.grid.v_min)
-    return _gridded("mobility_service", s.L, s.influx, s.distances, s.ic,
-                    s.grid, *run)
+    t, termination = _march_integral(s.grid.dt, s.grid.horizon, [com], speed_of,
+                                     s.grid.v_min)
+    return com.trajectory("mobility_service", s.L, t, termination)
 
 
 @dataclass(frozen=True)
@@ -616,9 +610,8 @@ def solve_multi_commodity(L: float, commodities: Sequence[CommodityDemand],
     def speed_of(t, lam, f, g):
         return np.array([rel(lam, f, np.maximum(g, 0.0)) for rel in speed_relations])
 
-    runs = _march_integral(grid.dt, grid.horizon, coms, speed_of, grid.v_min)
-    return [_gridded("multi_commodity", L, c.influx, c.distances, c.ic, grid, *run)
-            for c, run in zip(commodities, runs)]
+    t, termination = _march_integral(grid.dt, grid.horizon, coms, speed_of, grid.v_min)
+    return [c.trajectory("multi_commodity", L, t, termination) for c in coms]
 
 
 # ---------------------------------------------------------------------------
@@ -665,9 +658,11 @@ def reconstruct_K(traj: Trajectory, t: float, x) -> float:
     entries' node survivals S(t_i, k dx) once per chunk of steps, and let
     each (x, entry) pair read them with its own floor test, as the march
     counts.  A deterministic entry counts while its effective distance
-    exceeds z + x + 1e-12, the march's own test.  Vickrey runs age each
-    logged mass by exp(-age/B), which differs from the Euler count by
-    O(dt): 2.12 trips at a peak of 287 on the paper pulse, dt = 1e-3, B = 2.
+    exceeds z + x + 1e-12, the march's own test, and a constant-distance
+    entry while its age is at most B~ give or take 1e-9 cells, since that
+    march counts whole cells.  Vickrey runs age each logged mass by
+    exp(-age/B), which differs from the Euler count by O(dt): 2.12 trips at
+    a peak of 287 on the paper pulse, dt = 1e-3, B = 2.
     """
     scalar = np.isscalar(x) or np.ndim(x) == 0
     xx = np.asarray(x, dtype=float)
@@ -689,6 +684,8 @@ def reconstruct_K(traj: Trajectory, t: float, x) -> float:
             surv = np.where(traj.entry_theta[sel] > reach, 1.0, 0.0)
         else:
             ages = xx[..., None] + (z_t - traj.entry_z[sel])
+            if traj.scheme == "constant_distance":  # the march counts whole cells
+                ages -= 1e-9 * traj.metadata["dz"]
             surv = traj.distances.survival_array(traj.entry_t[sel], ages)
         out = out + surv @ traj.entry_mass[sel]
     return float(out) if scalar else out

@@ -64,7 +64,7 @@ def solve_vickrey(c: VickreyConfig) -> Trajectory:
     z = 0.0
     F = 0.0
     t_l, z_l, lam_l, v_l, F_l, g_l = [0.0], [0.0], [lam], [], [0.0], []
-    ent_t, ent_z, ent_m = [], [], []
+    ent_m = []
     termination = Termination.HORIZON
     j = 0
     while True:
@@ -79,8 +79,6 @@ def solve_vickrey(c: VickreyConfig) -> Trajectory:
         if isinstance(c.horizon, MaxCumulativeDistance) and z >= c.horizon.Z - 1e-12:
             break
         f_t = c.influx.rate(t)
-        ent_t.append(t)
-        ent_z.append(z)
         ent_m.append(f_t * c.dt)
         lam = lam + c.dt * (f_t - lam * v / c.B)
         lam = max(lam, 0.0)
@@ -98,7 +96,6 @@ def solve_vickrey(c: VickreyConfig) -> Trajectory:
     return Trajectory(scheme="vickrey", L=c.L, t=t_arr, z=np.asarray(z_l),
                       lam=np.asarray(lam_l), v=np.asarray(v_l),
                       f=c.influx.rate_array(t_arr), F=np.asarray(F_l),
-                      entry_t=np.asarray(ent_t), entry_z=np.asarray(ent_z),
                       entry_mass=np.asarray(ent_m), termination=termination,
                       distances=ExponentialDistances(c.B),
                       ic=ExponentialProfile(c.lambda0, c.B), g=np.asarray(g_l),
@@ -226,7 +223,6 @@ def solve_deterministic(c: DeterministicConfig) -> Trajectory:
                                          float(c.ic.lambda0), step)
     return Trajectory(scheme="deterministic", L=c.L, t=t, z=z, lam=lam, v=v,
                       f=c.influx.rate_array(t), F=np.asarray(F_l),
-                      entry_t=t[:-1], entry_z=z[:-1],
                       entry_mass=mass_buf.view().copy(), termination=termination,
                       distances=None, ic=c.ic,
                       entry_theta=theta_buf.view().copy(), metadata={"dz": dz})
@@ -402,7 +398,6 @@ def solve_constant_distance(c: DeterministicConfig) -> Tuple[Trajectory, TripFra
     t, z, lam, v, termination = _march_z(c.fd, c.L, dz, c.horizon, c.v_min, 0.0, step)
     traj = Trajectory(scheme="constant_distance", L=c.L, t=t, z=z, lam=lam, v=v,
                       f=c.influx.rate_array(t), F=np.asarray(F_l),
-                      entry_t=t[:-1], entry_z=z[:-1],
                       entry_mass=np.asarray(ent_m), termination=termination,
                       distances=DeterministicDistances(B), ic=c.ic,
                       metadata={"dz": dz, "Btilde": B})

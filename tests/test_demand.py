@@ -201,6 +201,24 @@ class TestTabulatedSurvival:
         d = self._table()
         assert d.mean_distance(0.0) == pytest.approx(0.75 + 0.25)
 
+    @pytest.mark.parametrize("X, want", [(1.5, 1.21875), (2.0, 1.5), (5.0, 2.0)])
+    def test_capped_mean_of_a_uniform_table(self, X, want):
+        d = bt.TabulatedSurvival([0.0, 4.0], [0.0], [[1.0, 0.0]])
+        got = d.mean_distance_capped(0.0, X)
+        assert got == pytest.approx(want, abs=1e-12)
+        assert got == pytest.approx(bt.UniformDistances(2.0).mean_distance_capped(0.0, X),
+                                    abs=1e-12)
+
+    def test_capped_mean_interpolates_between_rows(self):
+        d = self._table()  # the row at t = 0.5 is [1, 0.65, 0]
+        assert d.mean_distance_capped(0.5, 1.5) == pytest.approx(0.825 + 0.24375, abs=1e-12)
+        assert d.mean_distance_capped(0.5, 2.0) == pytest.approx(1.15, abs=1e-12)
+
+    def test_capped_mean_takes_one_value_per_time(self):
+        got = self._table().mean_distance_capped(np.array([0.0, 0.5, 1.0]), 2.0)
+        assert got.shape == (3,)
+        np.testing.assert_allclose(got, [1.0, 1.15, 1.3], rtol=0.0, atol=1e-12)
+
 
 class TestInitialProfile:
     def test_empty(self):

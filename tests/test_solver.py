@@ -153,12 +153,47 @@ class TestPaperScenario:
         assert gaps[1] < 0.65 * gaps[0]
 
 
+def exact_runs(solver, cell):
+    """The runs of an exact solver on cells of ``cell`` miles: the paper
+    pulse from an empty network to z = 12 (to t = 0.8 for two commodities
+    sharing one density)."""
+    stop = bt.MaxCumulativeDistance(12.0)
+    if solver in ("deterministic", "constant_distance"):
+        c = bt.DeterministicConfig(L=PAPER_L, fd=PAPER_FD, influx=paper_pulse(),
+                                   dz=cell, horizon=stop,
+                                   btilde=paper_btilde() if solver == "deterministic" else 2.0)
+        return [bt.solve_deterministic(c) if solver == "deterministic"
+                else bt.solve_constant_distance(c)[0]]
+    grid = bt.GridSpec(dx=cell, X=5.0, horizon=stop, dt=cell / 30.0)
+    scen = bt.Scenario(L=PAPER_L, fd=PAPER_FD, influx=paper_pulse(),
+                       distances=bt.UniformDistances(paper_btilde()), grid=grid)
+    if solver == "characteristic":
+        return [bt.solve_characteristic(scen)]
+    if solver == "integral":
+        return [bt.solve_integral(scen)]
+    if solver == "mobility_service":
+        esr = bt.BoardingDelaySpeed(PAPER_FD, alpha=1e-3, lane_miles=PAPER_L)
+        return [bt.solve_mobility_service(scen, esr)]
+    coms = [bt.CommodityDemand(bt.TrapezoidalPulse(7000.0, 2000.0, 1.0),
+                               bt.UniformDistances(paper_btilde())),
+            bt.CommodityDemand(bt.TrapezoidalPulse(3000.0, 2000.0, 1.0),
+                               bt.ExponentialDistances(1.5))]
+    rel = lambda lam, f, g: PAPER_FD.speed(lam.sum() / PAPER_L)
+    return bt.solve_multi_commodity(PAPER_L, coms, [rel] * 2,
+                                    dataclasses.replace(grid, horizon=bt.MaxTime(0.8)))
+
+
 class TestReconstruction:
-    def test_matches_count_series_exactly(self):
-        for traj in (paper_char(2**-5), paper_integral(2**-5)):
-            for j in (0, 1, traj.n_steps // 2, traj.n_steps - 1):
-                got = bt.reconstruct_K(traj, float(traj.t[j]), 0.0)
-                assert got == pytest.approx(traj.lam[j], abs=1e-9)
+    @pytest.mark.parametrize("cell", [2**-4, 0.1])
+    @pytest.mark.parametrize("solver", ["characteristic", "integral",
+                                        "mobility_service", "multi_commodity",
+                                        "deterministic", "constant_distance"])
+    def test_matches_count_series_exactly(self, solver, cell):
+        # Vickrey runs are left out: their rebuild differs by O(dt) by design
+        for traj in exact_runs(solver, cell):
+            got = [bt.reconstruct_K(traj, float(t), 0.0) for t in traj.t]
+            np.testing.assert_allclose(got, traj.lam, rtol=0.0,
+                                       atol=1e-9 * traj.lam.max())
 
     def test_matches_marched_profile_exactly(self):
         traj = paper_char(2**-5)
