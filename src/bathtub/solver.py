@@ -240,27 +240,23 @@ class Trajectory:
 # capped grid-node evaluation
 # ---------------------------------------------------------------------------
 
-def _survival_capped_lin(dist: DistanceDistribution, t_arr, y_arr, dx: float,
-                         cells: int) -> np.ndarray:
-    """Survival at distance offsets ``y``, interpolated between grid nodes.
-
-    Node values are exact evaluations of the distribution's survival; the
-    node at x = X (= cells*dx) is forced to zero, which caps every trip's
-    distance at X exactly as the characteristic update does.
+def _window_survival(dist: DistanceDistribution, t, y, dx: float,
+                     cells: int) -> np.ndarray:
+    """Survival of a live window at ages ``y``, interpolated between exact
+    evaluations at the grid nodes; the node at X (= cells*dx) counts as 0,
+    which caps every trip's distance at X as the characteristic update
+    does.  Live means each age lies in cell ``k = floor(y/dx + 1e-9)`` with
+    0 <= k <= cells - 1 and the ages do not increase along the window, so
+    the entries of the last cell, which have no upper node, are a prefix.
     """
-    t = np.asarray(t_arr, dtype=float)
-    # th = max(y/dx - k, 0) is formed in place, saving a temporary per call
-    th = np.asarray(y_arr, dtype=float) / dx
-    k = np.floor(th + 1e-9).astype(np.int64)
+    th = y / dx
+    k = np.floor(th + 1e-9)
     th -= k
     np.maximum(th, 0.0, out=th)
-    lo_ok = (k >= 0) & (k <= cells - 1)
-    hi_ok = (k + 1 <= cells - 1)
-    xlo = np.where(lo_ok, k, 0) * dx
-    xhi = np.where(hi_ok, k + 1, 0) * dx
-    slo = np.where(lo_ok, dist.survival_array(t, xlo), 0.0)
-    shi = np.where(hi_ok, dist.survival_array(t, xhi), 0.0)
-    return np.where(lo_ok, (1.0 - th) * slo + th * shi, 0.0)
+    p = int(np.count_nonzero(k == cells - 1))
+    surv = (1.0 - th) * dist.survival_array(t, k * dx)
+    surv[p:] += th[p:] * dist.survival_array(t[p:], (k[p:] + 1.0) * dx)
+    return surv
 
 
 def _profile_capped_lin(nodes: np.ndarray, y_arr, dx: float) -> np.ndarray:
@@ -387,13 +383,14 @@ class _Commodity:
 
     Step j logs the mass entering during it at the step start (t_j, z_j),
     then weights only the live window of the log.  An entry whose age
-    z - z_i has reached X (``cells`` cells, by the same floor test as
-    :func:`_survival_capped_lin`) has capped survival exactly 0.  Every step
+    z - z_i has reached X (``cells`` cells, by the floor test of
+    :func:`_window_survival`) has capped survival exactly 0.  Every step
     taken has v >= v_min > 0, so z never decreases: ages only grow, and
     since z_i is non-decreasing the dead entries form a prefix of the log
     that stays dead.  ``start`` skips that prefix; likewise the
     initial-profile term is 0 once z passes X.  The sum differs from one
-    over the whole log only in summation order.
+    over the whole log only in summation order.  The truncated mass is
+    tallied once, from the whole log, when the trajectory is built.
     """
 
     def __init__(self, influx, distances, ic, grid: GridSpec):
@@ -411,7 +408,6 @@ class _Commodity:
         self.F.push(0.0)
         self.v: List[float] = []
         self.start = 0  # first live entry of the log
-        self.truncated = float(ic.tail_beyond(grid.X))
 
     def step(self, t_log: np.ndarray, dt: float, f: float, v: float) -> float:
         """Advance one step from the last time in ``t_log``; returns its
@@ -424,12 +420,11 @@ class _Commodity:
         ez = self.z.view()
         z = ez[-1] + v * dt
         self.mass.push(f * dt)
-        self.truncated += f * dt * float(self.distances.tail_beyond(t_log[-1], self.grid.X))
         i = self.start
         while i < ez.size and (z - ez[i]) / dx + 1e-9 >= cells:
             i += 1
         self.start = i
-        surv = _survival_capped_lin(self.distances, t_log[i:], z - ez[i:], dx, cells)
+        surv = _window_survival(self.distances, t_log[i:], z - ez[i:], dx, cells)
         boundary = float(np.dot(self.mass.view()[i:], surv))
         if z > self.k0_reach:
             initial = 0.0
@@ -446,10 +441,15 @@ class _Commodity:
 
     def trajectory(self, scheme: str, L: float, t: np.ndarray,
                    termination: Termination) -> Trajectory:
+        mass = self.mass.view().copy()
+        tails = self.distances.tail_beyond(t[:mass.size], self.grid.X)
+        truncated = float(self.ic.tail_beyond(self.grid.X))
+        for m, tail in zip(mass.tolist(), tails.tolist()):  # np.dot may reorder
+            truncated += m * tail
         return _gridded(scheme, L, self.influx, self.distances, self.ic, self.grid,
                         t, self.z.view().copy(), self.lam.view().copy(),
-                        np.asarray(self.v), self.F.view().copy(),
-                        self.mass.view().copy(), termination, self.truncated)
+                        np.asarray(self.v), self.F.view().copy(), mass,
+                        termination, truncated)
 
 
 class _Buf:

@@ -29,6 +29,20 @@ def paper_scenario(dx: float, dt=None, stop=PAPER_Z_STOP) -> bt.Scenario:
                        grid=grid)
 
 
+def solve_fixed_step(solver: str, scen: bt.Scenario) -> bt.Trajectory:
+    """``scen`` solved by one fixed-step solver: the integral scheme, the
+    mobility service with a boarding delay, or a single commodity of the
+    multi-commodity march with the scenario's speed law."""
+    if solver == "integral":
+        return bt.solve_integral(scen)
+    if solver == "mobility_service":
+        esr = bt.BoardingDelaySpeed(scen.fd, alpha=1e-3, lane_miles=scen.L)
+        return bt.solve_mobility_service(scen, esr)
+    return bt.solve_multi_commodity(
+        scen.L, [bt.CommodityDemand(scen.influx, scen.distances, scen.ic)],
+        [lambda lam, f, g: scen.fd.speed(lam[0] / scen.L)], scen.grid)[0]
+
+
 @functools.lru_cache(maxsize=None)
 def paper_char(dx: float) -> bt.Trajectory:
     return bt.solve_characteristic(paper_scenario(dx))

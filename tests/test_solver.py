@@ -4,11 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bathtub as bt
-from bathtub.solver import _CHUNK, _profile_capped_lin, _survival_capped_lin
+from bathtub.solver import _CHUNK, _profile_capped_lin, _window_survival
 from helpers import (PAPER_FD, PAPER_L, paper_btilde, paper_char,
-                     paper_integral, paper_pulse, paper_scenario)
+                     paper_integral, paper_pulse, paper_scenario,
+                     solve_fixed_step)
 
 
 def empty_scenario(horizon, dx=2**-5, dt=None):
@@ -230,6 +233,25 @@ def window_distances():
             "tabulated": table}
 
 
+def _survival_capped_lin(dist, t_arr, y_arr, dx, cells):
+    """Masked reference for the march's kernel: survival at distance offsets
+    ``y`` of any shape, interpolated between grid nodes, with the node at
+    x = X (= cells*dx) forced to zero and every offset outside [0, X)
+    reading 0."""
+    t = np.asarray(t_arr, dtype=float)
+    th = np.asarray(y_arr, dtype=float) / dx
+    k = np.floor(th + 1e-9).astype(np.int64)
+    th -= k
+    np.maximum(th, 0.0, out=th)
+    lo_ok = (k >= 0) & (k <= cells - 1)
+    hi_ok = (k + 1 <= cells - 1)
+    xlo = np.where(lo_ok, k, 0) * dx
+    xhi = np.where(hi_ok, k + 1, 0) * dx
+    slo = np.where(lo_ok, dist.survival_array(t, xlo), 0.0)
+    shi = np.where(hi_ok, dist.survival_array(t, xhi), 0.0)
+    return np.where(lo_ok, (1.0 - th) * slo + th * shi, 0.0)
+
+
 def full_log_K(traj, t, xs):
     """K(t, x) summed over every entry logged before t, none skipped."""
     dx, cells = traj.metadata["dx"], traj.x_grid.size - 1
@@ -266,6 +288,37 @@ class TestIntegralWindow:
         # step j carries the entries logged before it, aged to z_j
         ref = np.array([full_log_K(traj, t, np.zeros(1))[0] for t in traj.t])
         np.testing.assert_allclose(traj.lam, ref, rtol=1e-12, atol=0.0)
+
+
+@st.composite
+def live_windows(draw, dx):
+    """A live window of the march: ages in cells 0..cells-1, not increasing,
+    some on nodes or a rounding error either side of one, and up to three
+    forced into the last cell, whose upper node is X; entry times rise."""
+    cells = draw(st.integers(1, 40))
+    frac = st.one_of(st.sampled_from([0.0, 1e-12, -1e-12, 0.5]),
+                     st.floats(0.0, 1.0, exclude_max=True))
+    ages = draw(st.lists(st.tuples(st.integers(0, cells - 1), frac),
+                         min_size=1, max_size=60))
+    ages += [(cells - 1, f) for f in draw(st.lists(frac, max_size=3))]
+    y = np.array([max((c + f) * dx, 0.0) for c, f in ages])
+    y = np.sort(y[np.floor(y / dx + 1e-9) <= cells - 1])[::-1].copy()
+    t = np.sort(draw(st.lists(st.floats(0.0, 1.0), min_size=y.size,
+                              max_size=y.size)))
+    return t, y, cells
+
+
+@pytest.mark.parametrize("dx", [2**-4, 0.1, 0.3])
+@pytest.mark.parametrize("kind", sorted(window_distances()))
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_window_kernel_is_bitwise_equal_to_masked_reference(kind, dx, data):
+    """The march's mask-free kernel gives the bits of the masked reference
+    on every live window."""
+    t, y, cells = data.draw(live_windows(dx))
+    dist = window_distances()[kind]
+    got = _window_survival(dist, t, y, dx, cells)
+    assert np.array_equal(got, _survival_capped_lin(dist, t, y, dx, cells))
 
 
 class TestProfiles:
@@ -375,6 +428,57 @@ class TestIntegralStepGuard:
         traj = bt.solve_integral(scen)
         assert traj.termination is bt.Termination.HORIZON
         assert traj.lam.max() > 0.0
+
+
+def truncation_run(solver, distances, ic, strict=False):
+    grid = bt.GridSpec(dx=2**-4, X=2.0, horizon=bt.MaxCumulativeDistance(5.0),
+                       dt=2**-4 / 30.0, strict_truncation=strict)
+    return solve_fixed_step(solver, bt.Scenario(
+        L=PAPER_L, fd=PAPER_FD, influx=paper_pulse(), distances=distances,
+        grid=grid, ic=ic))
+
+
+def truncation_laws():
+    """Every law reaches X = 2: the deterministic one exactly (its tail
+    beyond X is a strict test, so nothing is truncated), its time-varying
+    twin now and then, the others with a tail."""
+    return {"deterministic_at_X": bt.DeterministicDistances(2.0),
+            "deterministic_crossing": bt.DeterministicDistances(
+                bt.PiecewiseLinear([0.0, 0.05, 0.1], [1.0, 3.0, 1.0])),
+            "uniform": bt.UniformDistances(paper_btilde()),
+            "exponential": bt.ExponentialDistances(0.8)}
+
+
+FIXED_STEP = ["integral", "mobility_service", "multi_commodity"]
+
+
+class TestTruncatedMass:
+    """A fixed-step run reports the initial trips beyond X plus, in log
+    order, each entering mass times its share beyond X."""
+
+    @pytest.mark.parametrize("ic_kind", ["empty", "exponential_ic"])
+    @pytest.mark.parametrize("kind", sorted(truncation_laws()))
+    @pytest.mark.parametrize("solver", FIXED_STEP)
+    def test_equals_the_tally_in_log_order(self, solver, kind, ic_kind):
+        ic = bt.EmptyNetwork() if ic_kind == "empty" else bt.ExponentialProfile(300.0, 1.0)
+        traj = truncation_run(solver, truncation_laws()[kind], ic)
+        X = traj.metadata["X"]
+        want = float(ic.tail_beyond(X))
+        for t, m in zip(traj.entry_t.tolist(), traj.entry_mass.tolist()):
+            want += m * float(traj.distances.tail_beyond(t, X))
+        assert traj.truncated_mass == want
+        if kind == "deterministic_at_X":
+            assert want == float(ic.tail_beyond(X))
+        else:
+            assert want > float(ic.tail_beyond(X))
+
+    @pytest.mark.parametrize("solver", FIXED_STEP)
+    def test_strict_truncation_rejects_lossy_grid(self, solver):
+        with pytest.raises(bt.DataError):
+            truncation_run(solver, truncation_laws()["uniform"], bt.EmptyNetwork(),
+                           strict=True)
+        truncation_run(solver, truncation_laws()["deterministic_at_X"],
+                       bt.EmptyNetwork(), strict=True)
 
 
 class TestOutflux:

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bathtub as bt
-from helpers import PAPER_FD, PAPER_L, paper_btilde, paper_pulse
+from helpers import PAPER_FD, PAPER_L, paper_btilde, paper_pulse, solve_fixed_step
 
 
 def _gridded_scenario(dt=None):
@@ -133,3 +133,19 @@ def test_rebuilt_profiles_are_monotone_and_start_at_lambda(ramp, plateau,
     assert np.all(K >= 0.0)
     assert np.all(np.diff(K, axis=1) <= tol)
     np.testing.assert_allclose(K[:, 0], traj.lam, rtol=1e-12, atol=tol * 1e-3)
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(solver=st.sampled_from(["integral", "mobility_service", "multi_commodity"]),
+       ramp=st.floats(500.0, 20000.0), plateau=st.floats(100.0, 4000.0),
+       distances=_distances, ic=_initial)
+def test_fixed_step_exits_never_decrease(solver, ramp, plateau, distances, ic):
+    """G = lambda(0) + F - lambda counts the completed trips, so the exit
+    rate g is non-negative up to rounding; a mass weighted twice would make
+    it fall."""
+    grid = bt.GridSpec(dx=2**-3, X=2.0, horizon=bt.MaxCumulativeDistance(6.0),
+                       dt=2**-3 / 30.0)
+    traj = solve_fixed_step(solver, bt.Scenario(
+        L=PAPER_L, fd=PAPER_FD, influx=bt.TrapezoidalPulse(ramp, plateau, 1.0),
+        distances=distances, grid=grid, ic=ic))
+    assert np.all(traj.g >= -1e-9 * float(np.max(traj.lam[0] + traj.F)))
