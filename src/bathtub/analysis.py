@@ -265,9 +265,10 @@ def audit(traj: Trajectory, demand: Optional[DistanceDistribution] = None,
     scale lam(0) + F at every step.  Trip-miles conservation compares the
     initial plus entered trip-miles (means capped at the grid limit) against
     the processed plus remaining miles, with time integrals by the trapezoid
-    rule on the stored series; profiles for the remaining miles are taken
-    from the stored history or reconstructed on at most ``max_profiles``
-    steps.  Monotonicity violations count grid pairs with K increasing in x.
+    rule on the stored series; profiles for the remaining miles are
+    replayed at every step of a characteristic run and rebuilt on at most
+    ``max_profiles`` steps of any other (:meth:`Trajectory.profile_steps`).
+    Monotonicity violations count grid pairs with K increasing in x.
 
     ``demand`` defaults to the distribution stored with the trajectory.
     The initial trip-miles are read from the step-0 profile, which already

@@ -139,11 +139,12 @@ class Trajectory:
     discrete dynamics, is the step end ``z[1:]`` in the characteristic
     scheme and the step start ``z[:-1]`` in every other, so that
     :func:`reconstruct_K` and :meth:`profiles`, its batch form, reproduce
-    the scheme's own K values exactly.  ``distances`` and ``ic`` are the
-    run's distance law and initial condition.  Deterministic runs log each
-    entry's effective distance in ``entry_theta`` instead of a distance
-    law (their B~ may be given against z).  ``G`` is derived from the
-    counts, and ``g`` from ``G`` unless the solver supplies it.  A
+    the scheme's own K values (a characteristic run's :meth:`profiles`
+    replays its update over the log, bit for bit).  ``distances`` and
+    ``ic`` are the run's distance law and initial condition.  Deterministic
+    runs log each entry's effective distance in ``entry_theta`` instead of
+    a distance law (their B~ may be given against z).  ``G`` is derived
+    from the counts, and ``g`` from ``G`` unless the solver supplies it.  A
     trajectory holds data only, so it pickles.
     """
 
@@ -161,7 +162,6 @@ class Trajectory:
     ic: InitialCondition
     truncated_mass: float = 0.0
     x_grid: Optional[np.ndarray] = None
-    K_history: Optional[np.ndarray] = None
     entry_theta: Optional[np.ndarray] = None
     g: Optional[np.ndarray] = None
     metadata: dict = field(default_factory=dict)
@@ -192,27 +192,31 @@ class Trajectory:
         return {"t": self.t, "z": self.z, "lambda": self.lam, "v": self.v,
                 "f": self.f, "F": self.F, "g": self.g, "G": self.G}
 
+    @property
+    def K_history(self) -> Optional[np.ndarray]:
+        """Every row of K for a characteristic run, replayed; else None."""
+        return self.profiles(slice(None)) if self.scheme == "characteristic" else None
+
     def profiles(self, steps, nodes: Optional[int] = None) -> np.ndarray:
         """Rows of K at ``steps`` on the first ``nodes`` grid nodes (all by
-        default): the stored rows (a view for contiguous steps), else one
-        batched rebuild from the log, windowed as :func:`reconstruct_K`."""
+        default): a characteristic run replays its update over the log,
+        every other gridded run is rebuilt in one batch, windowed as
+        :func:`reconstruct_K`."""
         if self.x_grid is None:
             raise ContractError("this trajectory does not carry a distance grid")
         steps = np.arange(self.n_steps)[steps].reshape(-1)
-        if self.K_history is None:
-            return _rebuild(self, self.t[steps], self.x_grid[:nodes])
-        if steps.size and np.all(np.diff(steps) == 1):
-            return self.K_history[steps[0]:steps[-1] + 1, :nodes]
-        return self.K_history[steps, :nodes]
+        if self.scheme == "characteristic":
+            return _replay(self, steps, nodes)
+        return _rebuild(self, self.t[steps], self.x_grid[:nodes])
 
     def profile(self, j: int, nodes: Optional[int] = None) -> np.ndarray:
         """K at step ``j`` on the first ``nodes`` grid nodes."""
         return self.profiles([j], nodes)[0]
 
     def profile_steps(self, limit: int) -> np.ndarray:
-        """Every step when profiles are stored, else at most ``limit``
+        """Every step of a characteristic run, else at most ``limit``
         evenly spaced steps (the first and the last among them)."""
-        if self.K_history is not None:
+        if self.scheme == "characteristic":
             return np.arange(self.n_steps)
         return np.unique(np.linspace(0, self.n_steps - 1,
                                      min(limit, self.n_steps)).astype(int))
@@ -336,11 +340,9 @@ def solve_characteristic(s: Scenario) -> Trajectory:
     refined, not their values on any one grid.
     """
     grid = s.grid
-    dx = grid.dx
     x_nodes = grid.x_nodes()
     K = s.ic.profile_array(x_nodes).astype(float)
     _check_profile(K)
-    K_rows = [K.copy()]
     ent_m: List[float] = []
     F_list = [0.0]
     truncated = float(s.ic.tail_beyond(grid.X))
@@ -348,21 +350,44 @@ def solve_characteristic(s: Scenario) -> Trajectory:
     def step(j, t, dt):
         nonlocal truncated
         mass = s.influx.rate(t) * dt
-        inflow = mass * s.distances.survival_array(t, x_nodes[:-1])
-        K[:-1] = K[1:] + inflow
-        K[-1] = 0.0
-        _check_profile(K)
+        _advance(K, mass, t, s.distances, x_nodes)
         truncated += mass * float(s.distances.tail_beyond(t, grid.X))
         ent_m.append(mass)
         F_list.append(F_list[-1] + mass)
-        K_rows.append(K.copy())
         return float(K[0])
 
-    t, z, lam, v, termination = _march_z(s.fd, s.L, dx, grid.horizon, grid.v_min,
-                                         float(K[0]), step)
+    t, z, lam, v, termination = _march_z(s.fd, s.L, grid.dx, grid.horizon,
+                                         grid.v_min, float(K[0]), step)
     return _gridded("characteristic", s.L, s.influx, s.distances, s.ic, grid,
                     t, z, lam, v, np.asarray(F_list), np.asarray(ent_m),
-                    termination, truncated, K_history=np.asarray(K_rows))
+                    termination, truncated)
+
+
+def _advance(K: np.ndarray, mass: float, t: float,
+             distances: DistanceDistribution, x_nodes: np.ndarray):
+    """One characteristic step of ``K``, in place."""
+    K[:-1] = K[1:] + mass * distances.survival_array(t, x_nodes[:-1])
+    K[-1] = 0.0
+    _check_profile(K)
+
+
+def _replay(traj: Trajectory, steps: np.ndarray, nodes: Optional[int]) -> np.ndarray:
+    """Rows of a characteristic run's K at ``steps`` (any order, repeats
+    allowed) on the first ``nodes`` grid nodes: :func:`_advance` replayed
+    from the initial profile over the log, as the march ran it."""
+    x = traj.x_grid
+    K = traj.ic.profile_array(x).astype(float)
+    _check_profile(K)
+    mass, et = traj.entry_mass.tolist(), traj.entry_t.tolist()
+    out = np.empty((steps.size, x[:nodes].size))
+    j = 0  # steps replayed so far
+    order = np.argsort(steps)
+    for r, s in zip(order.tolist(), steps[order].tolist()):
+        for m, t in zip(mass[j:s], et[j:s]):
+            _advance(K, m, t, traj.distances, x)
+        out[r] = K[:nodes]
+        j = s
+    return out
 
 
 def _check_profile(K: np.ndarray):
@@ -388,9 +413,10 @@ class _Commodity:
     taken has v >= v_min > 0, so z never decreases: ages only grow, and
     since z_i is non-decreasing the dead entries form a prefix of the log
     that stays dead.  ``start`` skips that prefix; likewise the
-    initial-profile term is 0 once z passes X.  The sum differs from one
-    over the whole log only in summation order.  The truncated mass is
-    tallied once, from the whole log, when the trajectory is built.
+    initial-profile term is 0 once z passes X, and from the start when
+    every initial node is 0.  The sum differs from one over the whole log
+    only in summation order.  The truncated mass is tallied once, from the
+    whole log, when the trajectory is built.
     """
 
     def __init__(self, influx, distances, ic, grid: GridSpec):
@@ -400,8 +426,9 @@ class _Commodity:
         self.grid = grid
         self.k0_nodes = ic.profile_array(grid.x_nodes()).astype(float)
         # the negation of _profile_capped_lin's ``inside`` test: beyond this
-        # offset every initial trip has left
-        self.k0_reach = grid.cells * grid.dx + 1e-9 * grid.dx
+        # offset every initial trip has left (at once, for an empty start)
+        self.k0_reach = (grid.cells * grid.dx + 1e-9 * grid.dx
+                         if self.k0_nodes.any() else -np.inf)
         self.z, self.lam, self.F, self.mass = _Buf(), _Buf(), _Buf(), _Buf()
         self.z.push(0.0)
         self.lam.push(ic.lambda0)
@@ -504,8 +531,8 @@ def _march_integral(dt: float, horizon, coms: Sequence[_Commodity],
 
 def _gridded(scheme: str, L: float, influx: InfluxProfile,
              distances: DistanceDistribution, ic: InitialCondition,
-             grid: GridSpec, t, z, lam, v, F, ent_m, termination, truncated,
-             K_history=None) -> Trajectory:
+             grid: GridSpec, t, z, lam, v, F, ent_m, termination,
+             truncated) -> Trajectory:
     """Trajectory of a run on ``grid``; enforces ``grid.strict_truncation``."""
     if grid.strict_truncation:
         total_in = lam[0] + F[-1]
@@ -517,7 +544,6 @@ def _gridded(scheme: str, L: float, influx: InfluxProfile,
                       f=influx.rate_array(t), F=F, entry_mass=ent_m,
                       termination=termination, distances=distances, ic=ic,
                       truncated_mass=truncated, x_grid=grid.x_nodes(),
-                      K_history=K_history,
                       metadata={"dx": grid.dx, "X": grid.X,
                                 "horizon": grid.horizon})
 
@@ -706,9 +732,8 @@ def outflux_series(traj: Trajectory) -> np.ndarray:
 def outflux_from_profile(traj: Trajectory, max_points: int = 2048) -> np.ndarray:
     """Diagnostic out-flux estimator k(t,0+) * v from the K profile.
 
-    For trajectories without a stored profile history the profile is
-    reconstructed on at most ``max_points`` evenly spaced steps (NaN
-    elsewhere).
+    A characteristic run gives every step; any other gridded run is
+    rebuilt on at most ``max_points`` evenly spaced steps (NaN elsewhere).
     """
     if traj.x_grid is None:
         raise ContractError("trajectory does not carry a distance grid")

@@ -78,18 +78,21 @@ class TestFloatPath:
                   2.0 * fd.kappa, 1e6):
             _assert_float_path_matches_array(fd, r)
 
-    @pytest.mark.parametrize("fd", [TRAP, TRI, GS], ids=["trap", "tri", "gs"])
-    @settings(max_examples=25, derandomize=True, deadline=None)
-    @given(r=st.floats(min_value=0.0, max_value=1e9, allow_subnormal=True))
-    def test_matches_array_path_on_generated_densities(self, fd, r):
-        _assert_float_path_matches_array(fd, r)
-
     def test_tabulated_laws_keep_the_array_path(self):
         tab = bt.TabulatedSpeed((0.0, 50.0, 200.0), (30.0, 15.0, 0.0))
         step = bt.PiecewiseConstantSpeed(((0.0, 30.0), (50.0, 15.0), (200.0, 0.0)))
         for fd in (tab, step):
             for r in (0.0, 25.0, 50.0, 120.0, 300.0):
                 _assert_float_path_matches_array(fd, r)
+
+
+# module level: a parametrized @given method of a class fails Hypothesis's
+# differing_executors health check when its pytest plugin is disabled
+@pytest.mark.parametrize("fd", [TRAP, TRI, GS], ids=["trap", "tri", "gs"])
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(r=st.floats(min_value=0.0, max_value=1e9, allow_subnormal=True))
+def test_matches_array_path_on_generated_densities(fd, r):
+    _assert_float_path_matches_array(fd, r)
 
 
 class TestFlow:

@@ -324,7 +324,8 @@ def test_window_kernel_is_bitwise_equal_to_masked_reference(kind, dx, data):
 class TestProfiles:
     """``Trajectory.profiles`` rebuilds K in one batch from the live window
     of the log and a table of node survivals; every row must equal a sum
-    over the whole log, and stored rows come back unchanged."""
+    over the whole log.  A characteristic run replays its update instead,
+    and its rows must not depend on which steps are asked for."""
 
     @pytest.mark.parametrize("ic_kind", ["empty", "exponential_ic"])
     @pytest.mark.parametrize("kind", sorted(window_distances()))
@@ -362,8 +363,7 @@ class TestProfiles:
     def test_reconstruct_K_between_steps(self):
         # a characteristic entry ages from the end of its step, so between
         # steps the newest entry has a negative age at small x
-        stored = bt.solve_characteristic(paper_scenario(2**-4, stop=6.0))
-        traj = dataclasses.replace(stored, K_history=None)
+        traj = bt.solve_characteristic(paper_scenario(2**-4, stop=6.0))
         dx = traj.metadata["dx"]
         xs = np.array([0.0, 0.2, 0.5, 0.99, 1.0, 1.4, 7.3]) * dx
         for j in (3, traj.n_steps // 2, traj.n_steps - 2):
@@ -372,14 +372,21 @@ class TestProfiles:
             np.testing.assert_allclose(got, full_log_K(traj, t, xs),
                                        rtol=1e-12, atol=0.0)
 
-    def test_stored_rows_are_returned_bitwise(self):
-        traj = paper_char(2**-5)
-        every = traj.profiles(traj.profile_steps(9))
-        assert np.shares_memory(every, traj.K_history)
-        assert np.array_equal(every, traj.K_history)
-        steps = np.array([0, 4, 5, 17, traj.n_steps - 1])
-        assert np.array_equal(traj.profiles(steps, 7), traj.K_history[steps, :7])
-        assert np.array_equal(traj.profile(-1), traj.K_history[-1])
+    @pytest.mark.parametrize("run", ["paper", "gridlocked"])
+    def test_replayed_rows_are_returned_bitwise(self, run):
+        if run == "paper":
+            traj = paper_char(2**-5)
+        else:
+            traj = z_grid_run("characteristic", bt.MaxTime(20.0), gridlock=True)[0]
+            assert traj.termination is bt.Termination.GRIDLOCK
+        every = traj.profiles(slice(None))
+        assert np.array_equal(every[:, 0], traj.lam)  # the march returns K[0]
+        assert np.array_equal(traj.profiles(traj.profile_steps(9)), every)
+        steps = np.array([17, 0, -1, 5, 17, 4, -3])
+        assert np.array_equal(traj.profiles(steps), every[steps])
+        assert np.array_equal(traj.profiles(steps, 7), every[steps, :7])
+        assert np.array_equal(traj.profile(-1), every[-1])
+        assert traj.profiles([]).shape == (0, traj.x_grid.size)
 
     def test_states_use_the_batched_rows(self):
         traj = window_run("exponential", "exponential_ic")

@@ -1,6 +1,6 @@
 """The trajectory data model: K(t, x) is rebuilt from data the trajectory
-carries, so every solver's trajectory pickles, and a stored profile equals
-its reconstruction."""
+carries, so every solver's trajectory pickles, and a characteristic run's
+replayed profile equals its reconstruction."""
 
 import dataclasses
 import pickle
@@ -11,7 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bathtub as bt
-from helpers import PAPER_FD, PAPER_L, paper_btilde, paper_pulse, solve_fixed_step
+from bathtub.solver import _rebuild
+from helpers import (PAPER_FD, PAPER_L, paper_btilde, paper_char, paper_pulse,
+                     solve_fixed_step)
 
 
 def _gridded_scenario(dt=None):
@@ -74,17 +76,25 @@ def test_pickle_round_trip_reconstructs_identically(name):
                               bt.reconstruct_K(traj, t, xs))
 
 
-def test_profile_accessor_picks_stored_or_rebuilt_rows():
-    stored = _solve("characteristic")
-    rebuilt = dataclasses.replace(stored, K_history=None)
-    assert np.array_equal(stored.profile_steps(5), np.arange(stored.n_steps))
-    steps = rebuilt.profile_steps(5)
-    assert steps.size == 5 and steps[0] == 0 and steps[-1] == stored.n_steps - 1
+@pytest.mark.parametrize("name", SOLVERS[:4])
+def test_profile_steps_follow_the_scheme(name):
+    traj = _solve(name)
+    steps = traj.profile_steps(5)
+    if name == "characteristic":
+        assert np.array_equal(steps, np.arange(traj.n_steps))
+        return
+    assert steps.size == 5 and steps[0] == 0 and steps[-1] == traj.n_steps - 1
     j = int(steps[2])
-    assert np.array_equal(stored.profile(j), stored.K_history[j])
-    assert np.array_equal(rebuilt.profile(j, 2),
-                          bt.reconstruct_K(stored, float(stored.t[j]),
-                                           stored.x_grid[:2]))
+    assert np.array_equal(traj.profile(j, 2),
+                          bt.reconstruct_K(traj, float(traj.t[j]), traj.x_grid[:2]))
+
+
+def test_characteristic_trajectory_keeps_no_profile_rows():
+    # the paper example at dx = 2^-6: its 1,921 rows of K would pickle to 5 MB
+    traj = paper_char(2**-6)
+    assert len(pickle.dumps(traj)) < 1e6
+    assert np.array_equal(traj.K_history, traj.profiles(slice(None)))
+    assert _solve("integral").K_history is None
 
 
 def test_profile_needs_a_grid():
@@ -105,17 +115,15 @@ _initial = st.one_of(
 @settings(max_examples=25, derandomize=True, deadline=None)
 @given(ramp=st.floats(500.0, 20000.0), plateau=st.floats(100.0, 4000.0),
        distances=_distances, ic=_initial)
-def test_stored_profile_equals_its_reconstruction(ramp, plateau, distances, ic):
+def test_replayed_profile_equals_its_reconstruction(ramp, plateau, distances, ic):
     grid = bt.GridSpec(dx=2**-3, X=2.0, horizon=bt.MaxCumulativeDistance(6.0))
     scen = bt.Scenario(L=PAPER_L, fd=PAPER_FD,
                        influx=bt.TrapezoidalPulse(ramp, plateau, 1.0),
                        distances=distances, grid=grid, ic=ic)
-    stored = bt.solve_characteristic(scen)
-    rebuilt = dataclasses.replace(stored, K_history=None)
-    tol = 1e-9 * float(stored.lam.max())
-    for j in rebuilt.profile_steps(9):
-        np.testing.assert_allclose(rebuilt.profile(j), stored.profile(j),
-                                   rtol=0.0, atol=tol)
+    traj = bt.solve_characteristic(scen)
+    np.testing.assert_allclose(traj.profiles(slice(None)),
+                               _rebuild(traj, traj.t, traj.x_grid),
+                               rtol=0.0, atol=1e-9 * float(traj.lam.max()))
 
 
 @settings(max_examples=25, derandomize=True, deadline=None)
