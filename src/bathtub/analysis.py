@@ -289,7 +289,7 @@ def audit(traj: Trajectory, demand: Optional[DistanceDistribution] = None,
                             for s in traj.t])
         added = _cumtrapz(traj.f * bmean, traj.t)
         processed = _cumtrapz(traj.lam * traj.v, traj.t)
-        steps = traj.profile_steps(max_profiles)  # step 0 comes first
+        steps = traj.profile_steps(max_profiles, "max_profiles")  # step 0 comes first
         for i, row in zip(steps, traj.profiles(steps)):
             remaining = float(np.trapezoid(row, xg))
             if i == 0:

@@ -356,7 +356,7 @@ def _write_series(path: str, traj: solver.Trajectory):
 def _write_ksurface(path: str, traj: solver.Trajectory, max_rows: int = 257):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("t," + ",".join(_fmt(x) for x in traj.x_grid) + "\n")
-        steps = traj.profile_steps(max_rows)
+        steps = traj.profile_steps(max_rows, "max_rows")
         for j, row in zip(steps, traj.profiles(steps)):
             fh.write(_fmt(traj.t[j]) + "," + ",".join(_fmt(v) for v in row) + "\n")
 

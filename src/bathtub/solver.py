@@ -200,22 +200,26 @@ class Trajectory:
     def profiles(self, steps, nodes: Optional[int] = None) -> np.ndarray:
         """Rows of K at ``steps`` on the first ``nodes`` grid nodes (all by
         default): a characteristic run replays its update over the log,
-        every other gridded run is rebuilt in one batch, windowed as
-        :func:`reconstruct_K`."""
+        every other gridded run is rebuilt in one batch by :func:`_rebuild`,
+        the kernel :func:`reconstruct_K` uses too."""
         if self.x_grid is None:
             raise ContractError("this trajectory does not carry a distance grid")
         steps = np.arange(self.n_steps)[steps].reshape(-1)
         if self.scheme == "characteristic":
             return _replay(self, steps, nodes)
-        return _rebuild(self, self.t[steps], self.x_grid[:nodes])
+        return _rebuild(self, self.t[steps], self.x_grid[:nodes].size)
 
     def profile(self, j: int, nodes: Optional[int] = None) -> np.ndarray:
         """K at step ``j`` on the first ``nodes`` grid nodes."""
         return self.profiles([j], nodes)[0]
 
-    def profile_steps(self, limit: int) -> np.ndarray:
+    def profile_steps(self, limit: int, name: str = "limit") -> np.ndarray:
         """Every step of a characteristic run, else at most ``limit``
-        evenly spaced steps (the first and the last among them)."""
+        evenly spaced steps (the first and the last among them).  A
+        ``limit`` below 1 raises :class:`DomainError` naming it as ``name``,
+        the caller's argument, for every scheme."""
+        if not limit >= 1:
+            raise DomainError(f"{name} must be at least 1, got {limit!r}")
         if self.scheme == "characteristic":
             return np.arange(self.n_steps)
         return np.unique(np.linspace(0, self.n_steps - 1,
@@ -647,48 +651,90 @@ def solve_multi_commodity(L: float, commodities: Sequence[CommodityDemand],
 _CHUNK = 16  # steps per rebuild chunk, which share one survival table
 
 
-def _rebuild(traj: Trajectory, t: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """K of a gridded run at times ``t`` (one row each) and offsets ``x``."""
+def _rebuild(traj: Trajectory, t: np.ndarray, nodes: int,
+             shift: float = 0.0) -> np.ndarray:
+    """K of a gridded run at times ``t`` (one row each) and offsets
+    x = n dx + ``shift``, n = 0, ..., ``nodes`` - 1.
+
+    An entry of age a = z(t) - z_i meets the offsets at a + shift + n dx,
+    so one floor test per entry, k = floor((a + shift)/dx + 1e-9), puts its
+    pair with node n in cell n + k, at the same fraction theta of the cell
+    for every n.  The entries logged before t that have not aged X
+    (k <= cells - 1) are the row's live window.  Each chunk of rows shares a
+    table of the node survivals S(t_i, c dx), c = 0, ..., cells - 1, with
+    one zero column on the left (c = -1) and zeros from c = cells on, so
+    an entry's reads for n = 0, ..., nodes are one slice of its table row,
+    G[i, n] = S_{n+k}, with no clip.  The row is then two matrix-vector
+    products, (m (1 - theta)) @ G[:, :-1] + (m theta) @ G[:, 1:].  Between
+    the steps of a characteristic run the newest entries' ages can lie in
+    (-dx, 0), so k = -1: their pairs with n = 0 read 0, the lower node from
+    the left column, the upper one by leaving them out of that column's
+    product.  The initial-profile term is evaluated once for all rows, and
+    not at all for an empty start.
+    """
     dx, cells = float(traj.x_grid[1]), traj.x_grid.size - 1  # x_grid[1] is dx
-    k0 = traj.ic.profile_array(traj.x_grid).astype(float)
     et, ez, em = traj.entry_t, traj.entry_z, traj.entry_mass
     z = np.interp(t, traj.t, traj.z)
-    # entries logged strictly before t, then the prefix of them aged X or more
-    hi = np.searchsorted(et, t - 1e-12)
-    lo = np.array([np.count_nonzero((zr - ez[:h]) / dx + 1e-9 >= cells)
-                   for zr, h in zip(z, hi)], dtype=np.int64)
-    out = np.empty((t.size, x.size))
+    hi = np.searchsorted(et, t - 1e-12)  # entries logged strictly before t
+    lo = _dead_prefix(z, ez, hi, dx, cells, shift)
+    k0 = traj.ic.profile_array(traj.x_grid).astype(float)
+    if k0.any():
+        out = _profile_capped_lin(k0, np.arange(nodes) * dx + shift + z[:, None], dx)
+    else:
+        out = np.zeros((t.size, nodes))
     for a in range(0, t.size, _CHUNK):
         rows = range(a, min(a + _CHUNK, t.size))
         base, top = lo[rows].min(), hi[rows].max()
-        surv = traj.distances.survival_array(et[base:top, None], np.arange(cells) * dx)
-        flat = np.pad(surv, ((0, 0), (0, 2))).ravel()  # a pair with k >= cells reads 0
+        table = np.zeros((top - base, cells + nodes + 1))
+        table[:, 1:cells + 1] = traj.distances.survival_array(
+            et[base:top, None], np.arange(cells) * dx)
+        slices = np.lib.stride_tricks.sliding_window_view(table, nodes + 1, axis=1)
         for r in rows:
-            th = (x[:, None] + (z[r] - ez[lo[r]:hi[r]])) / dx
-            k = np.floor(th + 1e-9)
-            th = np.maximum(th - k, 0.0)
-            idx = np.clip(k, 0, cells).astype(np.int64)
-            idx += np.arange(lo[r] - base, hi[r] - base) * (cells + 2)
-            s = (1.0 - th) * flat[idx] + th * flat[idx + 1]
-            s[k < 0] = 0.0  # between steps an entry's age can be negative
-            out[r] = _profile_capped_lin(k0, x + z[r], dx) + s @ em[lo[r]:hi[r]]
+            y = (z[r] - ez[lo[r]:hi[r]] + shift) / dx
+            k = np.floor(y + 1e-9)
+            th = np.maximum(y - k, 0.0)
+            k = k.astype(np.intp)
+            G = slices[np.arange(lo[r] - base, hi[r] - base), k + 1]
+            m = em[lo[r]:hi[r]]
+            w_lo, w_hi = m * (1.0 - th), m * th
+            row = w_lo @ G[:, :-1] + w_hi @ G[:, 1:]
+            if k.size and k[-1] < 0:  # k does not increase along the window
+                up = k >= 0
+                row[0] = w_lo @ G[:, 0] + w_hi[up] @ G[up, 1]
+            out[r] += row
     return out
+
+
+def _dead_prefix(z: np.ndarray, ez: np.ndarray, hi: np.ndarray, dx: float,
+                 cells: int, shift: float) -> np.ndarray:
+    """Per row, how many of the entries before ``hi`` have aged X or more
+    by :func:`_rebuild`'s floor test.  ``ez`` does not decrease, so they
+    are a prefix, found by bisection on all rows at once."""
+    lo, up = np.zeros_like(hi), hi.copy()
+    while True:
+        open_ = lo < up
+        if not open_.any():
+            return lo
+        mid = (lo + up) // 2
+        dead = (z - ez[np.minimum(mid, ez.size - 1)] + shift) / dx + 1e-9 >= cells
+        lo = np.where(open_ & dead, mid + 1, lo)
+        up = np.where(open_ & ~dead, mid, up)
 
 
 def reconstruct_K(traj: Trajectory, t: float, x) -> float:
     """K(t, x) rebuilt from the initial profile and the entering-mass log.
 
     ``t`` between stored steps interpolates z linearly; a non-finite ``t``
-    or ``x`` raises :class:`DomainError`.  Gridded runs skip the entries
-    logged after t and the prefix aged X or more, tabulate the live
-    entries' node survivals S(t_i, k dx) once per chunk of steps, and let
-    each (x, entry) pair read them with its own floor test, as the march
-    counts.  A deterministic entry counts while its effective distance
-    exceeds z + x + 1e-12, the march's own test, and a constant-distance
-    entry while its age is at most B~ give or take 1e-9 cells, since that
-    march counts whole cells.  Vickrey runs age each logged mass by
-    exp(-age/B), which differs from the Euler count by O(dt): 2.12 trips at
-    a peak of 287 on the paper pulse, dt = 1e-3, B = 2.
+    or ``x`` raises :class:`DomainError`.  Gridded runs use the kernel of
+    :meth:`Trajectory.profiles`: each x is a grid node plus a sub-cell
+    shift added to every entry's age, each entry takes the march's floor
+    test once per distinct shift, and the entries logged after t or aged X
+    or more are skipped.  A deterministic entry counts while its effective
+    distance exceeds z + x + 1e-12, the march's own test, and a
+    constant-distance entry while its age is at most B~ give or take 1e-9
+    cells, since that march counts whole cells.  Vickrey runs age each
+    logged mass by exp(-age/B), which differs from the Euler count by
+    O(dt): 2.12 trips at a peak of 287 on the paper pulse, dt = 1e-3, B = 2.
     """
     scalar = np.isscalar(x) or np.ndim(x) == 0
     xx = np.asarray(x, dtype=float)
@@ -699,7 +745,7 @@ def reconstruct_K(traj: Trajectory, t: float, x) -> float:
     if np.any(xx < 0):
         raise DomainError("x must be non-negative")
     if traj.x_grid is not None:
-        out = _rebuild(traj, np.array([t], float), xx.reshape(-1))[0].reshape(xx.shape)
+        out = _reconstruct_gridded(traj, float(t), xx.reshape(-1)).reshape(xx.shape)
         return float(out) if scalar else out
     z_t = float(np.interp(t, traj.t, traj.z))
     out = traj.ic.profile_array(xx + z_t)
@@ -715,6 +761,24 @@ def reconstruct_K(traj: Trajectory, t: float, x) -> float:
             surv = traj.distances.survival_array(traj.entry_t[sel], ages)
         out = out + surv @ traj.entry_mass[sel]
     return float(out) if scalar else out
+
+
+def _reconstruct_gridded(traj: Trajectory, t: float, x: np.ndarray) -> np.ndarray:
+    """K at time ``t`` and offsets ``x`` of a gridded run: each x is node
+    n = floor(x/dx + 1e-9) plus a shift x - n dx, and :func:`_rebuild` runs
+    once per distinct shift (on-grid x have shift 0).  From node cells + 1
+    on every pair's cell is at least cells and x + z passes X, so K reads 0.
+    """
+    dx, cells = float(traj.x_grid[1]), traj.x_grid.size - 1
+    n = np.floor(x / dx + 1e-9)
+    shift = x - n * dx
+    out = np.zeros(x.size)
+    near = n <= cells
+    for s in np.unique(shift[near]):
+        sel = near & (shift == s)
+        nn = n[sel].astype(np.intp)
+        out[sel] = _rebuild(traj, np.array([t]), int(nn.max()) + 1, float(s))[0, nn]
+    return out
 
 
 def reconstruct_profile(traj: Trajectory, t: float) -> np.ndarray:
@@ -739,7 +803,7 @@ def outflux_from_profile(traj: Trajectory, max_points: int = 2048) -> np.ndarray
         raise ContractError("trajectory does not carry a distance grid")
     dx = float(traj.x_grid[1] - traj.x_grid[0])
     out = np.full(traj.n_steps, np.nan)
-    steps = traj.profile_steps(max_points)
+    steps = traj.profile_steps(max_points, "max_points")
     K = traj.profiles(steps, 2)
     out[steps] = (K[:, 0] - K[:, 1]) / dx * traj.v[steps]
     return out

@@ -126,7 +126,7 @@ def vickrey_equivalence_check(traj: Trajectory, B: float,
         raise ContractError("profile comparison needs a trajectory with a grid")
     ref = np.exp(-traj.x_grid / B)
     dev = 0.0
-    steps = traj.profile_steps(profile_samples)
+    steps = traj.profile_steps(profile_samples, "profile_samples")
     for j, row in zip(steps, traj.profiles(steps)):
         lam = traj.lam[j]
         if lam <= 1e-9 * max(1.0, traj.lam.max()):

@@ -265,15 +265,15 @@ def full_log_K(traj, t, xs):
 
 
 @functools.lru_cache(maxsize=None)
-def window_run(kind, ic_kind):
-    dx, X = 2**-4, 2.0
+def window_run(kind, ic_kind, solver="integral", dx=2**-4, inflow=6000.0):
+    X = 2.0
     ic = bt.EmptyNetwork() if ic_kind == "empty" else bt.ExponentialProfile(300.0, 1.0)
     grid = bt.GridSpec(dx=dx, X=X, horizon=bt.MaxCumulativeDistance(3 * X),
                        dt=dx / 30.0)
-    return bt.solve_integral(bt.Scenario(L=PAPER_L, fd=PAPER_FD,
-                                         influx=bt.ConstantInflux(6000.0),
-                                         distances=window_distances()[kind],
-                                         grid=grid, ic=ic))
+    return solve_fixed_step(solver, bt.Scenario(L=PAPER_L, fd=PAPER_FD,
+                                                influx=bt.ConstantInflux(inflow),
+                                                distances=window_distances()[kind],
+                                                grid=grid, ic=ic))
 
 
 class TestIntegralWindow:
@@ -337,6 +337,36 @@ class TestProfiles:
         ref = np.array([full_log_K(traj, t, traj.x_grid) for t in traj.t])
         np.testing.assert_allclose(rows, ref, rtol=1e-12, atol=0.0)
 
+    @pytest.mark.parametrize("ic_kind", ["empty", "exponential_ic"])
+    @pytest.mark.parametrize("kind", sorted(window_distances()))
+    @pytest.mark.parametrize("solver", ["mobility_service", "multi_commodity"])
+    def test_other_fixed_step_solvers_match_full_log_sum(self, solver, kind, ic_kind):
+        # the boarding delay jams the network at 6000 trips/h
+        inflow = 3000.0 if solver == "mobility_service" else 6000.0
+        traj = window_run(kind, ic_kind, solver, inflow=inflow)
+        assert traj.scheme == solver and traj.z[-1] >= 3 * traj.metadata["X"]
+        rows = traj.profiles(np.arange(traj.n_steps))
+        ref = np.array([full_log_K(traj, t, traj.x_grid) for t in traj.t])
+        np.testing.assert_allclose(rows, ref, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("ic_kind", ["empty", "exponential_ic"])
+    @pytest.mark.parametrize("kind", sorted(window_distances()))
+    def test_rows_match_full_log_sum_on_a_non_dyadic_grid(self, kind, ic_kind):
+        # at dx = 0.1, n + age/dx and (n dx + age)/dx round apart, so a tail
+        # value may differ from the full-log sum by more than 1e-12 of
+        # itself, though not of max lambda
+        traj = window_run(kind, ic_kind, dx=0.1)
+        assert traj.x_grid.size == 21 and traj.z[-1] > 2 * traj.metadata["X"]
+        rows = traj.profiles(np.arange(traj.n_steps))
+        ref = np.array([full_log_K(traj, t, traj.x_grid) for t in traj.t])
+        np.testing.assert_allclose(rows, ref, rtol=1e-12,
+                                   atol=1e-12 * float(traj.lam.max()))
+
+    def test_no_steps_give_no_rows(self):
+        traj = window_run("uniform", "exponential_ic")
+        assert traj.profiles([]).shape == (0, traj.x_grid.size)
+        assert traj.profiles([], 5).shape == (0, 5)
+
     def test_step_count_not_a_multiple_of_the_chunk(self):
         traj = window_run("uniform", "exponential_ic")
         steps = np.arange(5, traj.n_steps, 3)[:2 * _CHUNK + 3]
@@ -359,6 +389,35 @@ class TestProfiles:
             t = float(traj.t[j])
             np.testing.assert_allclose(bt.reconstruct_K(traj, t, xs),
                                        full_log_K(traj, t, xs), rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("scheme", ["integral", "characteristic"])
+    def test_reconstruct_K_splits_x_into_node_and_shift(self, scheme):
+        # one call per distinct shift: an array mixing on-grid x, off-grid x
+        # and x >= X gives each value its own call's result, also between
+        # steps, where a characteristic run's newest entries have negative ages
+        if scheme == "integral":
+            traj = window_run("uniform", "exponential_ic")
+        else:
+            traj = bt.solve_characteristic(paper_scenario(2**-4, stop=6.0))
+        dx, X = traj.metadata["dx"], traj.metadata["X"]
+        on = np.array([0.0, 3.0, 1.0, 17.0]) * dx
+        off = np.array([0.37, 3.37, 5.5, 0.37, 13.9]) * dx
+        beyond = np.array([X, X + 0.5 * dx, X + dx, 2 * X, 40.0 * X])
+        xs = np.concatenate([on, off[:2], beyond[:3], off[2:], on[::-1], beyond[3:]])
+        mid = traj.n_steps // 2
+        cases = [(float(traj.t[j]), j) for j in (1, traj.n_steps // 3, traj.n_steps - 1)]
+        cases.append((float(0.6 * traj.t[mid] + 0.4 * traj.t[mid + 1]), None))
+        for t, j in cases:  # j is None between steps
+            got = bt.reconstruct_K(traj, t, xs)
+            one = np.array([bt.reconstruct_K(traj, t, x) for x in xs])
+            np.testing.assert_allclose(got, one, rtol=1e-14, atol=0.0)
+            # ages are at least 0 at a step, and more than -dx between steps
+            assert np.all(got[xs >= (X if j is not None else X + dx)] == 0.0)
+            if scheme == "integral" and j is not None:  # a characteristic run replays
+                assert np.array_equal(got[:on.size],
+                                      traj.profile(j)[np.array([0, 3, 1, 17])])
+            np.testing.assert_allclose(got, full_log_K(traj, t, xs),
+                                       rtol=1e-12, atol=0.0)
 
     def test_reconstruct_K_between_steps(self):
         # a characteristic entry ages from the end of its step, so between

@@ -3,6 +3,7 @@ carries, so every solver's trajectory pickles, and a characteristic run's
 replayed profile equals its reconstruction."""
 
 import dataclasses
+import functools
 import pickle
 
 import numpy as np
@@ -61,6 +62,7 @@ def _solve(name):
 
 SOLVERS = ["characteristic", "integral", "mobility_service", "multi_commodity",
            "vickrey", "deterministic", "constant_distance"]
+_solved = functools.lru_cache(maxsize=None)(_solve)  # for tests that only read
 
 
 @pytest.mark.parametrize("name", SOLVERS)
@@ -87,6 +89,27 @@ def test_profile_steps_follow_the_scheme(name):
     j = int(steps[2])
     assert np.array_equal(traj.profile(j, 2),
                           bt.reconstruct_K(traj, float(traj.t[j]), traj.x_grid[:2]))
+
+
+_LIMITED_CALLS = {
+    "profile_steps": ("limit", lambda traj, n: traj.profile_steps(n)),
+    "audit": ("max_profiles", lambda traj, n: bt.audit(traj, max_profiles=n)),
+    "outflux_from_profile": ("max_points",
+                             lambda traj, n: bt.outflux_from_profile(traj, max_points=n)),
+    "vickrey_equivalence_check": ("profile_samples", lambda traj, n:
+                                  bt.vickrey_equivalence_check(traj, 1.0, profile_samples=n)),
+}
+
+
+@pytest.mark.parametrize("limit", [0, -1, -3])
+@pytest.mark.parametrize("call", sorted(_LIMITED_CALLS))
+@pytest.mark.parametrize("name", SOLVERS[:4])
+def test_profile_limit_below_one_rejected(name, call, limit):
+    # a limit of 0 used to rebuild no profile, so audit reported a
+    # trip-miles residual of 0.0; a negative one raised numpy's ValueError
+    arg, fn = _LIMITED_CALLS[call]
+    with pytest.raises(bt.DomainError, match=f"^{arg} must be at least 1"):
+        fn(_solved(name), limit)
 
 
 def test_characteristic_trajectory_keeps_no_profile_rows():
@@ -122,7 +145,7 @@ def test_replayed_profile_equals_its_reconstruction(ramp, plateau, distances, ic
                        distances=distances, grid=grid, ic=ic)
     traj = bt.solve_characteristic(scen)
     np.testing.assert_allclose(traj.profiles(slice(None)),
-                               _rebuild(traj, traj.t, traj.x_grid),
+                               _rebuild(traj, traj.t, traj.x_grid.size),
                                rtol=0.0, atol=1e-9 * float(traj.lam.max()))
 
 
