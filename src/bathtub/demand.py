@@ -168,6 +168,16 @@ class DistanceDistribution:
         """Vectorized survival (``t``, ``x`` broadcast); unchecked: it runs per step."""
         raise NotImplementedError
 
+    def entry_key(self, t):
+        """What the survival of trips entering at ``t`` depends on, fixed once
+        they have entered, so a march evaluates it once per entry; a float
+        for a float ``t``."""
+        return t
+
+    def survival_from_key(self, key, x) -> np.ndarray:
+        """:meth:`survival_array` given :meth:`entry_key` of the times."""
+        return self.survival_array(key, x)
+
     def mean_distance(self, t: float) -> float:
         """Average entering-trip distance, the x-integral of the survival."""
         raise NotImplementedError
@@ -187,12 +197,20 @@ class _MeanDistances(DistanceDistribution):
 
     def __init__(self, Btilde):
         self._B = as_profile(Btilde, extend="clamp")
+        if self._B.extend != "clamp":  # a mean distance of 0 outside the nodes
+            raise DomainError(f"Btilde must extend by 'clamp', not {self._B.extend!r}")
         if self._B.minimum() <= 0:
             raise DomainError("mean distance must be positive")
         self.time_dependent = self._B.x.size > 1
 
     def mean_distance(self, t):
         return float(self._B(t))
+
+    def entry_key(self, t):
+        return self._B(t)
+
+    def survival_array(self, t, x):
+        return self.survival_from_key(self._B(t), x)
 
 
 class ExponentialDistances(_MeanDistances):
@@ -202,8 +220,8 @@ class ExponentialDistances(_MeanDistances):
     def B(self) -> float:
         return float(self._B(0.0))
 
-    def survival_array(self, t, x):
-        return np.exp(-np.asarray(x, dtype=float) / self._B(t))
+    def survival_from_key(self, b, x):
+        return np.exp(-np.asarray(x, dtype=float) / b)
 
     def mean_distance_capped(self, t, X):
         b = self._B(t)
@@ -213,8 +231,8 @@ class ExponentialDistances(_MeanDistances):
 class UniformDistances(_MeanDistances):
     """Uniform distances on [0, 2*Btilde(t)] so the mean is Btilde(t)."""
 
-    def survival_array(self, t, x):
-        return np.maximum(0.0, 1.0 - np.asarray(x, dtype=float) / (2.0 * self._B(t)))
+    def survival_from_key(self, b, x):
+        return np.maximum(0.0, 1.0 - np.asarray(x, dtype=float) / (2.0 * b))
 
     def mean_distance_capped(self, t, X):
         b = self._B(t)
@@ -226,8 +244,8 @@ class UniformDistances(_MeanDistances):
 class DeterministicDistances(_MeanDistances):
     """All trips entering at t share the single distance Btilde(t)."""
 
-    def survival_array(self, t, x):
-        return np.where(np.asarray(x, dtype=float) <= self._B(t), 1.0, 0.0)
+    def survival_from_key(self, b, x):
+        return np.where(np.asarray(x, dtype=float) <= b, 1.0, 0.0)
 
     def mean_distance_capped(self, t, X):
         return np.minimum(self._B(t), X)

@@ -248,22 +248,23 @@ class Trajectory:
 # capped grid-node evaluation
 # ---------------------------------------------------------------------------
 
-def _window_survival(dist: DistanceDistribution, t, y, dx: float,
+def _window_survival(dist: DistanceDistribution, keys, y, dx: float,
                      cells: int) -> np.ndarray:
-    """Survival of a live window at ages ``y``, interpolated between exact
-    evaluations at the grid nodes; the node at X (= cells*dx) counts as 0,
-    which caps every trip's distance at X as the characteristic update
-    does.  Live means each age lies in cell ``k = floor(y/dx + 1e-9)`` with
-    0 <= k <= cells - 1 and the ages do not increase along the window, so
-    the entries of the last cell, which have no upper node, are a prefix.
+    """Survival of a live window with entry keys ``keys`` at ages ``y``,
+    interpolated between exact evaluations at the grid nodes; the node at X
+    (= cells*dx) counts as 0, which caps every trip's distance at X as the
+    characteristic update does.  Live means each age lies in cell
+    ``k = floor(y/dx + 1e-9)`` with 0 <= k <= cells - 1 and the ages do not
+    increase along the window, so the entries of the last cell, which have
+    no upper node, are a prefix.
     """
     th = y / dx
     k = np.floor(th + 1e-9)
     th -= k
     np.maximum(th, 0.0, out=th)
     p = int(np.count_nonzero(k == cells - 1))
-    surv = (1.0 - th) * dist.survival_array(t, k * dx)
-    surv[p:] += th[p:] * dist.survival_array(t[p:], (k[p:] + 1.0) * dx)
+    surv = (1.0 - th) * dist.survival_from_key(keys, k * dx)
+    surv[p:] += th[p:] * dist.survival_from_key(keys[p:], (k[p:] + 1.0) * dx)
     return surv
 
 
@@ -407,11 +408,15 @@ def _check_profile(K: np.ndarray):
 # ---------------------------------------------------------------------------
 
 class _Commodity:
-    """One commodity of the fixed-step march: its z, lambda, F, v and
-    entering-mass series, and the live window of its log.
+    """One commodity of the fixed-step march: its z, lambda, F and v
+    series, its log of entering masses and their entry keys, and the live
+    window of that log.
 
-    Step j logs the mass entering during it at the step start (t_j, z_j),
-    then weights only the live window of the log.  An entry whose age
+    Step j logs the mass entering during it at the step start (t_j, z_j)
+    with the distance law's ``entry_key(t_j)``, B~(t_j) for a law set by
+    its mean distance: that mass's survival law is fixed once it has
+    entered, so its key is evaluated once, not on every later step.  Then
+    the step weights only the live window of the log.  An entry whose age
     z - z_i has reached X (``cells`` cells, by the floor test of
     :func:`_window_survival`) has capped survival exactly 0.  Every step
     taken has v >= v_min > 0, so z never decreases: ages only grow, and
@@ -433,16 +438,16 @@ class _Commodity:
         # offset every initial trip has left (at once, for an empty start)
         self.k0_reach = (grid.cells * grid.dx + 1e-9 * grid.dx
                          if self.k0_nodes.any() else -np.inf)
-        self.z, self.lam, self.F, self.mass = _Buf(), _Buf(), _Buf(), _Buf()
+        self.z, self.lam, self.F, self.v = _Buf(), _Buf(), _Buf(), _Buf()
+        self.mass, self.key = _Buf(), _Buf()
         self.z.push(0.0)
         self.lam.push(ic.lambda0)
         self.F.push(0.0)
-        self.v: List[float] = []
         self.start = 0  # first live entry of the log
 
-    def step(self, t_log: np.ndarray, dt: float, f: float, v: float) -> float:
-        """Advance one step from the last time in ``t_log``; returns its
-        out-flux.  A step that moves z by more than one cell raises."""
+    def step(self, t: float, dt: float, f: float, v: float) -> float:
+        """Advance one step from time ``t``; returns its out-flux.  A step
+        that moves z by more than one cell raises."""
         dx, cells = self.grid.dx, self.grid.cells
         if not v * dt <= dx * (1.0 + 1e-9):  # NaN fails too
             raise DomainError(
@@ -451,11 +456,13 @@ class _Commodity:
         ez = self.z.view()
         z = ez[-1] + v * dt
         self.mass.push(f * dt)
+        self.key.push(self.distances.entry_key(t))
         i = self.start
         while i < ez.size and (z - ez[i]) / dx + 1e-9 >= cells:
             i += 1
         self.start = i
-        surv = _window_survival(self.distances, t_log[i:], z - ez[i:], dx, cells)
+        surv = _window_survival(self.distances, self.key.view()[i:], z - ez[i:],
+                                dx, cells)
         boundary = float(np.dot(self.mass.view()[i:], surv))
         if z > self.k0_reach:
             initial = 0.0
@@ -479,7 +486,7 @@ class _Commodity:
             truncated += m * tail
         return _gridded(scheme, L, self.influx, self.distances, self.ic, self.grid,
                         t, self.z.view().copy(), self.lam.view().copy(),
-                        np.asarray(self.v), self.F.view().copy(), mass,
+                        self.v.view().copy(), self.F.view().copy(), mass,
                         termination, truncated)
 
 
@@ -517,7 +524,7 @@ def _march_integral(dt: float, horizon, coms: Sequence[_Commodity],
         lam = np.array([c.lam.view()[-1] for c in coms])
         v = np.asarray(speed_of(t, lam, f, g), dtype=float)
         for c, vm in zip(coms, v):
-            c.v.append(vm)
+            c.v.push(vm)
         if np.any(v < v_min):
             termination = Termination.GRIDLOCK
             break
@@ -526,7 +533,7 @@ def _march_integral(dt: float, horizon, coms: Sequence[_Commodity],
         if (isinstance(horizon, MaxCumulativeDistance)
                 and coms[0].z.view()[-1] >= horizon.Z - 1e-12):
             break
-        g = np.array([c.step(t_buf.view(), dt, fm, float(vm))
+        g = np.array([c.step(t, dt, fm, float(vm))
                       for c, fm, vm in zip(coms, f, v)])
         t = t_buf.n * dt  # the step count times dt
         t_buf.push(t)

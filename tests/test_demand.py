@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bathtub as bt
 from helpers import paper_btilde, paper_pulse, riemann_integral
@@ -218,6 +220,67 @@ class TestTabulatedSurvival:
         got = self._table().mean_distance_capped(np.array([0.0, 0.5, 1.0]), 2.0)
         assert got.shape == (3,)
         np.testing.assert_allclose(got, [1.0, 1.15, 1.3], rtol=0.0, atol=1e-12)
+
+
+KEY_NODES = [0.2, 0.45, 0.7, 1.3]
+
+
+def keyed_laws():
+    """Every law, with a B~ that varies between ``KEY_NODES`` where it can."""
+    btilde = bt.PiecewiseLinear(KEY_NODES, [1.5, 3.7, 2.9, 0.8])
+    table = bt.TabulatedSurvival([0.0, 0.5, 1.0, 2.0, 3.0], [0.2, 0.7],
+                                 [[1.0, 0.8, 0.5, 0.2, 0.0],
+                                  [1.0, 0.9, 0.7, 0.3, 0.0]])
+    return {"exponential": bt.ExponentialDistances(btilde),
+            "uniform": bt.UniformDistances(btilde),
+            "deterministic": bt.DeterministicDistances(btilde),
+            "uniform_constant": bt.UniformDistances(2.25),
+            "tabulated": table}
+
+
+# entry times on a node, between nodes, before the first and after the last
+entry_times = st.one_of(st.sampled_from(KEY_NODES),
+                        st.floats(KEY_NODES[0], KEY_NODES[-1]),
+                        st.floats(0.0, KEY_NODES[0], exclude_max=True),
+                        st.floats(KEY_NODES[-1], 50.0, exclude_min=True))
+
+
+def assert_same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+class TestEntryKey:
+    """A march logs each entry's key once and evaluates the survival from
+    it; that must give the bits of the survival from the entry time."""
+
+    @pytest.mark.parametrize("law", [bt.ExponentialDistances, bt.UniformDistances,
+                                     bt.DeterministicDistances])
+    def test_zero_extended_btilde_rejected(self, law):
+        btilde = bt.PiecewiseLinear([0.5, 1.0], [2.0, 3.0], extend="zero")
+        with pytest.raises(bt.DomainError, match="'zero'"):
+            law(btilde)
+
+    @pytest.mark.parametrize("kind", sorted(keyed_laws()))
+    @settings(max_examples=25, derandomize=True, deadline=None)
+    @given(t=entry_times, ts=st.lists(entry_times, min_size=1, max_size=12),
+           x=st.lists(st.floats(0.0, 10.0), min_size=1, max_size=12))
+    def test_key_path_is_bitwise_equal_to_time_path(self, kind, t, ts, x):
+        dist = keyed_laws()[kind]
+        x = np.array(x)
+        key = dist.entry_key(t)
+        assert isinstance(key, float)
+        # a float key against the array path of the time
+        assert_same_bits(dist.survival_from_key(key, x),
+                         dist.survival_array(np.full(x.size, t), x))
+        ts = np.array(ts)
+        xs = x[np.arange(ts.size) % x.size]
+        want = dist.survival_array(ts, xs)
+        assert_same_bits(dist.survival_from_key(dist.entry_key(ts), xs), want)
+        # keys logged one float at a time, as the march logs them
+        logged = np.array([dist.entry_key(float(ti)) for ti in ts])
+        assert_same_bits(dist.survival_from_key(logged, xs), want)
 
 
 class TestInitialProfile:

@@ -227,7 +227,10 @@ def window_distances():
     table = bt.TabulatedSurvival([0.0, 0.5, 1.0, 2.0, 3.0], [0.0, 0.5],
                                  [[1.0, 0.8, 0.5, 0.2, 0.0],
                                   [1.0, 0.9, 0.7, 0.3, 0.0]])
+    # B~ nodes inside window_run's 0.2 h, so each entry logs its own key
+    varying = bt.PiecewiseLinear([0.03, 0.08, 0.15], [0.8, 1.6, 1.1])
     return {"uniform": bt.UniformDistances(1.2),
+            "uniform_varying": bt.UniformDistances(varying),
             "exponential": bt.ExponentialDistances(0.8),
             "deterministic": bt.DeterministicDistances(1.5),
             "tabulated": table}
@@ -313,11 +316,13 @@ def live_windows(draw, dx):
 @settings(max_examples=25, derandomize=True, deadline=None)
 @given(data=st.data())
 def test_window_kernel_is_bitwise_equal_to_masked_reference(kind, dx, data):
-    """The march's mask-free kernel gives the bits of the masked reference
-    on every live window."""
+    """The march's mask-free kernel, fed the keys the march logs, gives the
+    bits of the masked reference, which evaluates the survival from the
+    entry times, on every live window."""
     t, y, cells = data.draw(live_windows(dx))
     dist = window_distances()[kind]
-    got = _window_survival(dist, t, y, dx, cells)
+    keys = np.array([dist.entry_key(float(ti)) for ti in t])
+    got = _window_survival(dist, keys, y, dx, cells)
     assert np.array_equal(got, _survival_capped_lin(dist, t, y, dx, cells))
 
 
@@ -648,6 +653,66 @@ class TestGridlock:
         diverted = bt.diversion_outflux(state, 1.0)
         assert diverted > 0.0
         assert diverted < state.lam
+
+
+@st.composite
+def jamming_demands(draw):
+    """A constant demand that ``gridlock_predict`` says will jam the paper
+    network, even counting each trip's distance capped at the grid's X:
+    f times the capped mean distance is 1.2 to 3 times L C."""
+    kind = draw(st.sampled_from(["exponential", "uniform", "deterministic"]))
+    btilde = draw(st.floats(1.0, 3.0))
+    dx = draw(st.sampled_from([0.25, 0.5]))
+    law = {"exponential": bt.ExponentialDistances, "uniform": bt.UniformDistances,
+           "deterministic": bt.DeterministicDistances}[kind](btilde)
+    reach = {"exponential": 8.0, "uniform": 2.0, "deterministic": 1.0}[kind]
+    X = math.ceil(reach * btilde / dx + 1.0) * dx
+    capped = float(law.mean_distance_capped(0.0, X))
+    C, _ = PAPER_FD.capacity()
+    f = draw(st.floats(1.2, 3.0)) * PAPER_L * C / capped
+    v_min = draw(st.sampled_from([0.1, 0.5, 2.0]))
+    return f, law, btilde, capped, dx, X, v_min
+
+
+class TestGridlockIsAbsorbing:
+    """Where ``gridlock_predict`` claims gridlock, every solver that can
+    take the demand stops in it before a long time horizon: its last speed
+    is the first below v_min."""
+
+    def check(self, traj, f, mean, v_min):
+        assert bt.gridlock_predict(f, mean, PAPER_L, PAPER_FD) \
+            is bt.GridlockPrediction.WILL_GRIDLOCK
+        assert traj.termination is bt.Termination.GRIDLOCK
+        assert traj.v[-1] < v_min <= traj.v[:-1].min()
+
+    @pytest.mark.parametrize("solver", ["characteristic", "integral",
+                                        "mobility_service", "multi_commodity"])
+    @settings(max_examples=10, derandomize=True, deadline=None)
+    @given(demand=jamming_demands())
+    def test_gridded_solvers_end_in_gridlock(self, solver, demand):
+        f, law, _, capped, dx, X, v_min = demand
+        dt = None if solver == "characteristic" else dx / 30.0
+        grid = bt.GridSpec(dx=dx, X=X, horizon=bt.MaxTime(40.0), dt=dt, v_min=v_min)
+        scen = bt.Scenario(L=PAPER_L, fd=PAPER_FD, influx=bt.ConstantInflux(f),
+                           distances=law, grid=grid)
+        if solver == "characteristic":
+            traj = bt.solve_characteristic(scen)
+        elif solver == "multi_commodity":  # two halves of the demand, one density
+            half = bt.CommodityDemand(bt.ConstantInflux(f / 2), law)
+            rel = lambda lam, rates, g: PAPER_FD.speed(lam.sum() / PAPER_L)
+            traj = bt.solve_multi_commodity(PAPER_L, [half] * 2, [rel] * 2, grid)[0]
+        else:
+            traj = solve_fixed_step(solver, scen)
+        self.check(traj, f, capped, v_min)
+
+    @settings(max_examples=10, derandomize=True, deadline=None)
+    @given(demand=jamming_demands())
+    def test_vickrey_ends_in_gridlock(self, demand):
+        f, _, btilde, _, _, _, v_min = demand
+        c = bt.VickreyConfig(L=PAPER_L, fd=PAPER_FD, B=btilde, lambda0=0.0,
+                             influx=bt.ConstantInflux(f), dt=5e-3,
+                             horizon=bt.MaxTime(40.0), v_min=v_min)
+        self.check(bt.solve_vickrey(c), f, btilde, v_min)
 
 
 class TestOrderingProperties:
