@@ -173,13 +173,6 @@ def diversion_outflux(state: BathtubState, x0: float) -> float:
     return float(state.lam - K_x0)
 
 
-def _tau_interp(traj: Trajectory):
-    """Monotone inverse of the z series (restricted to v > 0 steps)."""
-    z, idx = np.unique(traj.z, return_index=True)
-    t = traj.t[idx]
-    return z, t
-
-
 def trip_travel_time(traj: Trajectory, t_enter: float, x: float) -> float:
     """Travel time of a trip entering at ``t_enter`` with distance ``x``.
 
@@ -197,8 +190,7 @@ def trip_travel_time(traj: Trajectory, t_enter: float, x: float) -> float:
         raise TripNotCompleted(
             "trip does not complete within the horizon",
             remaining_distance=float(target - traj.z[-1]))
-    zz, tt = _tau_interp(traj)
-    return float(np.interp(target, zz, tt)) - t_enter
+    return traj.time_to_distance(target) - t_enter
 
 
 @dataclass
@@ -211,7 +203,8 @@ class TravelTimeEstimates:
 def average_travel_time(traj: Trajectory, demand: DistanceDistribution,
                         t_enter: float) -> TravelTimeEstimates:
     """Average travel time of trips entering at ``t_enter`` plus two
-    single-speed approximations.
+    single-speed approximations.  A ``t_enter`` outside the solved range,
+    or NaN, raises :class:`DomainError`.
 
     ``exact`` integrates survival / v(tau(x + z)) over the distance grid by
     the trapezoid rule (distances capped at the grid limit, consistent with
@@ -220,6 +213,8 @@ def average_travel_time(traj: Trajectory, demand: DistanceDistribution,
     """
     if traj.x_grid is None:
         raise ContractError("average travel time needs a gridded trajectory")
+    if not traj.t[0] <= t_enter <= traj.t[-1]:
+        raise DomainError("t_enter outside the solved range")
     X = float(traj.x_grid[-1])
     Bt = float(demand.mean_distance_capped(t_enter, X))
     z_enter = float(np.interp(t_enter, traj.t, traj.z))
@@ -227,14 +222,13 @@ def average_travel_time(traj: Trajectory, demand: DistanceDistribution,
         raise TripNotCompleted("the longest trip entering here does not "
                                "complete within the horizon",
                                remaining_distance=float(z_enter + X - traj.z[-1]))
-    zz, tt = _tau_interp(traj)
-    tau_exit = np.interp(z_enter + traj.x_grid, zz, tt)
+    tau_exit = traj.time_to_distance(z_enter + traj.x_grid)
     v_along = np.interp(tau_exit, traj.t, traj.v)
     surv = demand.survival_array(np.asarray(t_enter, dtype=float), traj.x_grid)
     surv = np.where(traj.x_grid < X, surv, 0.0)
     exact = float(np.trapezoid(surv / v_along, traj.x_grid))
     v_entry = float(np.interp(t_enter, traj.t, traj.v))
-    tau_B = float(np.interp(z_enter + Bt, zz, tt))
+    tau_B = traj.time_to_distance(z_enter + Bt)
     v_exit = float(np.interp(tau_B, traj.t, traj.v))
     return TravelTimeEstimates(exact=exact, entry_speed=Bt / v_entry,
                                exit_speed=Bt / v_exit)
@@ -350,24 +344,26 @@ def convergence_study(solve: Callable[[float], Trajectory],
         return ConvergenceReport(dx=list(map(float, dx_list)), targets=targets,
                                  diffs=diffs, ratios=[], orders=[],
                                  mean_order=None, exact_to_machine=True)
-    ratios = []
-    orders: List[float] = []
-    monotone = True
-    for i in range(len(diffs) - 1):
-        if diffs[i + 1] == 0.0:
-            ratios.append(float("inf"))
-            monotone = False
-            continue
-        r = diffs[i] / diffs[i + 1]
-        ratios.append(r)
-        if r <= 0:
-            monotone = False
-    if monotone:
-        orders = [float(np.log2(r)) for r in ratios]
+    ratios, orders = observed_orders(diffs)
+    if any(np.isnan(orders)):
+        orders = []
     mean_order = float(np.mean(orders)) if orders else None
     return ConvergenceReport(dx=list(map(float, dx_list)), targets=targets,
                              diffs=diffs, ratios=ratios, orders=orders,
                              mean_order=mean_order, exact_to_machine=False)
+
+
+def observed_orders(diffs: Sequence[float]):
+    """Ratios d_i / d_{i+1} of successive differences (inf when d_{i+1}
+    is 0) and, per pair, the observed order log2 of the ratio, NaN unless
+    the ratio is positive."""
+    ratios: List[float] = []
+    orders: List[float] = []
+    for a, b in zip(diffs, diffs[1:]):
+        r = a / b if b != 0.0 else float("inf")
+        ratios.append(r)
+        orders.append(float(np.log2(r)) if b != 0.0 and r > 0 else float("nan"))
+    return ratios, orders
 
 
 def time_to_distance_target(Z: float) -> Callable[[Trajectory], float]:

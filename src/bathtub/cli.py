@@ -47,7 +47,6 @@ class RunConfig:
     L: float
     fd: diagrams.FundamentalDiagram
     influx: demand_mod.InfluxProfile
-    distance_kind: str
     distances: Optional[demand_mod.DistanceDistribution]
     btilde: object
     B: Optional[float]
@@ -290,8 +289,8 @@ def _config_from_raw(raw: Dict[str, object]) -> RunConfig:
                               f"model.kind={model_kind}")
 
     return RunConfig(L=vals["network.L"], fd=fd, influx=influx,
-                     distance_kind=dist_kind, distances=distances,
-                     btilde=vals[_MEAN], B=vals.get("demand.distance.B"), ic=ic,
+                     distances=distances, btilde=vals[_MEAN],
+                     B=vals.get("demand.distance.B"), ic=ic,
                      model_kind=model_kind, scheme=scheme, stop=stop,
                      dx=vals.get("grid.dx"), X=vals.get("grid.X"),
                      dt=vals.get("grid.dt"), dz=vals.get("grid.dz"),
@@ -340,55 +339,64 @@ def execute(cfg: RunConfig):
     return traj
 
 
-def _fmt(v: float) -> str:
-    return repr(float(v))
+def _fmt(cell) -> str:
+    """A CSV cell: a string as given, a number as the shortest decimal that
+    reads back to the same float."""
+    return cell if isinstance(cell, str) else repr(float(cell))
+
+
+def _write_csv(path: str, header, rows, footer=()):
+    """Write a CSV file, UTF-8 with LF line ends: the ``header`` cells, one
+    line per row of cells, then the ``footer`` lines as given.  Every CSV
+    output goes through here."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(map(_fmt, header)) + "\n")
+        for row in rows:
+            fh.write(",".join(map(_fmt, row)) + "\n")
+        for line in footer:
+            fh.write(line + "\n")
+
+
+def _rows(*columns):
+    """The rows of equal-length columns, one list of floats at a time: a
+    list of every value at once would raise the peak memory."""
+    return (row.tolist() for row in np.column_stack(columns))
 
 
 def _write_series(path: str, traj: solver.Trajectory):
     cols = ["t", "z", "lambda", "v", "f", "F", "g", "G"]
     data = traj.series
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(cols) + "\n")
-        for i in range(traj.n_steps):
-            fh.write(",".join(_fmt(data[c][i]) for c in cols) + "\n")
+    _write_csv(path, cols, _rows(*(data[c] for c in cols)))
 
 
 def _write_ksurface(path: str, traj: solver.Trajectory, max_rows: int = 257):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("t," + ",".join(_fmt(x) for x in traj.x_grid) + "\n")
-        steps = traj.profile_steps(max_rows, "max_rows")
-        for j, row in zip(steps, traj.profiles(steps)):
-            fh.write(_fmt(traj.t[j]) + "," + ",".join(_fmt(v) for v in row) + "\n")
+    steps = traj.profile_steps(max_rows, "max_rows")
+    rows = ([t, *K.tolist()]  # one row at a time: a whole-array list is large
+            for t, K in zip(traj.t[steps].tolist(), traj.profiles(steps)))
+    _write_csv(path, ["t", *traj.x_grid.tolist()], rows)
 
 
-def _write_audit(path: str, traj: solver.Trajectory,
-                 dist: demand_mod.DistanceDistribution):
-    rep = analysis.audit(traj, dist)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("t,total_trip_residual,trip_miles_residual\n")
-        for i in range(rep.t.size):
-            fh.write(",".join([_fmt(rep.t[i]), _fmt(rep.total_trip_steps[i]),
-                               _fmt(rep.trip_miles_steps[i])]) + "\n")
-        fh.write(f"# max_total_trip_residual = {_fmt(rep.total_trip_residual)}\n")
-        fh.write(f"# max_trip_miles_residual = {_fmt(rep.trip_miles_residual)}\n")
-        fh.write(f"# truncation_mass = {_fmt(rep.truncation_mass)}\n")
-        fh.write(f"# monotonicity_violations = {rep.monotonicity_violations}\n")
+def _write_audit(path: str, traj: solver.Trajectory):
+    rep = analysis.audit(traj)
+    _write_csv(path, ["t", "total_trip_residual", "trip_miles_residual"],
+               _rows(rep.t, rep.total_trip_steps, rep.trip_miles_steps),
+               [f"# max_total_trip_residual = {_fmt(rep.total_trip_residual)}",
+                f"# max_trip_miles_residual = {_fmt(rep.trip_miles_residual)}",
+                f"# truncation_mass = {_fmt(rep.truncation_mass)}",
+                f"# monotonicity_violations = {rep.monotonicity_violations}"])
 
 
-def _write_traveltimes(path: str, traj: solver.Trajectory,
-                       dist: demand_mod.DistanceDistribution, samples: int = 65):
-    ts = np.unique(np.linspace(0, traj.n_steps - 1,
-                               min(samples, traj.n_steps)).astype(int))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("t_enter,exact,entry_speed,exit_speed\n")
-        for j in ts:
+def _write_traveltimes(path: str, traj: solver.Trajectory, samples: int = 65):
+    def rows():
+        for j in np.unique(np.linspace(0, traj.n_steps - 1,
+                                       min(samples, traj.n_steps)).astype(int)):
             t = float(traj.t[j])
             try:
-                est = analysis.average_travel_time(traj, dist, t)
+                est = analysis.average_travel_time(traj, traj.distances, t)
             except BathtubError:
                 continue
-            fh.write(",".join([_fmt(t), _fmt(est.exact), _fmt(est.entry_speed),
-                               _fmt(est.exit_speed)]) + "\n")
+            yield t, est.exact, est.entry_speed, est.exit_speed
+    _write_csv(path, ["t_enter", "exact", "entry_speed", "exit_speed"], rows())
 
 
 def run(cfg: RunConfig, output_dir: Optional[str] = None) -> int:
@@ -401,10 +409,9 @@ def run(cfg: RunConfig, output_dir: Optional[str] = None) -> int:
     if "ksurface" in cfg.outputs:
         _write_ksurface(os.path.join(out, "ksurface.csv"), traj)
     if "audit" in cfg.outputs:
-        _write_audit(os.path.join(out, "audit.csv"), traj, cfg.distances)
+        _write_audit(os.path.join(out, "audit.csv"), traj)
     if "traveltimes" in cfg.outputs:
-        _write_traveltimes(os.path.join(out, "traveltimes.csv"), traj,
-                           cfg.distances)
+        _write_traveltimes(os.path.join(out, "traveltimes.csv"), traj)
     return 0 if traj.termination is solver.Termination.HORIZON else 2
 
 
@@ -448,29 +455,15 @@ def sweep(text: str, param: str, values: Sequence[float],
         targets.append(row["time_to_target"])
     cols = ["value", "status", "termination", "peak_lambda", "peak_t",
             "time_to_target"]
-    with open(os.path.join(output_dir, "summary.csv"), "w",
-              encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(cols) + "\n")
-        for row in rows:
-            cells = [repr(row["value"]), row["status"], row["termination"],
-                     _fmt(row["peak_lambda"]), _fmt(row["peak_t"]),
-                     _fmt(row["time_to_target"])]
-            fh.write(",".join(cells) + "\n")
+    _write_csv(os.path.join(output_dir, "summary.csv"), cols,
+               ([row[c] for c in cols] for row in rows))
     if param == "grid.dx" and len(values) >= 3 and not any_failed \
             and not any(np.isnan(targets)):
         diffs = [targets[i] - targets[i + 1] for i in range(len(targets) - 1)]
-        with open(os.path.join(output_dir, "convergence.csv"), "w",
-                  encoding="utf-8", newline="\n") as fh:
-            fh.write("dx_coarse,dx_fine,target_coarse,target_fine,order\n")
-            for i in range(len(diffs) - 1):
-                if diffs[i + 1] == 0 or diffs[i] * diffs[i + 1] <= 0:
-                    order = float("nan")
-                else:
-                    order = float(np.log2(abs(diffs[i] / diffs[i + 1])))
-                fh.write(",".join([repr(float(values[i])),
-                                   repr(float(values[i + 1])),
-                                   _fmt(targets[i]), _fmt(targets[i + 1]),
-                                   _fmt(order)]) + "\n")
+        _, orders = analysis.observed_orders(diffs)
+        _write_csv(os.path.join(output_dir, "convergence.csv"),
+                   ["dx_coarse", "dx_fine", "target_coarse", "target_fine", "order"],
+                   zip(values, values[1:], targets, targets[1:], orders))
     return 1 if any_failed else 0
 
 

@@ -255,7 +255,8 @@ class DeterministicDistances(_MeanDistances):
 
 
 class TabulatedSurvival(DistanceDistribution):
-    """Survival sampled on an x-grid at a set of times, bilinear interpolation.
+    """Survival sampled on an x-grid (at least two nodes, the first at 0) at
+    a set of times, bilinear interpolation.
 
     Rows whose value at x=0 deviates from 1 by less than 1e-6 are
     renormalized; larger deviations are rejected.  Queries beyond the last
@@ -271,9 +272,11 @@ class TabulatedSurvival(DistanceDistribution):
             raise DataError("values must have shape (len(t_grid), len(x_grid))")
         if np.any(~np.isfinite(x)) or np.any(~np.isfinite(t)) or np.any(~np.isfinite(v)):
             raise DataError("survival table contains non-finite values")
+        if x.size < 2:  # one node has no cell to interpolate in
+            raise DataError("x grid needs at least 2 nodes")
         if x[0] != 0.0:
             raise DataError("x grid must start at 0")
-        if x.size > 1 and np.any(np.diff(x) <= 0):
+        if np.any(np.diff(x) <= 0):
             raise DataError("x grid must be strictly increasing")
         if t.size > 1 and np.any(np.diff(t) <= 0):
             raise DataError("t grid must be strictly increasing")

@@ -143,9 +143,11 @@ class Trajectory:
     replays its update over the log, bit for bit).  ``distances`` and
     ``ic`` are the run's distance law and initial condition.  Deterministic
     runs log each entry's effective distance in ``entry_theta`` instead of
-    a distance law (their B~ may be given against z).  ``G`` is derived
-    from the counts, and ``g`` from ``G`` unless the solver supplies it.  A
-    trajectory holds data only, so it pickles.
+    a distance law (their B~ may be given against z).  ``F`` is the running
+    sum of ``entry_mass`` (``np.cumsum`` adds in log order) unless the
+    solver supplies it, ``G`` is derived from the counts, and ``g`` from
+    ``G`` unless the solver supplies it.  A trajectory holds data only, so
+    it pickles.
     """
 
     scheme: str
@@ -155,7 +157,6 @@ class Trajectory:
     lam: np.ndarray
     v: np.ndarray
     f: np.ndarray
-    F: np.ndarray
     entry_mass: np.ndarray
     termination: Termination
     distances: Optional[DistanceDistribution]
@@ -163,11 +164,14 @@ class Trajectory:
     truncated_mass: float = 0.0
     x_grid: Optional[np.ndarray] = None
     entry_theta: Optional[np.ndarray] = None
+    F: Optional[np.ndarray] = None
     g: Optional[np.ndarray] = None
     metadata: dict = field(default_factory=dict)
     G: np.ndarray = field(init=False)
 
     def __post_init__(self):
+        if self.F is None:
+            self.F = np.concatenate(([0.0], np.cumsum(self.entry_mass)))
         self.G = self.lam[0] + self.F - self.lam
         if self.g is None:
             self.g = np.zeros_like(self.t)
@@ -236,12 +240,18 @@ class Trajectory:
                                lam=float(self.lam[j]), v=float(self.v[j]),
                                x_grid=self.x_grid, K=K)
 
-    def time_to_distance(self, Z: float) -> float:
-        """Time at which z first reaches Z, by linear interpolation."""
-        if Z > self.z[-1] + 1e-12:
+    def time_to_distance(self, Z):
+        """Time at which z first reaches Z, by linear interpolation; an
+        array of targets gives an array of times.  A non-finite Z, or one
+        that z never reaches, raises :class:`DomainError`."""
+        ZZ = np.asarray(Z, dtype=float)
+        if not np.all(np.isfinite(ZZ)):
+            raise DomainError(f"Z must be finite, got {Z!r}")
+        if np.any(ZZ > self.z[-1] + 1e-12):
             raise DomainError(f"z never reaches {Z} within the horizon")
         zz, idx = np.unique(self.z, return_index=True)
-        return float(np.interp(Z, zz, self.t[idx]))
+        out = np.interp(ZZ, zz, self.t[idx])
+        return float(out) if ZZ.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -349,23 +359,17 @@ def solve_characteristic(s: Scenario) -> Trajectory:
     K = s.ic.profile_array(x_nodes).astype(float)
     _check_profile(K)
     ent_m: List[float] = []
-    F_list = [0.0]
-    truncated = float(s.ic.tail_beyond(grid.X))
 
     def step(j, t, dt):
-        nonlocal truncated
         mass = s.influx.rate(t) * dt
         _advance(K, mass, t, s.distances, x_nodes)
-        truncated += mass * float(s.distances.tail_beyond(t, grid.X))
         ent_m.append(mass)
-        F_list.append(F_list[-1] + mass)
         return float(K[0])
 
     t, z, lam, v, termination = _march_z(s.fd, s.L, grid.dx, grid.horizon,
                                          grid.v_min, float(K[0]), step)
     return _gridded("characteristic", s.L, s.influx, s.distances, s.ic, grid,
-                    t, z, lam, v, np.asarray(F_list), np.asarray(ent_m),
-                    termination, truncated)
+                    t, z, lam, v, np.asarray(ent_m), termination)
 
 
 def _advance(K: np.ndarray, mass: float, t: float,
@@ -408,9 +412,10 @@ def _check_profile(K: np.ndarray):
 # ---------------------------------------------------------------------------
 
 class _Commodity:
-    """One commodity of the fixed-step march: its z, lambda, F and v
-    series, its log of entering masses and their entry keys, and the live
-    window of that log.
+    """One commodity of the fixed-step march: its z, lambda and v series,
+    its log of entering masses and their entry keys, the live window of
+    that log, and the running total F of the log, which the out-flux g of
+    a step needs.
 
     Step j logs the mass entering during it at the step start (t_j, z_j)
     with the distance law's ``entry_key(t_j)``, B~(t_j) for a law set by
@@ -424,8 +429,8 @@ class _Commodity:
     that stays dead.  ``start`` skips that prefix; likewise the
     initial-profile term is 0 once z passes X, and from the start when
     every initial node is 0.  The sum differs from one over the whole log
-    only in summation order.  The truncated mass is tallied once, from the
-    whole log, when the trajectory is built.
+    only in summation order.  The trajectory derives its F series and
+    :func:`_gridded` its truncated mass from the log.
     """
 
     def __init__(self, influx, distances, ic, grid: GridSpec):
@@ -438,11 +443,11 @@ class _Commodity:
         # offset every initial trip has left (at once, for an empty start)
         self.k0_reach = (grid.cells * grid.dx + 1e-9 * grid.dx
                          if self.k0_nodes.any() else -np.inf)
-        self.z, self.lam, self.F, self.v = _Buf(), _Buf(), _Buf(), _Buf()
+        self.z, self.lam, self.v = _Buf(), _Buf(), _Buf()
         self.mass, self.key = _Buf(), _Buf()
         self.z.push(0.0)
         self.lam.push(ic.lambda0)
-        self.F.push(0.0)
+        self.F = 0.0
         self.start = 0  # first live entry of the log
 
     def step(self, t: float, dt: float, f: float, v: float) -> float:
@@ -470,24 +475,18 @@ class _Commodity:
             initial = float(_profile_capped_lin(self.k0_nodes, z, dx))
         lam_new = initial + boundary
         lam0, lam = self.lam.a[0], self.lam.view()[-1]
-        F = self.F.view()[-1] + f * dt
+        F = self.F + f * dt
         g = ((lam0 + F - lam_new) - (lam0 + (F - f * dt) - lam)) / dt
         self.z.push(z)
         self.lam.push(lam_new)
-        self.F.push(F)
+        self.F = F
         return g
 
     def trajectory(self, scheme: str, L: float, t: np.ndarray,
                    termination: Termination) -> Trajectory:
-        mass = self.mass.view().copy()
-        tails = self.distances.tail_beyond(t[:mass.size], self.grid.X)
-        truncated = float(self.ic.tail_beyond(self.grid.X))
-        for m, tail in zip(mass.tolist(), tails.tolist()):  # np.dot may reorder
-            truncated += m * tail
         return _gridded(scheme, L, self.influx, self.distances, self.ic, self.grid,
                         t, self.z.view().copy(), self.lam.view().copy(),
-                        self.v.view().copy(), self.F.view().copy(), mass,
-                        termination, truncated)
+                        self.v.view().copy(), self.mass.view().copy(), termination)
 
 
 class _Buf:
@@ -542,21 +541,29 @@ def _march_integral(dt: float, horizon, coms: Sequence[_Commodity],
 
 def _gridded(scheme: str, L: float, influx: InfluxProfile,
              distances: DistanceDistribution, ic: InitialCondition,
-             grid: GridSpec, t, z, lam, v, F, ent_m, termination,
-             truncated) -> Trajectory:
-    """Trajectory of a run on ``grid``; enforces ``grid.strict_truncation``."""
-    if grid.strict_truncation:
-        total_in = lam[0] + F[-1]
-        if truncated > grid.truncation_tolerance * max(total_in, 1.0):
-            raise DataError(
-                f"{truncated:.6g} trips were capped at the grid limit X, "
-                f"more than the allowed fraction of the {total_in:.6g} total")
-    return Trajectory(scheme=scheme, L=L, t=t, z=z, lam=lam, v=v,
-                      f=influx.rate_array(t), F=F, entry_mass=ent_m,
+             grid: GridSpec, t, z, lam, v, ent_m, termination) -> Trajectory:
+    """Trajectory of a run on ``grid`` that logged the masses ``ent_m`` at
+    the step starts ``t[:-1]``.  The mass capped at X is tallied here, for
+    every gridded scheme: the initial trips beyond X plus each logged mass
+    times its law's tail beyond X, summed in log order.  Enforces
+    ``grid.strict_truncation``."""
+    truncated = float(ic.tail_beyond(grid.X))
+    tails = distances.tail_beyond(t[:-1], grid.X)
+    for m, tail in zip(ent_m.tolist(), tails.tolist()):  # np.dot may reorder
+        truncated += m * tail
+    traj = Trajectory(scheme=scheme, L=L, t=t, z=z, lam=lam, v=v,
+                      f=influx.rate_array(t), entry_mass=ent_m,
                       termination=termination, distances=distances, ic=ic,
                       truncated_mass=truncated, x_grid=grid.x_nodes(),
                       metadata={"dx": grid.dx, "X": grid.X,
                                 "horizon": grid.horizon})
+    if grid.strict_truncation:
+        total_in = lam[0] + traj.F[-1]
+        if truncated > grid.truncation_tolerance * max(total_in, 1.0):
+            raise DataError(
+                f"{truncated:.6g} trips were capped at the grid limit X, "
+                f"more than the allowed fraction of the {total_in:.6g} total")
+    return traj
 
 
 def solve_integral(s: Scenario) -> Trajectory:

@@ -62,8 +62,7 @@ def solve_vickrey(c: VickreyConfig) -> Trajectory:
     lam = float(c.lambda0)
     t = 0.0
     z = 0.0
-    F = 0.0
-    t_l, z_l, lam_l, v_l, F_l, g_l = [0.0], [0.0], [lam], [], [0.0], []
+    t_l, z_l, lam_l, v_l, g_l = [0.0], [0.0], [lam], [], []
     ent_m = []
     termination = Termination.HORIZON
     j = 0
@@ -83,19 +82,17 @@ def solve_vickrey(c: VickreyConfig) -> Trajectory:
         lam = lam + c.dt * (f_t - lam * v / c.B)
         lam = max(lam, 0.0)
         z = z + v * c.dt
-        F = F + f_t * c.dt
         j += 1
         t = j * c.dt
         t_l.append(t)
         z_l.append(z)
         lam_l.append(lam)
-        F_l.append(F)
 
     t_arr = np.asarray(t_l)
     # the Vickrey out-flux lam*v/B replaces the conservation-difference column
     return Trajectory(scheme="vickrey", L=c.L, t=t_arr, z=np.asarray(z_l),
                       lam=np.asarray(lam_l), v=np.asarray(v_l),
-                      f=c.influx.rate_array(t_arr), F=np.asarray(F_l),
+                      f=c.influx.rate_array(t_arr),
                       entry_mass=np.asarray(ent_m), termination=termination,
                       distances=ExponentialDistances(c.B),
                       ic=ExponentialProfile(c.lambda0, c.B), g=np.asarray(g_l),
@@ -397,7 +394,7 @@ def solve_constant_distance(c: DeterministicConfig) -> Tuple[Trajectory, TripFra
 
     t, z, lam, v, termination = _march_z(c.fd, c.L, dz, c.horizon, c.v_min, 0.0, step)
     traj = Trajectory(scheme="constant_distance", L=c.L, t=t, z=z, lam=lam, v=v,
-                      f=c.influx.rate_array(t), F=np.asarray(F_l),
+                      f=c.influx.rate_array(t),
                       entry_mass=np.asarray(ent_m), termination=termination,
                       distances=DeterministicDistances(B), ic=c.ic,
                       metadata={"dz": dz, "Btilde": B})

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import bathtub as bt
+from bathtub import analysis
 from helpers import PAPER_FD, PAPER_L, paper_char, paper_pulse
 
 GS = bt.Greenshields(30.0, 200.0)
@@ -211,6 +212,12 @@ class TestAverageTravelTime:
                                              [2.0, 5.0, 5.0, 2.0])), t0)
         assert est.entry_speed < est.exact
 
+    @pytest.mark.parametrize("t_enter", [-0.5, np.nan, 0.5 + 1e-3])
+    def test_entry_time_outside_the_run_rejected(self, t_enter):
+        traj = TestTripTravelTime().free_flow_run()  # solved up to t = 0.5
+        with pytest.raises(bt.DomainError, match="t_enter"):
+            bt.average_travel_time(traj, traj.distances, t_enter)
+
 
 class TestAudit:
     def test_clean_free_flow_run(self):
@@ -291,6 +298,16 @@ class TestConvergenceStudy:
     def test_needs_three_levels(self):
         with pytest.raises(bt.DomainError):
             bt.convergence_study(lambda dx: None, [0.2, 0.1], lambda s: 0.0)
+
+    @pytest.mark.parametrize("diffs, ratios, orders", [
+        ([0.4, 0.2, 0.1], [2.0, 2.0], [1.0, 1.0]),
+        ([0.4, 0.2, -0.1], [2.0, -2.0], [1.0, np.nan]),
+        ([0.4, 0.0, 0.1], [np.inf, 0.0], [np.nan, np.nan]),
+    ])
+    def test_observed_orders_per_pair(self, diffs, ratios, orders):
+        got_ratios, got_orders = analysis.observed_orders(diffs)
+        assert got_ratios == ratios
+        np.testing.assert_array_equal(got_orders, orders)
 
     def test_time_to_distance_target(self):
         traj = paper_char(2**-4)

@@ -1,4 +1,5 @@
 import csv
+import pathlib
 import re
 
 import numpy as np
@@ -63,6 +64,28 @@ outputs = series
 def read_csv(path):
     with open(path) as fh:
         return list(csv.DictReader(fh))
+
+
+GOLDEN = pathlib.Path(__file__).parent / "data" / "golden"
+GOLDEN_FILES = ["run/series.csv", "run/ksurface.csv", "run/audit.csv",
+                "run/traveltimes.csv", "sweep/summary.csv", "sweep/convergence.csv"]
+
+
+@pytest.fixture(scope="module")
+def golden_outputs(tmp_path_factory):
+    """The six CSV files of ``pulse.conf``: a characteristic run, and a
+    sweep of its integral form over three grid levels."""
+    out = tmp_path_factory.mktemp("golden")
+    text = (GOLDEN / "pulse.conf").read_text(encoding="utf-8")
+    assert cli.run(cli.parse_config(text), output_dir=str(out / "run")) == 0
+    assert cli.sweep(text + "model.scheme = integral\n", "grid.dx",
+                     [0.25, 0.125, 0.0625], output_dir=str(out / "sweep")) == 0
+    return out
+
+
+@pytest.mark.parametrize("name", GOLDEN_FILES)
+def test_csv_bytes_match_the_committed_files(golden_outputs, name):
+    assert (golden_outputs / name).read_bytes() == (GOLDEN / name).read_bytes()
 
 
 class TestParsing:
@@ -242,6 +265,15 @@ class TestTableInputs:
         cfg = cli.parse_config(text)
         assert cfg.distances.survival(0.0, 1.0) == pytest.approx(0.5)
         assert cli.run(cfg, output_dir=str(tmp_path / "out")) == 0
+
+    def test_one_node_survival_table_is_a_config_error(self, tmp_path):
+        table = tmp_path / "surv.csv"
+        table.write_text("0\n0.0,1\n")
+        text = MINIMAL_CONF.replace(
+            "demand.distance.kind = exponential\ndemand.distance.B = 2",
+            f"demand.distance.kind = tabulated\ndemand.table = {table}")
+        with pytest.raises(bt.ConfigError, match="demand.table.*at least 2 nodes"):
+            cli.parse_config(text)
 
     def test_tabulated_initial_profile_from_csv(self, tmp_path):
         table = tmp_path / "ic.csv"

@@ -199,6 +199,12 @@ class TestTabulatedSurvival:
         with pytest.raises(bt.DataError):
             bt.TabulatedSurvival([0.0, 1.0, 2.0], [0.0], [[1.0, 0.2, 0.4]])
 
+    @pytest.mark.parametrize("x, values", [([0.0], [[1.0]]), ([], [[]])])
+    def test_rejects_fewer_than_two_x_nodes(self, x, values):
+        # one node has no cell: its survival would divide by zero
+        with pytest.raises(bt.DataError, match="at least 2 nodes"):
+            bt.TabulatedSurvival(x, [0.0], values)
+
     def test_mean_by_trapezoid(self):
         d = self._table()
         assert d.mean_distance(0.0) == pytest.approx(0.75 + 0.25)

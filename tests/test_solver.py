@@ -504,9 +504,11 @@ class TestIntegralStepGuard:
 def truncation_run(solver, distances, ic, strict=False):
     grid = bt.GridSpec(dx=2**-4, X=2.0, horizon=bt.MaxCumulativeDistance(5.0),
                        dt=2**-4 / 30.0, strict_truncation=strict)
-    return solve_fixed_step(solver, bt.Scenario(
-        L=PAPER_L, fd=PAPER_FD, influx=paper_pulse(), distances=distances,
-        grid=grid, ic=ic))
+    scen = bt.Scenario(L=PAPER_L, fd=PAPER_FD, influx=paper_pulse(),
+                       distances=distances, grid=grid, ic=ic)
+    if solver == "characteristic":
+        return bt.solve_characteristic(scen)
+    return solve_fixed_step(solver, scen)
 
 
 def truncation_laws():
@@ -521,15 +523,16 @@ def truncation_laws():
 
 
 FIXED_STEP = ["integral", "mobility_service", "multi_commodity"]
+GRIDDED = ["characteristic"] + FIXED_STEP
 
 
 class TestTruncatedMass:
-    """A fixed-step run reports the initial trips beyond X plus, in log
-    order, each entering mass times its share beyond X."""
+    """A gridded run reports the initial trips beyond X plus, in log order,
+    each entering mass times its share beyond X at its entry time."""
 
     @pytest.mark.parametrize("ic_kind", ["empty", "exponential_ic"])
     @pytest.mark.parametrize("kind", sorted(truncation_laws()))
-    @pytest.mark.parametrize("solver", FIXED_STEP)
+    @pytest.mark.parametrize("solver", GRIDDED)
     def test_equals_the_tally_in_log_order(self, solver, kind, ic_kind):
         ic = bt.EmptyNetwork() if ic_kind == "empty" else bt.ExponentialProfile(300.0, 1.0)
         traj = truncation_run(solver, truncation_laws()[kind], ic)
@@ -543,7 +546,7 @@ class TestTruncatedMass:
         else:
             assert want > float(ic.tail_beyond(X))
 
-    @pytest.mark.parametrize("solver", FIXED_STEP)
+    @pytest.mark.parametrize("solver", GRIDDED)
     def test_strict_truncation_rejects_lossy_grid(self, solver):
         with pytest.raises(bt.DataError):
             truncation_run(solver, truncation_laws()["uniform"], bt.EmptyNetwork(),

@@ -66,6 +66,44 @@ _solved = functools.lru_cache(maxsize=None)(_solve)  # for tests that only read
 
 
 @pytest.mark.parametrize("name", SOLVERS)
+def test_F_is_the_running_sum_of_the_entry_log(name):
+    """Every solver but the deterministic one leaves F to the trajectory,
+    which sums the log in order; the deterministic solver supplies the exact
+    cumulative inflow at each step."""
+    traj = _solved(name)
+    if name == "deterministic":
+        want = np.array([paper_pulse().cumulative(t) for t in traj.t.tolist()])
+    else:
+        want = np.concatenate(([0.0], np.cumsum(traj.entry_mass)))
+        running = [0.0]
+        for m in traj.entry_mass.tolist():
+            running.append(running[-1] + m)
+        assert want.tobytes() == np.array(running).tobytes()
+    assert traj.F.dtype == np.float64 and traj.F.tobytes() == want.tobytes()
+
+
+class TestTimeToDistance:
+    def test_array_of_targets_matches_scalar_calls(self):
+        traj = paper_char(2**-4)
+        Z = np.array([[0.0, 1.3], [7.77, 30.0]])
+        got = traj.time_to_distance(Z)
+        assert got.shape == Z.shape
+        assert got.tolist() == [[traj.time_to_distance(float(z)) for z in row]
+                                for row in Z]
+        assert isinstance(traj.time_to_distance(7.77), float)
+
+    @pytest.mark.parametrize("Z", [np.nan, np.inf, -np.inf, [1.0, np.nan]])
+    def test_non_finite_target_rejected(self, Z):
+        with pytest.raises(bt.DomainError, match="finite"):
+            paper_char(2**-4).time_to_distance(Z)
+
+    @pytest.mark.parametrize("Z", [30.5, [1.0, 30.5]])
+    def test_target_beyond_the_horizon_rejected(self, Z):
+        with pytest.raises(bt.DomainError, match="never reaches"):
+            paper_char(2**-4).time_to_distance(Z)
+
+
+@pytest.mark.parametrize("name", SOLVERS)
 def test_pickle_round_trip_reconstructs_identically(name):
     traj = _solve(name)
     back = pickle.loads(pickle.dumps(traj))
