@@ -258,37 +258,49 @@ class Trajectory:
 # capped grid-node evaluation
 # ---------------------------------------------------------------------------
 
+def _cell(y, dx: float):
+    """The cell rule of every gridded kernel: k = floor(y/dx + 1e-9), as
+    floats, so an offset a rounding error below a node is on it, and
+    theta = max(y/dx - k, 0), for offsets ``y`` (an array)."""
+    th = np.asarray(y / dx)  # a 0-d y divides to a scalar
+    k = np.floor(th + 1e-9)
+    th -= k
+    np.maximum(th, 0.0, out=th)
+    return k, th
+
+
+def _aged_out(age, dx: float, cells: int):
+    """Whether ``age``'s cell by :func:`_cell` is ``cells`` or more, i.e.
+    it has aged X; a float age gives a bool, with no array built."""
+    return age / dx + 1e-9 >= cells
+
+
 def _window_survival(dist: DistanceDistribution, keys, y, dx: float,
                      cells: int) -> np.ndarray:
     """Survival of a live window with entry keys ``keys`` at ages ``y``,
     interpolated between exact evaluations at the grid nodes; the node at X
     (= cells*dx) counts as 0, which caps every trip's distance at X as the
-    characteristic update does.  Live means each age lies in cell
-    ``k = floor(y/dx + 1e-9)`` with 0 <= k <= cells - 1 and the ages do not
-    increase along the window, so the entries of the last cell, which have
-    no upper node, are a prefix.
+    characteristic update does.  Live means each age lies in a cell k of
+    :func:`_cell` with 0 <= k <= cells - 1 and the ages do not increase
+    along the window, so the entries of the last cell, which have no upper
+    node, are a prefix.
     """
-    th = y / dx
-    k = np.floor(th + 1e-9)
-    th -= k
-    np.maximum(th, 0.0, out=th)
+    k, th = _cell(y, dx)
     p = int(np.count_nonzero(k == cells - 1))
     surv = (1.0 - th) * dist.survival_from_key(keys, k * dx)
     surv[p:] += th[p:] * dist.survival_from_key(keys[p:], (k[p:] + 1.0) * dx)
     return surv
 
 
-def _profile_capped_lin(nodes: np.ndarray, y_arr, dx: float) -> np.ndarray:
+def _profile_capped_lin(nodes: np.ndarray, y, dx: float) -> np.ndarray:
     """Initial-profile node values interpolated at offsets ``y``, 0 beyond X."""
-    y = np.asarray(y_arr, dtype=float)
     I = nodes.size - 1
-    k = np.floor(y / dx + 1e-9).astype(np.int64)
-    th = np.clip(y / dx - k, 0.0, None)
+    k, th = _cell(y, dx)
+    k = k.astype(np.int64)
     inside = (k >= 0) & (y <= I * dx + 1e-9 * dx)
-    klo = np.clip(k, 0, I)
-    khi = np.clip(k + 1, 0, I)
-    vlo = nodes[klo]
-    vhi = np.where(k + 1 <= I, nodes[khi], 0.0)
+    pad = np.append(nodes, 0.0)  # the node past X reads 0
+    vlo = pad[np.clip(k, 0, I)]
+    vhi = pad[np.clip(k + 1, 0, I + 1)]
     return np.where(inside, (1.0 - th) * vlo + th * vhi, 0.0)
 
 
@@ -353,40 +365,45 @@ def solve_characteristic(s: Scenario) -> Trajectory:
     step start.  The two first-order errors in z(t) therefore have opposite
     signs on congested runs: the schemes share their limit as the grid is
     refined, not their values on any one grid.
+
+    An input that makes K negative or NaN raises :class:`DataError`.
     """
     grid = s.grid
     x_nodes = grid.x_nodes()
     K = s.ic.profile_array(x_nodes).astype(float)
-    _check_profile(K)
     ent_m: List[float] = []
+
+    def lam_checked() -> float:
+        if not K.min() >= 0:  # NaN fails too
+            raise DataError("K went negative or NaN: check the influx rate, "
+                            "the survival and the initial profile")
+        return float(K[0])
 
     def step(j, t, dt):
         mass = s.influx.rate(t) * dt
         _advance(K, mass, t, s.distances, x_nodes)
         ent_m.append(mass)
-        return float(K[0])
+        return lam_checked()
 
     t, z, lam, v, termination = _march_z(s.fd, s.L, grid.dx, grid.horizon,
-                                         grid.v_min, float(K[0]), step)
+                                         grid.v_min, lam_checked(), step)
     return _gridded("characteristic", s.L, s.influx, s.distances, s.ic, grid,
                     t, z, lam, v, np.asarray(ent_m), termination)
 
 
 def _advance(K: np.ndarray, mass: float, t: float,
              distances: DistanceDistribution, x_nodes: np.ndarray):
-    """One characteristic step of ``K``, in place."""
+    """One characteristic step of ``K``, in place and unchecked."""
     K[:-1] = K[1:] + mass * distances.survival_array(t, x_nodes[:-1])
     K[-1] = 0.0
-    _check_profile(K)
 
 
 def _replay(traj: Trajectory, steps: np.ndarray, nodes: Optional[int]) -> np.ndarray:
     """Rows of a characteristic run's K at ``steps`` (any order, repeats
     allowed) on the first ``nodes`` grid nodes: :func:`_advance` replayed
-    from the initial profile over the log, as the march ran it."""
+    from the initial profile over the log the march ran and checked."""
     x = traj.x_grid
     K = traj.ic.profile_array(x).astype(float)
-    _check_profile(K)
     mass, et = traj.entry_mass.tolist(), traj.entry_t.tolist()
     out = np.empty((steps.size, x[:nodes].size))
     j = 0  # steps replayed so far
@@ -397,14 +414,6 @@ def _replay(traj: Trajectory, steps: np.ndarray, nodes: Optional[int]) -> np.nda
         out[r] = K[:nodes]
         j = s
     return out
-
-
-def _check_profile(K: np.ndarray):
-    neg = K < 0
-    if np.any(neg):
-        if np.min(K) < -1e-12:
-            raise DataError("count profile went negative beyond tolerance")
-        K[neg] = 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -422,14 +431,13 @@ class _Commodity:
     its mean distance: that mass's survival law is fixed once it has
     entered, so its key is evaluated once, not on every later step.  Then
     the step weights only the live window of the log.  An entry whose age
-    z - z_i has reached X (``cells`` cells, by the floor test of
-    :func:`_window_survival`) has capped survival exactly 0.  Every step
-    taken has v >= v_min > 0, so z never decreases: ages only grow, and
-    since z_i is non-decreasing the dead entries form a prefix of the log
-    that stays dead.  ``start`` skips that prefix; likewise the
-    initial-profile term is 0 once z passes X, and from the start when
-    every initial node is 0.  The sum differs from one over the whole log
-    only in summation order.  The trajectory derives its F series and
+    z - z_i has reached X (:func:`_aged_out`) has capped survival exactly 0.
+    Every step taken has v >= v_min > 0, so z never decreases: ages only
+    grow, and since z_i is non-decreasing the dead entries form a prefix of
+    the log that stays dead.  ``start`` skips that prefix; likewise the
+    initial-profile term is 0 once z passes X, and from the start when every
+    initial node is 0.  The sum differs from one over the whole log only in
+    summation order.  The trajectory derives its F series and
     :func:`_gridded` its truncated mass from the log.
     """
 
@@ -463,7 +471,7 @@ class _Commodity:
         self.mass.push(f * dt)
         self.key.push(self.distances.entry_key(t))
         i = self.start
-        while i < ez.size and (z - ez[i]) / dx + 1e-9 >= cells:
+        while i < ez.size and _aged_out(z - ez[i], dx, cells):
             i += 1
         self.start = i
         surv = _window_survival(self.distances, self.key.view()[i:], z - ez[i:],
@@ -671,9 +679,9 @@ def _rebuild(traj: Trajectory, t: np.ndarray, nodes: int,
     x = n dx + ``shift``, n = 0, ..., ``nodes`` - 1.
 
     An entry of age a = z(t) - z_i meets the offsets at a + shift + n dx,
-    so one floor test per entry, k = floor((a + shift)/dx + 1e-9), puts its
-    pair with node n in cell n + k, at the same fraction theta of the cell
-    for every n.  The entries logged before t that have not aged X
+    so one floor test per entry, the cell k of a + shift by :func:`_cell`,
+    puts its pair with node n in cell n + k, at the same fraction theta of
+    the cell for every n.  The entries logged before t that have not aged X
     (k <= cells - 1) are the row's live window.  Each chunk of rows shares a
     table of the node survivals S(t_i, c dx), c = 0, ..., cells - 1, with
     one zero column on the left (c = -1) and zeros from c = cells on, so
@@ -704,9 +712,7 @@ def _rebuild(traj: Trajectory, t: np.ndarray, nodes: int,
             et[base:top, None], np.arange(cells) * dx)
         slices = np.lib.stride_tricks.sliding_window_view(table, nodes + 1, axis=1)
         for r in rows:
-            y = (z[r] - ez[lo[r]:hi[r]] + shift) / dx
-            k = np.floor(y + 1e-9)
-            th = np.maximum(y - k, 0.0)
+            k, th = _cell(z[r] - ez[lo[r]:hi[r]] + shift, dx)
             k = k.astype(np.intp)
             G = slices[np.arange(lo[r] - base, hi[r] - base), k + 1]
             m = em[lo[r]:hi[r]]
@@ -722,15 +728,15 @@ def _rebuild(traj: Trajectory, t: np.ndarray, nodes: int,
 def _dead_prefix(z: np.ndarray, ez: np.ndarray, hi: np.ndarray, dx: float,
                  cells: int, shift: float) -> np.ndarray:
     """Per row, how many of the entries before ``hi`` have aged X or more
-    by :func:`_rebuild`'s floor test.  ``ez`` does not decrease, so they
-    are a prefix, found by bisection on all rows at once."""
+    (:func:`_aged_out`) at the offset ``shift``.  ``ez`` does not decrease,
+    so they are a prefix, found by bisection on all rows at once."""
     lo, up = np.zeros_like(hi), hi.copy()
     while True:
         open_ = lo < up
         if not open_.any():
             return lo
         mid = (lo + up) // 2
-        dead = (z - ez[np.minimum(mid, ez.size - 1)] + shift) / dx + 1e-9 >= cells
+        dead = _aged_out(z - ez[np.minimum(mid, ez.size - 1)] + shift, dx, cells)
         lo = np.where(open_ & dead, mid + 1, lo)
         up = np.where(open_ & ~dead, mid, up)
 
@@ -759,7 +765,18 @@ def reconstruct_K(traj: Trajectory, t: float, x) -> float:
     if np.any(xx < 0):
         raise DomainError("x must be non-negative")
     if traj.x_grid is not None:
-        out = _reconstruct_gridded(traj, float(t), xx.reshape(-1)).reshape(xx.shape)
+        # node n plus a shift, one _rebuild per distinct shift; from node
+        # cells + 1 on, x + z passes X for every entry and K reads 0
+        dx, cells = float(traj.x_grid[1]), traj.x_grid.size - 1
+        n = _cell(xx, dx)[0]
+        shift = xx - n * dx
+        out = np.zeros(xx.shape)
+        near = n <= cells
+        for s in np.unique(shift[near]):
+            sel = near & (shift == s)
+            nn = n[sel].astype(np.intp)
+            out[sel] = _rebuild(traj, np.array([float(t)]), int(nn.max()) + 1,
+                                float(s))[0, nn]
         return float(out) if scalar else out
     z_t = float(np.interp(t, traj.t, traj.z))
     out = traj.ic.profile_array(xx + z_t)
@@ -771,28 +788,10 @@ def reconstruct_K(traj: Trajectory, t: float, x) -> float:
         else:
             ages = xx[..., None] + (z_t - traj.entry_z[sel])
             if traj.scheme == "constant_distance":  # the march counts whole cells
-                ages -= 1e-9 * traj.metadata["dz"]
+                ages -= 1e-9 * traj.z[1]  # z[1] is dz
             surv = traj.distances.survival_array(traj.entry_t[sel], ages)
         out = out + surv @ traj.entry_mass[sel]
     return float(out) if scalar else out
-
-
-def _reconstruct_gridded(traj: Trajectory, t: float, x: np.ndarray) -> np.ndarray:
-    """K at time ``t`` and offsets ``x`` of a gridded run: each x is node
-    n = floor(x/dx + 1e-9) plus a shift x - n dx, and :func:`_rebuild` runs
-    once per distinct shift (on-grid x have shift 0).  From node cells + 1
-    on every pair's cell is at least cells and x + z passes X, so K reads 0.
-    """
-    dx, cells = float(traj.x_grid[1]), traj.x_grid.size - 1
-    n = np.floor(x / dx + 1e-9)
-    shift = x - n * dx
-    out = np.zeros(x.size)
-    near = n <= cells
-    for s in np.unique(shift[near]):
-        sel = near & (shift == s)
-        nn = n[sel].astype(np.intp)
-        out[sel] = _rebuild(traj, np.array([t]), int(nn.max()) + 1, float(s))[0, nn]
-    return out
 
 
 def reconstruct_profile(traj: Trajectory, t: float) -> np.ndarray:

@@ -290,7 +290,8 @@ class TripFrame:
     Wraps the (z, tau, F, G) series of a solved run with the shared distance
     ``Btilde`` and exposes the cumulative count passing a location, per-trip
     positions and passing times, and the travel time of the trip exiting at
-    a given instant.
+    a given instant.  A NaN or infinite ``t`` or ``rank`` raises
+    :class:`DomainError`, as an ``x`` outside [0, Btilde] does.
     """
 
     Btilde: float
@@ -303,10 +304,9 @@ class TripFrame:
         return np.interp(zq, self.z, self.tau)
 
     def _z_of_t(self, tq):
+        if not np.isfinite(tq):  # np.interp would answer NaN or clamp
+            raise DomainError(f"t must be finite, got {tq!r}")
         return np.interp(tq, self.tau, self.z)
-
-    def _F_of_t(self, tq):
-        return np.interp(tq, self.tau, self.F)
 
     def exit_travel_time(self, t: float) -> float:
         """Travel time of the trip completing at ``t``: t - tau(z(t) - Btilde)."""
@@ -330,11 +330,11 @@ class TripFrame:
         arg = x + float(self._z_of_t(t)) - self.Btilde
         if arg <= 0.0:
             return 0.0
-        return float(self._F_of_t(float(self._tau_of_z(arg))))
+        return float(np.interp(float(self._tau_of_z(arg)), self.tau, self.F))
 
     def entry_time(self, rank: float) -> float:
         """Entry time of trip ``rank`` (cumulative count), by inverting F."""
-        if rank < 0 or rank > self.F[-1]:
+        if not 0 <= rank <= self.F[-1]:  # NaN fails too
             raise DomainError("rank outside the entered range")
         ff, ii = np.unique(self.F, return_index=True)
         return float(np.interp(rank, ff, self.tau[ii]))

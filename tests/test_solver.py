@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bathtub as bt
-from bathtub.solver import _CHUNK, _profile_capped_lin, _window_survival
+from bathtub.solver import (_CHUNK, _aged_out, _cell, _profile_capped_lin,
+                            _window_survival)
 from helpers import (PAPER_FD, PAPER_L, paper_btilde, paper_char,
                      paper_integral, paper_pulse, paper_scenario,
                      solve_fixed_step)
@@ -324,6 +325,78 @@ def test_window_kernel_is_bitwise_equal_to_masked_reference(kind, dx, data):
     keys = np.array([dist.entry_key(float(ti)) for ti in t])
     got = _window_survival(dist, keys, y, dx, cells)
     assert np.array_equal(got, _survival_capped_lin(dist, t, y, dx, cells))
+
+
+class TestCellRule:
+    """``_cell`` places an offset in its cell for every gridded kernel, and
+    ``_aged_out`` says when an age has reached X by the same rule."""
+
+    def test_a_rounding_error_below_a_node_is_on_it(self):
+        # 0.3/0.1 and 0.7/0.1 round to just below 3 and 7
+        assert 0.3 / 0.1 < 3.0 and 0.7 / 0.1 < 7.0
+        k, th = _cell(np.array([0.3, 0.7, 0.35]), 0.1)
+        assert k.tolist() == [3.0, 7.0, 3.0]
+        assert th[:2].tolist() == [0.0, 0.0] and 0.0 < th[2] < 1.0
+
+    @pytest.mark.parametrize("dx", [2**-4, 0.1])
+    def test_ages_between_minus_dx_and_zero_sit_in_cell_minus_one(self, dx):
+        y = -np.array([0.25, 0.5, 0.999, 1.0 - 1e-6]) * dx
+        k, th = _cell(y, dx)
+        assert np.all(k == -1.0) and np.all(th >= 0.0)
+        assert _cell(np.array(-0.5 * dx), dx)[0] == -1.0  # 0-d input
+
+    @pytest.mark.parametrize("dx, cells", [(2**-4, 80), (0.1, 20), (0.3, 7)])
+    def test_aged_out_at_exactly_cells_dx(self, dx, cells):
+        X = cells * dx
+        assert _aged_out(X, dx, cells) and _aged_out(X + dx, dx, cells)
+        # a rounding error below X is on X, as in _cell
+        assert _aged_out(math.nextafter(X, 0.0), dx, cells)
+        assert not _aged_out(X - 1e-6 * dx, dx, cells)
+        assert not _aged_out((cells - 1) * dx, dx, cells)
+        assert type(_aged_out(X, dx, cells)) is bool  # no array for a float
+        ages = np.linspace(X - 2 * dx, X + dx, 301)
+        assert np.array_equal(_aged_out(ages, dx, cells), _cell(ages, dx)[0] >= cells)
+
+
+class NegativeSurvival(bt.DistanceDistribution):
+    """A user-defined law whose survival is negative beyond 1 mile."""
+
+    def survival_array(self, t, x):
+        return np.where(np.asarray(x) > 1.0, -0.5, 1.0) + 0.0 * np.asarray(t)
+
+
+class NaNSurvival(bt.DistanceDistribution):
+    def survival_array(self, t, x):
+        return np.full(np.broadcast(t, x).shape, np.nan)
+
+
+class NegativeRate(bt.InfluxProfile):
+    def _rate(self, t):
+        return -100.0
+
+
+class NegativeProfile(bt.InitialCondition):
+    lambda0 = 10.0
+
+    def profile_array(self, x):
+        return 10.0 - 20.0 * np.asarray(x, dtype=float)
+
+
+class TestCharacteristicProfileCheck:
+    """The package's own laws keep K >= 0; a user-defined law that makes K
+    negative, at the start or after a step, stops the march."""
+
+    @pytest.mark.parametrize("case", ["survival", "nan_survival", "rate", "profile"])
+    def test_negative_profile_raises(self, case):
+        influx = NegativeRate() if case == "rate" else bt.ConstantInflux(600.0)
+        dist = {"survival": NegativeSurvival(),
+                "nan_survival": NaNSurvival()}.get(case, bt.UniformDistances(2.0))
+        ic = NegativeProfile() if case == "profile" else bt.EmptyNetwork()
+        grid = bt.GridSpec(dx=2**-4, X=2.0, horizon=bt.MaxCumulativeDistance(1.0))
+        scen = bt.Scenario(L=PAPER_L, fd=PAPER_FD, influx=influx, distances=dist,
+                           grid=grid, ic=ic)
+        with pytest.raises(bt.DataError, match="negative"):
+            bt.solve_characteristic(scen)
 
 
 class TestProfiles:

@@ -280,6 +280,12 @@ class TestConstantDistance:
             bt.solve_constant_distance(cfg)
 
 
+# the arguments of each TripFrame query: a time, a rank or a fixed x
+FRAME_QUERIES = {"entry_time": ("rank",), "position": ("t", "rank"),
+                 "exit_travel_time": ("t",), "entry_travel_time": ("t",),
+                 "passing_time": ("rank", 1.0), "cumulative_passing": ("t", 1.0)}
+
+
 class TestTripFrame:
     def test_free_flow_travel_time(self):
         cfg = bt.DeterministicConfig(L=10.0, fd=PAPER_FD, btilde=2.0,
@@ -333,6 +339,21 @@ class TestTripFrame:
         traj, frame = congested
         with pytest.raises(bt.DomainError):
             frame.exit_travel_time(0.01)
+
+    @pytest.mark.parametrize("name", sorted(FRAME_QUERIES))
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_time_or_rank_raises(self, run, name, bad):
+        # the range checks are false for NaN, and np.interp answers NaN;
+        # each query is valid at t = 0.2 h (z near 6 mi), rank 1
+        _, frame = run
+        valid = {"t": 0.2, "rank": 1.0}
+        query, args = getattr(frame, name), FRAME_QUERIES[name]
+        assert math.isfinite(query(*[valid.get(a, a) for a in args]))
+        for i in [i for i, a in enumerate(args) if a in valid]:
+            bad_args = [valid.get(a, a) for a in args]
+            bad_args[i] = bad
+            with pytest.raises(bt.DomainError):
+                query(*bad_args)
 
     def test_delay_check_restricts_to_pre_gridlock_times(self):
         cfg = bt.DeterministicConfig(L=10.0, fd=PAPER_FD, btilde=2.0,
