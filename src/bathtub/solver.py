@@ -205,10 +205,15 @@ class Trajectory:
         """Rows of K at ``steps`` on the first ``nodes`` grid nodes (all by
         default): a characteristic run replays its update over the log,
         every other gridded run is rebuilt in one batch by :func:`_rebuild`,
-        the kernel :func:`reconstruct_K` uses too."""
+        the kernel :func:`reconstruct_K` uses too.  ``steps`` that do not
+        index the steps raise :class:`DomainError`."""
         if self.x_grid is None:
             raise ContractError("this trajectory does not carry a distance grid")
-        steps = np.arange(self.n_steps)[steps].reshape(-1)
+        try:
+            steps = np.arange(self.n_steps)[steps].reshape(-1)
+        except IndexError:
+            raise DomainError(f"steps must index the {self.n_steps} steps, "
+                              f"got {steps!r}") from None
         if self.scheme == "characteristic":
             return _replay(self, steps, nodes)
         return _rebuild(self, self.t[steps], self.x_grid[:nodes].size)
@@ -220,10 +225,11 @@ class Trajectory:
     def profile_steps(self, limit: int, name: str = "limit") -> np.ndarray:
         """Every step of a characteristic run, else at most ``limit``
         evenly spaced steps (the first and the last among them).  A
-        ``limit`` below 1 raises :class:`DomainError` naming it as ``name``,
-        the caller's argument, for every scheme."""
-        if not limit >= 1:
-            raise DomainError(f"{name} must be at least 1, got {limit!r}")
+        ``limit`` that is not an integer of at least 1 raises
+        :class:`DomainError` naming it as ``name``, the caller's argument,
+        for every scheme."""
+        if not (isinstance(limit, (int, np.integer)) and limit >= 1):
+            raise DomainError(f"{name} must be at least 1, an integer, got {limit!r}")
         if self.scheme == "characteristic":
             return np.arange(self.n_steps)
         return np.unique(np.linspace(0, self.n_steps - 1,
@@ -242,11 +248,11 @@ class Trajectory:
 
     def time_to_distance(self, Z):
         """Time at which z first reaches Z, by linear interpolation; an
-        array of targets gives an array of times.  A non-finite Z, or one
-        that z never reaches, raises :class:`DomainError`."""
+        array of targets gives an array of times.  A non-finite or negative
+        Z, or one that z never reaches, raises :class:`DomainError`."""
         ZZ = np.asarray(Z, dtype=float)
-        if not np.all(np.isfinite(ZZ)):
-            raise DomainError(f"Z must be finite, got {Z!r}")
+        if not np.all(np.isfinite(ZZ) & (ZZ >= 0)):
+            raise DomainError(f"Z must be finite and non-negative, got {Z!r}")
         if np.any(ZZ > self.z[-1] + 1e-12):
             raise DomainError(f"z never reaches {Z} within the horizon")
         zz, idx = np.unique(self.z, return_index=True)
@@ -275,20 +281,23 @@ def _aged_out(age, dx: float, cells: int):
     return age / dx + 1e-9 >= cells
 
 
+_NODES = np.array([[0.0], [1.0]])  # a cell's lower and upper node
+
+
 def _window_survival(dist: DistanceDistribution, keys, y, dx: float,
-                     cells: int) -> np.ndarray:
+                     p: int) -> np.ndarray:
     """Survival of a live window with entry keys ``keys`` at ages ``y``,
     interpolated between exact evaluations at the grid nodes; the node at X
     (= cells*dx) counts as 0, which caps every trip's distance at X as the
     characteristic update does.  Live means each age lies in a cell k of
     :func:`_cell` with 0 <= k <= cells - 1 and the ages do not increase
     along the window, so the entries of the last cell, which have no upper
-    node, are a prefix.
+    node, are a prefix, of length ``p``.  One call evaluates both nodes.
     """
     k, th = _cell(y, dx)
-    p = int(np.count_nonzero(k == cells - 1))
-    surv = (1.0 - th) * dist.survival_from_key(keys, k * dx)
-    surv[p:] += th[p:] * dist.survival_from_key(keys[p:], (k[p:] + 1.0) * dx)
+    s = dist.survival_from_key(keys, (k + _NODES) * dx)
+    surv = (1.0 - th) * s[0]
+    surv[p:] += th[p:] * s[1, p:]
     return surv
 
 
@@ -434,11 +443,13 @@ class _Commodity:
     z - z_i has reached X (:func:`_aged_out`) has capped survival exactly 0.
     Every step taken has v >= v_min > 0, so z never decreases: ages only
     grow, and since z_i is non-decreasing the dead entries form a prefix of
-    the log that stays dead.  ``start`` skips that prefix; likewise the
-    initial-profile term is 0 once z passes X, and from the start when every
-    initial node is 0.  The sum differs from one over the whole log only in
-    summation order.  The trajectory derives its F series and
-    :func:`_gridded` its truncated mass from the log.
+    the log that stays dead.  ``start`` skips that prefix, and ``last`` ends
+    the next, the entries in the last cell; likewise the initial-profile
+    term is 0 once z passes X, and from the start when every initial node
+    is 0.  The sum differs from one over the whole log only in summation
+    order.  z, lambda and lambda(0) are also kept as floats.  The
+    trajectory derives its F series and :func:`_gridded` its truncated
+    mass from the log.
     """
 
     def __init__(self, influx, distances, ic, grid: GridSpec):
@@ -455,8 +466,10 @@ class _Commodity:
         self.mass, self.key = _Buf(), _Buf()
         self.z.push(0.0)
         self.lam.push(ic.lambda0)
+        self.z_now, self.lam0, self.lam_now = 0.0, float(ic.lambda0), float(ic.lambda0)
         self.F = 0.0
         self.start = 0  # first live entry of the log
+        self.last = 0  # first live entry not in the last cell
 
     def step(self, t: float, dt: float, f: float, v: float) -> float:
         """Advance one step from time ``t``; returns its out-flux.  A step
@@ -467,27 +480,29 @@ class _Commodity:
                 f"a step of dt = {dt:g} h at v = {v:g} mph moves z by more "
                 f"than one cell dx = {dx:g} mi; use dt <= dx/v = {dx / v:g} h")
         ez = self.z.view()
-        z = ez[-1] + v * dt
+        z = self.z_now + v * dt
         self.mass.push(f * dt)
         self.key.push(self.distances.entry_key(t))
         i = self.start
         while i < ez.size and _aged_out(z - ez[i], dx, cells):
             i += 1
-        self.start = i
+        p = self.last  # an entry aged X has aged into the last cell too
+        while p < ez.size and _aged_out(z - ez[p], dx, cells - 1):
+            p += 1
+        self.start, self.last = i, p
         surv = _window_survival(self.distances, self.key.view()[i:], z - ez[i:],
-                                dx, cells)
+                                dx, p - i)
         boundary = float(np.dot(self.mass.view()[i:], surv))
         if z > self.k0_reach:
             initial = 0.0
         else:
             initial = float(_profile_capped_lin(self.k0_nodes, z, dx))
         lam_new = initial + boundary
-        lam0, lam = self.lam.a[0], self.lam.view()[-1]
-        F = self.F + f * dt
-        g = ((lam0 + F - lam_new) - (lam0 + (F - f * dt) - lam)) / dt
+        lam0, F = self.lam0, self.F + f * dt
+        g = ((lam0 + F - lam_new) - (lam0 + (F - f * dt) - self.lam_now)) / dt
         self.z.push(z)
         self.lam.push(lam_new)
-        self.F = F
+        self.z_now, self.lam_now, self.F = z, lam_new, F
         return g
 
     def trajectory(self, scheme: str, L: float, t: np.ndarray,
@@ -518,30 +533,28 @@ def _march_integral(dt: float, horizon, coms: Sequence[_Commodity],
                     speed_of: Callable, v_min: float):
     """Fixed-step marcher shared by the single-commodity, mobility-service
     and multi-commodity solvers.  ``speed_of(t, lam, f, g)`` returns the
-    per-commodity speed vector from the joint state.  Returns the time
-    series and the termination; each commodity keeps its own series.
+    per-commodity speed vector from the joint state, given arrays.  Returns
+    the time series and the termination; each commodity keeps its own series.
     """
     t_buf = _Buf()
     t_buf.push(0.0)
     g = np.zeros(len(coms))
     t = 0.0
+    T = horizon.T - 1e-12 if isinstance(horizon, MaxTime) else np.inf
+    Z = horizon.Z - 1e-12 if isinstance(horizon, MaxCumulativeDistance) else np.inf
     termination = Termination.HORIZON
     while True:
-        f = np.array([c.influx.rate(t) for c in coms])
-        lam = np.array([c.lam.view()[-1] for c in coms])
-        v = np.asarray(speed_of(t, lam, f, g), dtype=float)
+        f = [c.influx.rate(t) for c in coms]
+        lam = np.array([c.lam_now for c in coms])
+        v = np.asarray(speed_of(t, lam, np.array(f), g), dtype=float).tolist()
         for c, vm in zip(coms, v):
             c.v.push(vm)
-        if np.any(v < v_min):
+        if any(vm < v_min for vm in v):
             termination = Termination.GRIDLOCK
             break
-        if isinstance(horizon, MaxTime) and t >= horizon.T - 1e-12:
+        if t >= T or coms[0].z_now >= Z:
             break
-        if (isinstance(horizon, MaxCumulativeDistance)
-                and coms[0].z.view()[-1] >= horizon.Z - 1e-12):
-            break
-        g = np.array([c.step(t, dt, fm, float(vm))
-                      for c, fm, vm in zip(coms, f, v)])
+        g = np.array([c.step(t, dt, fm, vm) for c, fm, vm in zip(coms, f, v)])
         t = t_buf.n * dt  # the step count times dt
         t_buf.push(t)
     return t_buf.view().copy(), termination

@@ -290,8 +290,9 @@ class TripFrame:
     Wraps the (z, tau, F, G) series of a solved run with the shared distance
     ``Btilde`` and exposes the cumulative count passing a location, per-trip
     positions and passing times, and the travel time of the trip exiting at
-    a given instant.  A NaN or infinite ``t`` or ``rank`` raises
-    :class:`DomainError`, as an ``x`` outside [0, Btilde] does.
+    a given instant.  A ``t`` outside [0, tau[-1]] or a ``rank`` outside
+    [0, F[-1]] (NaN included) raises :class:`DomainError`, as an ``x``
+    outside [0, Btilde] does.
     """
 
     Btilde: float
@@ -304,8 +305,8 @@ class TripFrame:
         return np.interp(zq, self.z, self.tau)
 
     def _z_of_t(self, tq):
-        if not np.isfinite(tq):  # np.interp would answer NaN or clamp
-            raise DomainError(f"t must be finite, got {tq!r}")
+        if not -1e-12 <= tq <= self.tau[-1] + 1e-12:  # np.interp would clamp
+            raise DomainError(f"t must lie in [0, {self.tau[-1]:g}] h, got {tq!r}")
         return np.interp(tq, self.tau, self.z)
 
     def exit_travel_time(self, t: float) -> float:

@@ -5,6 +5,7 @@ import functools
 import numpy as np
 
 import bathtub as bt
+from bathtub.solver import _profile_capped_lin
 
 PAPER_FD = bt.Trapezoidal(u=30.0, C=750.0, w=10.0, kappa=200.0)
 PAPER_L = 10.0
@@ -41,6 +42,83 @@ def solve_fixed_step(solver: str, scen: bt.Scenario) -> bt.Trajectory:
     return bt.solve_multi_commodity(
         scen.L, [bt.CommodityDemand(scen.influx, scen.distances, scen.ic)],
         [lambda lam, f, g: scen.fd.speed(lam[0] / scen.L)], scen.grid)[0]
+
+
+def survival_capped_lin(dist, t_arr, y_arr, dx, cells):
+    """Masked reference for the march's kernel: survival at distance offsets
+    ``y`` of any shape, interpolated between grid nodes, with the node at
+    x = X (= cells*dx) forced to zero and every offset outside [0, X)
+    reading 0."""
+    t = np.asarray(t_arr, dtype=float)
+    th = np.asarray(y_arr, dtype=float) / dx
+    k = np.floor(th + 1e-9).astype(np.int64)
+    th -= k
+    np.maximum(th, 0.0, out=th)
+    lo_ok = (k >= 0) & (k <= cells - 1)
+    hi_ok = (k + 1 <= cells - 1)
+    xlo = np.where(lo_ok, k, 0) * dx
+    xhi = np.where(hi_ok, k + 1, 0) * dx
+    slo = np.where(lo_ok, dist.survival_array(t, xlo), 0.0)
+    shi = np.where(hi_ok, dist.survival_array(t, xhi), 0.0)
+    return np.where(lo_ok, (1.0 - th) * slo + th * shi, 0.0)
+
+
+def reference_march(demands, grid, speed_of):
+    """The fixed-step march written out plainly, a bitwise reference for
+    ``solve_integral``, ``solve_mobility_service`` and
+    ``solve_multi_commodity``.
+
+    ``demands`` holds one (influx, distances, ic) triple per commodity, and
+    ``speed_of(t, lam, f, g)`` gives the commodity speeds from the joint
+    state, the out-fluxes g lagged one step.  Step j logs each commodity's
+    mass f(t_j) dt at (t_j, z_j).  Its lambda is the initial profile at z
+    plus ``np.dot`` of the masses and the survivals, by the masked
+    reference from the entry times, over the log past its dead prefix (the
+    entries aged X or more, found by a loop).  Returns the t series, one
+    dict of z, lam, v and entry_mass series per commodity, and the
+    termination.
+    """
+    dx, cells, dt, stop = grid.dx, grid.cells, grid.dt, grid.horizon
+    runs = [{"z": [0.0], "lam": [float(ic.lambda0)], "v": [], "entry_mass": [],
+             "F": 0.0, "start": 0,
+             "nodes": ic.profile_array(grid.x_nodes()).astype(float)}
+            for _, _, ic in demands]
+    t = [0.0]
+    g = np.zeros(len(demands))
+    termination = bt.Termination.HORIZON
+    while True:
+        f = [influx.rate(t[-1]) for influx, _, _ in demands]
+        lam = np.array([r["lam"][-1] for r in runs])
+        v = [float(vm) for vm in speed_of(t[-1], lam, np.array(f), g)]
+        for r, vm in zip(runs, v):
+            r["v"].append(vm)
+        if any(vm < grid.v_min for vm in v):
+            termination = bt.Termination.GRIDLOCK
+            break
+        if isinstance(stop, bt.MaxTime) and t[-1] >= stop.T - 1e-12:
+            break
+        if (isinstance(stop, bt.MaxCumulativeDistance)
+                and runs[0]["z"][-1] >= stop.Z - 1e-12):
+            break
+        for m, (r, (_, dist, _)) in enumerate(zip(runs, demands)):
+            z = r["z"][-1] + v[m] * dt
+            r["entry_mass"].append(f[m] * dt)
+            ez = np.array(r["z"])
+            while r["start"] < ez.size and (z - ez[r["start"]]) / dx + 1e-9 >= cells:
+                r["start"] += 1
+            i = r["start"]
+            surv = survival_capped_lin(dist, np.array(t)[i:], z - ez[i:], dx, cells)
+            lam_new = (float(_profile_capped_lin(r["nodes"], z, dx))
+                       + float(np.dot(np.array(r["entry_mass"])[i:], surv)))
+            lam0, F = r["lam"][0], r["F"] + f[m] * dt
+            g[m] = ((lam0 + F - lam_new) - (lam0 + (F - f[m] * dt) - r["lam"][-1])) / dt
+            r["z"].append(z)
+            r["lam"].append(lam_new)
+            r["F"] = F
+        t.append(len(t) * dt)
+    series = [{key: np.array(r[key]) for key in ("z", "lam", "v", "entry_mass")}
+              for r in runs]
+    return np.array(t), series, termination
 
 
 @functools.lru_cache(maxsize=None)

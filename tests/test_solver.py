@@ -12,7 +12,7 @@ from bathtub.solver import (_CHUNK, _aged_out, _cell, _profile_capped_lin,
                             _window_survival)
 from helpers import (PAPER_FD, PAPER_L, paper_btilde, paper_char,
                      paper_integral, paper_pulse, paper_scenario,
-                     solve_fixed_step)
+                     reference_march, solve_fixed_step, survival_capped_lin)
 
 
 def empty_scenario(horizon, dx=2**-5, dt=None):
@@ -237,25 +237,6 @@ def window_distances():
             "tabulated": table}
 
 
-def _survival_capped_lin(dist, t_arr, y_arr, dx, cells):
-    """Masked reference for the march's kernel: survival at distance offsets
-    ``y`` of any shape, interpolated between grid nodes, with the node at
-    x = X (= cells*dx) forced to zero and every offset outside [0, X)
-    reading 0."""
-    t = np.asarray(t_arr, dtype=float)
-    th = np.asarray(y_arr, dtype=float) / dx
-    k = np.floor(th + 1e-9).astype(np.int64)
-    th -= k
-    np.maximum(th, 0.0, out=th)
-    lo_ok = (k >= 0) & (k <= cells - 1)
-    hi_ok = (k + 1 <= cells - 1)
-    xlo = np.where(lo_ok, k, 0) * dx
-    xhi = np.where(hi_ok, k + 1, 0) * dx
-    slo = np.where(lo_ok, dist.survival_array(t, xlo), 0.0)
-    shi = np.where(hi_ok, dist.survival_array(t, xhi), 0.0)
-    return np.where(lo_ok, (1.0 - th) * slo + th * shi, 0.0)
-
-
 def full_log_K(traj, t, xs):
     """K(t, x) summed over every entry logged before t, none skipped."""
     dx, cells = traj.metadata["dx"], traj.x_grid.size - 1
@@ -264,20 +245,22 @@ def full_log_K(traj, t, xs):
     nodes = traj.ic.profile_array(traj.x_grid).astype(float)
     ages = xs[:, None] + (z - traj.entry_z[sel])
     return (_profile_capped_lin(nodes, xs + z, dx)
-            + _survival_capped_lin(traj.distances, traj.entry_t[sel], ages, dx, cells)
+            + survival_capped_lin(traj.distances, traj.entry_t[sel], ages, dx, cells)
             @ traj.entry_mass[sel])
 
 
-@functools.lru_cache(maxsize=None)
-def window_run(kind, ic_kind, solver="integral", dx=2**-4, inflow=6000.0):
+def window_scenario(kind, ic_kind, dx=2**-4, inflow=6000.0):
     X = 2.0
     ic = bt.EmptyNetwork() if ic_kind == "empty" else bt.ExponentialProfile(300.0, 1.0)
     grid = bt.GridSpec(dx=dx, X=X, horizon=bt.MaxCumulativeDistance(3 * X),
                        dt=dx / 30.0)
-    return solve_fixed_step(solver, bt.Scenario(L=PAPER_L, fd=PAPER_FD,
-                                                influx=bt.ConstantInflux(inflow),
-                                                distances=window_distances()[kind],
-                                                grid=grid, ic=ic))
+    return bt.Scenario(L=PAPER_L, fd=PAPER_FD, influx=bt.ConstantInflux(inflow),
+                       distances=window_distances()[kind], grid=grid, ic=ic)
+
+
+@functools.lru_cache(maxsize=None)
+def window_run(kind, ic_kind, solver="integral", dx=2**-4, inflow=6000.0):
+    return solve_fixed_step(solver, window_scenario(kind, ic_kind, dx, inflow))
 
 
 class TestIntegralWindow:
@@ -292,6 +275,65 @@ class TestIntegralWindow:
         # step j carries the entries logged before it, aged to z_j
         ref = np.array([full_log_K(traj, t, np.zeros(1))[0] for t in traj.t])
         np.testing.assert_allclose(traj.lam, ref, rtol=1e-12, atol=0.0)
+
+
+class TestReferenceMarch:
+    """Every fixed-step solver gives the bits of the plain reference march
+    of ``helpers.reference_march``: the t, z, lambda, v and mass series and
+    the termination."""
+
+    def check(self, trajs, demands, grid, speed_of):
+        t, series, termination = reference_march(demands, grid, speed_of)
+        assert len(trajs) == len(series)
+        for traj, ref in zip(trajs, series):
+            assert traj.termination is termination
+            assert np.array_equal(traj.t, t)
+            for key, want in ref.items():
+                assert np.array_equal(getattr(traj, key), want), key
+
+    @pytest.mark.parametrize("kind, ic_kind", [("uniform_varying", "exponential_ic"),
+                                               ("exponential", "empty"),
+                                               ("deterministic", "empty"),
+                                               ("tabulated", "exponential_ic")])
+    def test_integral(self, kind, ic_kind):
+        s = window_scenario(kind, ic_kind)
+        self.check([window_run(kind, ic_kind)], [(s.influx, s.distances, s.ic)],
+                   s.grid, lambda t, lam, f, g: [PAPER_FD.speed(lam[0] / PAPER_L)])
+
+    def test_mobility_service(self):
+        # the boarding delay jams the network at 6000 trips/h
+        s = window_scenario("uniform_varying", "exponential_ic", inflow=3000.0)
+        esr = bt.BoardingDelaySpeed(PAPER_FD, alpha=1e-3, lane_miles=PAPER_L)
+        self.check([window_run("uniform_varying", "exponential_ic",
+                               "mobility_service", inflow=3000.0)],
+                   [(s.influx, s.distances, s.ic)], s.grid,
+                   lambda t, lam, f, g: [esr.speed(lam[0] / PAPER_L, lam[0], f[0],
+                                                   max(g[0], 0.0))])
+
+    def test_two_commodities(self):
+        laws = window_distances()
+        demands = [(bt.ConstantInflux(4000.0), laws["uniform_varying"],
+                    bt.ExponentialProfile(300.0, 1.0)),
+                   (paper_pulse(), laws["tabulated"], bt.EmptyNetwork())]
+        grid = bt.GridSpec(dx=2**-4, X=2.0, horizon=bt.MaxTime(0.25), dt=2**-4 / 30.0)
+        # one shared density; the second commodity also slows with the out-flux
+        rels = [lambda lam, f, g: PAPER_FD.speed(lam.sum() / PAPER_L),
+                lambda lam, f, g: PAPER_FD.speed((lam.sum() + 1e-3 * g.sum()) / PAPER_L)]
+        trajs = bt.solve_multi_commodity(
+            PAPER_L, [bt.CommodityDemand(*d) for d in demands], rels, grid)
+        self.check(trajs, demands, grid,
+                   lambda t, lam, f, g: [rel(lam, f, np.maximum(g, 0.0)) for rel in rels])
+
+    def test_gridlocking_run(self):
+        # the first entries age X (z reaches 8.3) before the jam
+        grid = bt.GridSpec(dx=2**-3, X=2.0, horizon=bt.MaxTime(40.0), dt=2**-3 / 30.0,
+                           v_min=0.5)
+        s = bt.Scenario(L=PAPER_L, fd=PAPER_FD, influx=bt.ConstantInflux(8000.0),
+                        distances=window_distances()["uniform"], grid=grid)
+        traj = bt.solve_integral(s)
+        assert traj.termination is bt.Termination.GRIDLOCK and traj.z[-1] > 2 * grid.X
+        self.check([traj], [(s.influx, s.distances, s.ic)], grid,
+                   lambda t, lam, f, g: [PAPER_FD.speed(lam[0] / PAPER_L)])
 
 
 @st.composite
@@ -323,8 +365,9 @@ def test_window_kernel_is_bitwise_equal_to_masked_reference(kind, dx, data):
     t, y, cells = data.draw(live_windows(dx))
     dist = window_distances()[kind]
     keys = np.array([dist.entry_key(float(ti)) for ti in t])
-    got = _window_survival(dist, keys, y, dx, cells)
-    assert np.array_equal(got, _survival_capped_lin(dist, t, y, dx, cells))
+    p = int(np.count_nonzero(_aged_out(y, dx, cells - 1)))  # the last cell's
+    got = _window_survival(dist, keys, y, dx, p)
+    assert np.array_equal(got, survival_capped_lin(dist, t, y, dx, cells))
 
 
 class TestCellRule:

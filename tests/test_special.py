@@ -341,19 +341,29 @@ class TestTripFrame:
             frame.exit_travel_time(0.01)
 
     @pytest.mark.parametrize("name", sorted(FRAME_QUERIES))
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, "below", "above"])
     def test_non_finite_time_or_rank_raises(self, run, name, bad):
-        # the range checks are false for NaN, and np.interp answers NaN;
+        # the range checks are false for NaN, and np.interp answers NaN and
+        # clamps a t outside the run (entry_travel_time(-1) read 1.07 h);
         # each query is valid at t = 0.2 h (z near 6 mi), rank 1
         _, frame = run
         valid = {"t": 0.2, "rank": 1.0}
+        outside = {"below": {"t": -1.0, "rank": -1.0},
+                   "above": {"t": frame.tau[-1] + 5.0, "rank": frame.F[-1] + 5.0}}
         query, args = getattr(frame, name), FRAME_QUERIES[name]
         assert math.isfinite(query(*[valid.get(a, a) for a in args]))
         for i in [i for i, a in enumerate(args) if a in valid]:
             bad_args = [valid.get(a, a) for a in args]
-            bad_args[i] = bad
+            bad_args[i] = outside[bad][args[i]] if bad in outside else bad
             with pytest.raises(bt.DomainError):
                 query(*bad_args)
+
+    def test_time_at_either_end_of_the_run_is_accepted(self, run):
+        _, frame = run
+        end = float(frame.tau[-1])
+        assert frame.entry_travel_time(0.0) == pytest.approx(2.0 / 30.0, abs=1e-9)
+        assert math.isfinite(frame.exit_travel_time(end))
+        assert frame.position(end, 1.0) < 0.0  # trip 1 finished long before
 
     def test_delay_check_restricts_to_pre_gridlock_times(self):
         cfg = bt.DeterministicConfig(L=10.0, fd=PAPER_FD, btilde=2.0,

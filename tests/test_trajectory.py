@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 
 import bathtub as bt
 from bathtub.solver import _rebuild
-from helpers import (PAPER_FD, PAPER_L, paper_btilde, paper_char, paper_pulse,
-                     solve_fixed_step)
+from helpers import (PAPER_FD, PAPER_L, paper_btilde, paper_char, paper_integral,
+                     paper_pulse, solve_fixed_step)
 
 
 def _gridded_scenario(dt=None):
@@ -102,6 +102,13 @@ class TestTimeToDistance:
         with pytest.raises(bt.DomainError, match="never reaches"):
             paper_char(2**-4).time_to_distance(Z)
 
+    @pytest.mark.parametrize("Z", [-1.0, -1e-300, [1.0, -1.0]])
+    def test_negative_target_rejected(self, Z):
+        # np.interp clamped it: time_to_distance(-1.0) returned 0.0
+        traj = paper_integral(2**-4)
+        with pytest.raises(bt.DomainError, match="non-negative"):
+            traj.time_to_distance(Z)
+
 
 @pytest.mark.parametrize("name", SOLVERS)
 def test_pickle_round_trip_reconstructs_identically(name):
@@ -148,6 +155,22 @@ def test_profile_limit_below_one_rejected(name, call, limit):
     arg, fn = _LIMITED_CALLS[call]
     with pytest.raises(bt.DomainError, match=f"^{arg} must be at least 1"):
         fn(_solved(name), limit)
+
+
+@pytest.mark.parametrize("limit", [2.5, 3.0, "4", None])
+def test_profile_limit_must_be_an_integer(limit):
+    # numpy's linspace raised a raw TypeError for a float count
+    with pytest.raises(bt.DomainError, match="^limit must be at least 1, an integer"):
+        _solved("integral").profile_steps(limit)
+
+
+@pytest.mark.parametrize("name", SOLVERS[:4])
+def test_profile_steps_outside_the_run_rejected(name):
+    traj = _solved(name)
+    for steps in ([traj.n_steps + 3], [0, -traj.n_steps - 1], 2.5):
+        with pytest.raises(bt.DomainError, match="^steps must index"):
+            traj.profiles(steps)
+    assert traj.profiles([-1], 2).shape == (1, 2)  # numpy indexing from the end
 
 
 def test_characteristic_trajectory_keeps_no_profile_rows():
