@@ -171,7 +171,8 @@ class DistanceDistribution:
     def entry_key(self, t):
         """What the survival of trips entering at ``t`` depends on, fixed once
         they have entered, so a march evaluates it once per entry; a float
-        for a float ``t``."""
+        for a float ``t``.  A key belongs to its law: only that law's
+        :meth:`survival_from_key` reads it."""
         return t
 
     def survival_from_key(self, key, x) -> np.ndarray:
@@ -210,7 +211,7 @@ class _MeanDistances(DistanceDistribution):
         return self._B(t)
 
     def survival_array(self, t, x):
-        return self.survival_from_key(self._B(t), x)
+        return self.survival_from_key(self.entry_key(t), x)
 
 
 class ExponentialDistances(_MeanDistances):
@@ -231,8 +232,14 @@ class ExponentialDistances(_MeanDistances):
 class UniformDistances(_MeanDistances):
     """Uniform distances on [0, 2*Btilde(t)] so the mean is Btilde(t)."""
 
-    def survival_from_key(self, b, x):
-        return np.maximum(0.0, 1.0 - np.asarray(x, dtype=float) / (2.0 * b))
+    def entry_key(self, t):
+        """2*Btilde(t), the end of the support: a survival call divides by
+        the key as it is, and doubling is exact, so the survival equals
+        1 - x/(2*Btilde(t)) bit for bit."""
+        return 2.0 * self._B(t)
+
+    def survival_from_key(self, b2, x):
+        return np.maximum(0.0, 1.0 - np.asarray(x, dtype=float) / b2)
 
     def mean_distance_capped(self, t, X):
         b = self._B(t)

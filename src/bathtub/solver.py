@@ -21,8 +21,10 @@ schemes and :func:`reconstruct_K` mutually consistent at first order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
@@ -66,6 +68,7 @@ class GridSpec:
     advances z, which the integral scheme's live window relies on.  When
     ``strict_truncation`` is set, a run aborts if the mass of trips capped
     at X exceeds ``truncation_tolerance`` times the total entering trips.
+    ``cells``, X/dx, is computed once.
     """
 
     dx: float
@@ -86,7 +89,7 @@ class GridSpec:
         if not isinstance(self.horizon, (MaxTime, MaxCumulativeDistance)):
             raise DomainError("horizon must be MaxTime or MaxCumulativeDistance")
 
-    @property
+    @cached_property
     def cells(self) -> int:
         return int(round(self.X / self.dx))
 
@@ -285,20 +288,21 @@ _NODES = np.array([[0.0], [1.0]])  # a cell's lower and upper node
 
 
 def _window_survival(dist: DistanceDistribution, keys, y, dx: float,
-                     p: int) -> np.ndarray:
+                     p: int, out: np.ndarray) -> np.ndarray:
     """Survival of a live window with entry keys ``keys`` at ages ``y``,
-    interpolated between exact evaluations at the grid nodes; the node at X
-    (= cells*dx) counts as 0, which caps every trip's distance at X as the
-    characteristic update does.  Live means each age lies in a cell k of
-    :func:`_cell` with 0 <= k <= cells - 1 and the ages do not increase
-    along the window, so the entries of the last cell, which have no upper
-    node, are a prefix, of length ``p``.  One call evaluates both nodes.
+    interpolated between exact evaluations at the grid nodes, written into
+    ``out`` (of the window's length); the node at X (= cells*dx) counts as
+    0, which caps every trip's distance at X as the characteristic update
+    does.  Live means each age lies in a cell k of :func:`_cell` with
+    0 <= k <= cells - 1 and the ages do not increase along the window, so
+    the entries of the last cell, which have no upper node, are a prefix,
+    of length ``p``.  One call evaluates both nodes.
     """
     k, th = _cell(y, dx)
     s = dist.survival_from_key(keys, (k + _NODES) * dx)
-    surv = (1.0 - th) * s[0]
-    surv[p:] += th[p:] * s[1, p:]
-    return surv
+    np.multiply(1.0 - th, s[0], out=out)
+    out[p:] += th[p:] * s[1, p:]
+    return out
 
 
 def _profile_capped_lin(nodes: np.ndarray, y, dx: float) -> np.ndarray:
@@ -429,6 +433,9 @@ def _replay(traj: Trajectory, steps: np.ndarray, nodes: Optional[int]) -> np.nda
 # difference-integration scheme (shared marcher)
 # ---------------------------------------------------------------------------
 
+_CAP = 1024  # first capacity of the march's buffers
+
+
 class _Commodity:
     """One commodity of the fixed-step march: its z, lambda and v series,
     its log of entering masses and their entry keys, the live window of
@@ -446,10 +453,17 @@ class _Commodity:
     the log that stays dead.  ``start`` skips that prefix, and ``last`` ends
     the next, the entries in the last cell; likewise the initial-profile
     term is 0 once z passes X, and from the start when every initial node
-    is 0.  The sum differs from one over the whole log only in summation
-    order.  z, lambda and lambda(0) are also kept as floats.  The
-    trajectory derives its F series and :func:`_gridded` its truncated
-    mass from the log.
+    is 0.  A mass of exactly 0 adds nothing, so a step evaluates the live
+    entries only up to ``live_end``, one past the last logged mass that is
+    not 0 (NaN is not, so it still propagates), into the window buffer
+    ``surv``, and a window of zero masses only gives 0 with no call.  The
+    dot product still runs over the whole live window, since BLAS groups
+    its sum by the vector length: past the evaluated part the buffer holds
+    zeros or survivals of earlier steps, finite values that each meet a
+    zero mass, so their products are +0.0 and the sum keeps its bits.  The
+    sum differs from one over the whole log only in summation order.  z,
+    lambda and lambda(0) are also kept as floats.  The trajectory derives
+    its F series and :func:`_gridded` its truncated mass from the log.
     """
 
     def __init__(self, influx, distances, ic, grid: GridSpec):
@@ -470,29 +484,45 @@ class _Commodity:
         self.F = 0.0
         self.start = 0  # first live entry of the log
         self.last = 0  # first live entry not in the last cell
+        self.live_end = 0  # one past the last entry whose mass is not 0
+        self.surv = np.zeros(_CAP)  # survivals of the live window
 
     def step(self, t: float, dt: float, f: float, v: float) -> float:
-        """Advance one step from time ``t``; returns its out-flux.  A step
-        that moves z by more than one cell raises."""
+        """Advance one step from time ``t``; returns its out-flux.  A speed
+        that is not finite, or a step that moves z by more than one cell,
+        raises."""
         dx, cells = self.grid.dx, self.grid.cells
         if not v * dt <= dx * (1.0 + 1e-9):  # NaN fails too
+            if not math.isfinite(v):
+                raise DomainError(f"the speed at t = {t:g} h is v = {v} mph, "
+                                  "not a finite number: check the speed relation")
             raise DomainError(
                 f"a step of dt = {dt:g} h at v = {v:g} mph moves z by more "
                 f"than one cell dx = {dx:g} mi; use dt <= dx/v = {dx / v:g} h")
-        ez = self.z.view()
+        ez, n = self.z.a, self.z.n
         z = self.z_now + v * dt
-        self.mass.push(f * dt)
+        mass = f * dt
+        self.mass.push(mass)
         self.key.push(self.distances.entry_key(t))
+        if mass != 0.0:
+            self.live_end = n
         i = self.start
-        while i < ez.size and _aged_out(z - ez[i], dx, cells):
+        while i < n and _aged_out(z - ez.item(i), dx, cells):
             i += 1
         p = self.last  # an entry aged X has aged into the last cell too
-        while p < ez.size and _aged_out(z - ez[p], dx, cells - 1):
+        while p < n and _aged_out(z - ez.item(p), dx, cells - 1):
             p += 1
         self.start, self.last = i, p
-        surv = _window_survival(self.distances, self.key.view()[i:], z - ez[i:],
-                                dx, p - i)
-        boundary = float(np.dot(self.mass.view()[i:], surv))
+        e = self.live_end
+        if e > i:
+            if self.surv.size < n - i:
+                self.surv = np.zeros(2 * (n - i))
+            surv = self.surv[:n - i]
+            _window_survival(self.distances, self.key.a[i:e], z - ez[i:e],
+                             dx, min(p, e) - i, surv[:e - i])
+            boundary = float(np.dot(self.mass.a[i:n], surv))
+        else:
+            boundary = 0.0
         if z > self.k0_reach:
             initial = 0.0
         else:
@@ -515,7 +545,7 @@ class _Commodity:
 class _Buf:
     """Append-only float buffer backed by a doubling numpy array."""
 
-    def __init__(self, cap: int = 1024):
+    def __init__(self, cap: int = _CAP):
         self.a = np.empty(cap)
         self.n = 0
 
@@ -533,20 +563,19 @@ def _march_integral(dt: float, horizon, coms: Sequence[_Commodity],
                     speed_of: Callable, v_min: float):
     """Fixed-step marcher shared by the single-commodity, mobility-service
     and multi-commodity solvers.  ``speed_of(t, lam, f, g)`` returns the
-    per-commodity speed vector from the joint state, given arrays.  Returns
-    the time series and the termination; each commodity keeps its own series.
+    per-commodity speeds, a list of floats, from the joint state, given
+    lists.  Returns the time series and the termination; each commodity
+    keeps its own series.
     """
-    t_buf = _Buf()
-    t_buf.push(0.0)
-    g = np.zeros(len(coms))
+    g = [0.0] * len(coms)
+    n = 0  # steps taken
     t = 0.0
     T = horizon.T - 1e-12 if isinstance(horizon, MaxTime) else np.inf
     Z = horizon.Z - 1e-12 if isinstance(horizon, MaxCumulativeDistance) else np.inf
     termination = Termination.HORIZON
     while True:
         f = [c.influx.rate(t) for c in coms]
-        lam = np.array([c.lam_now for c in coms])
-        v = np.asarray(speed_of(t, lam, np.array(f), g), dtype=float).tolist()
+        v = speed_of(t, [c.lam_now for c in coms], f, g)
         for c, vm in zip(coms, v):
             c.v.push(vm)
         if any(vm < v_min for vm in v):
@@ -554,10 +583,10 @@ def _march_integral(dt: float, horizon, coms: Sequence[_Commodity],
             break
         if t >= T or coms[0].z_now >= Z:
             break
-        g = np.array([c.step(t, dt, fm, vm) for c, fm, vm in zip(coms, f, v)])
-        t = t_buf.n * dt  # the step count times dt
-        t_buf.push(t)
-    return t_buf.view().copy(), termination
+        g = [c.step(t, dt, fm, vm) for c, fm, vm in zip(coms, f, v)]
+        n += 1
+        t = n * dt
+    return np.arange(n + 1) * dt, termination
 
 
 def _gridded(scheme: str, L: float, influx: InfluxProfile,
@@ -568,10 +597,10 @@ def _gridded(scheme: str, L: float, influx: InfluxProfile,
     every gridded scheme: the initial trips beyond X plus each logged mass
     times its law's tail beyond X, summed in log order.  Enforces
     ``grid.strict_truncation``."""
-    truncated = float(ic.tail_beyond(grid.X))
-    tails = distances.tail_beyond(t[:-1], grid.X)
-    for m, tail in zip(ent_m.tolist(), tails.tolist()):  # np.dot may reorder
-        truncated += m * tail
+    # np.cumsum adds in log order, where np.dot and np.sum may reorder
+    truncated = float(np.cumsum(np.concatenate((
+        [float(ic.tail_beyond(grid.X))],
+        ent_m * distances.tail_beyond(t[:-1], grid.X))))[-1])
     traj = Trajectory(scheme=scheme, L=L, t=t, z=z, lam=lam, v=v,
                       f=influx.rate_array(t), entry_mass=ent_m,
                       termination=termination, distances=distances, ic=ic,
@@ -598,8 +627,11 @@ def solve_integral(s: Scenario) -> Trajectory:
     Only the live window of the log is evaluated: a mass that has traveled
     X or more since entry has survival exactly 0, and because every step
     taken has v >= ``grid.v_min`` > 0, z never decreases, so such masses
-    form a prefix of the log that stays dead and is skipped.  A step costs
-    the number of live entries, not the length of the log.
+    form a prefix of the log that stays dead and is skipped.  A mass of
+    exactly 0 adds nothing, so a step evaluates the survival of the live
+    entries only up to the last nonzero mass, and none at all while every
+    live mass is 0 (as after a pulse has ended).  A step costs the number
+    of live entries, not the length of the log.
 
     The mass entering during step j starts aging at the start of the step
     (``entry_z = z_j``), whereas ``solve_characteristic`` starts it at the
@@ -610,7 +642,7 @@ def solve_integral(s: Scenario) -> Trajectory:
     if s.grid.dt is None:
         raise DomainError("solve_integral requires grid.dt")
     com = _Commodity(s.influx, s.distances, s.ic, s.grid)
-    speed_of = lambda t, lam, f, g: np.array([s.fd.speed(lam[0] / s.L)])
+    speed_of = lambda t, lam, f, g: [float(s.fd.speed(lam[0] / s.L))]
     t, termination = _march_integral(s.grid.dt, s.grid.horizon, [com], speed_of,
                                      s.grid.v_min)
     return com.trajectory("integral", s.L, t, termination)
@@ -635,7 +667,7 @@ def solve_mobility_service(s: Scenario, speed_relation,
         rho = lam[0] / s.L if vehicle_density is None else float(vehicle_density(t))
         if rho < 0:
             raise DomainError("vehicle density must be non-negative")
-        return np.array([speed_relation.speed(rho, lam[0], f[0], max(g[0], 0.0))])
+        return [float(speed_relation.speed(rho, lam[0], f[0], max(g[0], 0.0)))]
 
     com = _Commodity(s.influx, s.distances, s.ic, s.grid)
     t, termination = _march_integral(s.grid.dt, s.grid.horizon, [com], speed_of,
@@ -673,7 +705,8 @@ def solve_multi_commodity(L: float, commodities: Sequence[CommodityDemand],
     coms = [_Commodity(c.influx, c.distances, c.ic, grid) for c in commodities]
 
     def speed_of(t, lam, f, g):
-        return np.array([rel(lam, f, np.maximum(g, 0.0)) for rel in speed_relations])
+        lam, f = np.array(lam), np.array(f)
+        return [float(rel(lam, f, np.maximum(g, 0.0))) for rel in speed_relations]
 
     t, termination = _march_integral(grid.dt, grid.horizon, coms, speed_of, grid.v_min)
     return [c.trajectory("multi_commodity", L, t, termination) for c in coms]

@@ -44,6 +44,14 @@ def solve_fixed_step(solver: str, scen: bt.Scenario) -> bt.Trajectory:
         [lambda lam, f, g: scen.fd.speed(lam[0] / scen.L)], scen.grid)[0]
 
 
+def assert_same_bits(a, b):
+    """``a`` and ``b`` have the same dtype, shape and bytes: unlike
+    ``np.array_equal``, -0.0 differs from +0.0 and float32 from float64."""
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
 def survival_capped_lin(dist, t_arr, y_arr, dx, cells):
     """Masked reference for the march's kernel: survival at distance offsets
     ``y`` of any shape, interpolated between grid nodes, with the node at

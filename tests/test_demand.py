@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bathtub as bt
-from helpers import paper_btilde, paper_pulse, riemann_integral
+from helpers import assert_same_bits, paper_btilde, paper_pulse, riemann_integral
 
 
 class TestInflux:
@@ -249,12 +249,6 @@ entry_times = st.one_of(st.sampled_from(KEY_NODES),
                         st.floats(KEY_NODES[0], KEY_NODES[-1]),
                         st.floats(0.0, KEY_NODES[0], exclude_max=True),
                         st.floats(KEY_NODES[-1], 50.0, exclude_min=True))
-
-
-def assert_same_bits(a, b):
-    a, b = np.asarray(a), np.asarray(b)
-    assert a.dtype == b.dtype and a.shape == b.shape
-    assert a.tobytes() == b.tobytes()
 
 
 class TestEntryKey:

@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bathtub as bt
-from bathtub.solver import (_CHUNK, _aged_out, _cell, _profile_capped_lin,
+from bathtub.solver import (_CAP, _CHUNK, _aged_out, _cell, _profile_capped_lin,
                             _window_survival)
-from helpers import (PAPER_FD, PAPER_L, paper_btilde, paper_char,
+from helpers import (PAPER_FD, PAPER_L, assert_same_bits, paper_btilde, paper_char,
                      paper_integral, paper_pulse, paper_scenario,
                      reference_march, solve_fixed_step, survival_capped_lin)
 
@@ -287,9 +287,9 @@ class TestReferenceMarch:
         assert len(trajs) == len(series)
         for traj, ref in zip(trajs, series):
             assert traj.termination is termination
-            assert np.array_equal(traj.t, t)
+            assert_same_bits(traj.t, t)
             for key, want in ref.items():
-                assert np.array_equal(getattr(traj, key), want), key
+                assert_same_bits(getattr(traj, key), want)
 
     @pytest.mark.parametrize("kind, ic_kind", [("uniform_varying", "exponential_ic"),
                                                ("exponential", "empty"),
@@ -335,6 +335,56 @@ class TestReferenceMarch:
         self.check([traj], [(s.influx, s.distances, s.ic)], grid,
                    lambda t, lam, f, g: [PAPER_FD.speed(lam[0] / PAPER_L)])
 
+    # Runs whose log holds masses of exactly 0: the march evaluates the
+    # survival only up to the last nonzero mass of the live window.
+    def check_integral(self, influx, distances, grid, ic=bt.EmptyNetwork()):
+        s = bt.Scenario(L=PAPER_L, fd=PAPER_FD, influx=influx, distances=distances,
+                        grid=grid, ic=ic)
+        traj = bt.solve_integral(s)
+        self.check([traj], [(influx, distances, ic)], grid,
+                   lambda t, lam, f, g: [PAPER_FD.speed(lam[0] / PAPER_L)])
+        return traj
+
+    def test_pulse_run_past_its_end(self):
+        # the pulse ends at 0.1 h and its trips have left by about 0.2 h, so
+        # the last steps' live windows hold nothing but zero masses
+        grid = bt.GridSpec(dx=2**-4, X=2.0, horizon=bt.MaxTime(0.25), dt=2**-4 / 30.0)
+        traj = self.check_integral(bt.TrapezoidalPulse(ramp=1e5, plateau=5000.0, end=0.1),
+                                   window_distances()["uniform_varying"], grid)
+        assert traj.lam.max() > 0.0 and np.all(traj.lam[traj.t > 0.22] == 0.0)
+
+    @pytest.mark.parametrize("kind, ic_kind", [("uniform_varying", "empty"),
+                                               ("tabulated", "exponential_ic")])
+    def test_late_start_and_a_zero_gap(self, kind, ic_kind):
+        influx = bt.PiecewiseLinearInflux([(0.03, 0.0), (0.05, 4000.0), (0.08, 0.0),
+                                           (0.12, 0.0), (0.14, 6000.0), (0.2, 2000.0)])
+        ic = bt.EmptyNetwork() if ic_kind == "empty" else bt.ExponentialProfile(300.0, 1.0)
+        grid = bt.GridSpec(dx=2**-4, X=2.0, horizon=bt.MaxTime(0.25), dt=2**-4 / 30.0)
+        traj = self.check_integral(influx, window_distances()[kind], grid, ic)
+        assert traj.entry_mass[0] == 0.0 and traj.entry_mass[-1] == 0.0
+
+    def test_two_commodities_one_without_inflow(self):
+        laws = window_distances()
+        demands = [(bt.ConstantInflux(4000.0), laws["uniform_varying"], bt.EmptyNetwork()),
+                   (bt.ZeroInflux(), laws["exponential"], bt.ExponentialProfile(200.0, 1.0))]
+        grid = bt.GridSpec(dx=2**-4, X=2.0, horizon=bt.MaxTime(0.2), dt=2**-4 / 30.0)
+        rels = [lambda lam, f, g: PAPER_FD.speed(lam.sum() / PAPER_L)] * 2
+        trajs = bt.solve_multi_commodity(
+            PAPER_L, [bt.CommodityDemand(*d) for d in demands], rels, grid)
+        assert trajs[0].entry_mass.all() and not trajs[1].entry_mass.any()
+        self.check(trajs, demands, grid,
+                   lambda t, lam, f, g: [rel(lam, f, np.maximum(g, 0.0)) for rel in rels])
+
+    def test_window_longer_than_the_first_buffer(self):
+        # at free flow a step moves z by 1/1100 mi, so X holds 1,100 entries;
+        # the window outgrows the buffer's first size after the inflow stops,
+        # so the grown part meets zero masses only
+        grid = bt.GridSpec(dx=2**-3, X=1.0, horizon=bt.MaxTime(0.032), dt=1 / 33000.0)
+        influx = bt.PiecewiseLinearInflux([(0.0, 600.0), (0.015, 600.0), (0.0155, 0.0)])
+        traj = self.check_integral(influx, window_distances()["uniform"], grid)
+        live = np.count_nonzero(traj.z[-1] - traj.entry_z < grid.X)
+        assert live > _CAP and traj.entry_mass[-1] == 0.0
+
 
 @st.composite
 def live_windows(draw, dx):
@@ -366,8 +416,8 @@ def test_window_kernel_is_bitwise_equal_to_masked_reference(kind, dx, data):
     dist = window_distances()[kind]
     keys = np.array([dist.entry_key(float(ti)) for ti in t])
     p = int(np.count_nonzero(_aged_out(y, dx, cells - 1)))  # the last cell's
-    got = _window_survival(dist, keys, y, dx, p)
-    assert np.array_equal(got, survival_capped_lin(dist, t, y, dx, cells))
+    got = _window_survival(dist, keys, y, dx, p, out=np.empty_like(y))
+    assert_same_bits(got, survival_capped_lin(dist, t, y, dx, cells))
 
 
 class TestCellRule:
@@ -585,6 +635,22 @@ class TestProfiles:
             bt.reconstruct_K(traj, t, x)
         with pytest.raises(bt.DomainError):
             bt.reconstruct_K(traj, t, np.array([0.0, x]))
+
+
+class NaNRate(bt.InfluxProfile):
+    def _rate(self, t):
+        return math.nan
+
+
+def test_nan_mass_is_not_skipped_as_zero():
+    # the march skips the survival of masses of exactly 0; a NaN mass is not
+    # one, so lambda turns NaN and the speed law rejects it
+    scen = bt.Scenario(L=PAPER_L, fd=PAPER_FD, influx=NaNRate(),
+                       distances=bt.UniformDistances(2.0),
+                       grid=bt.GridSpec(dx=2**-4, X=2.0, horizon=bt.MaxTime(0.1),
+                                        dt=2**-4 / 30.0))
+    with pytest.raises(bt.DomainError, match="density must be finite"):
+        bt.solve_integral(scen)
 
 
 class TestIntegralStepGuard:
@@ -1032,8 +1098,16 @@ class TestFiniteParameters:
                            dt=1e-3)
         scen = bt.Scenario(L=10.0, fd=_GS, influx=bt.ConstantInflux(100.0),
                            distances=bt.ExponentialDistances(1.0), grid=grid)
-        with pytest.raises(bt.DomainError, match="v = nan"):
+        with pytest.raises(bt.DomainError, match=r"speed at t = 0 h is v = nan mph"):
             bt.solve_mobility_service(scen, NanSpeed())
+
+    def test_nan_speed_from_a_multi_commodity_relation_raises(self):
+        # the relation turns NaN once trips are on the network, at t = dt
+        grid = bt.GridSpec(dx=0.25, X=1.0, horizon=bt.MaxTime(1.0), dt=1e-3)
+        com = bt.CommodityDemand(bt.ConstantInflux(100.0), bt.ExponentialDistances(1.0))
+        with pytest.raises(bt.DomainError, match=r"speed at t = 0\.001 h is v = nan mph"):
+            bt.solve_multi_commodity(10.0, [com], [lambda lam, f, g: math.nan if lam[0] else 30.0],
+                                     grid)
 
 
 def z_grid_run(solver, horizon, gridlock=False):
