@@ -339,20 +339,16 @@ def execute(cfg: RunConfig):
     return traj
 
 
-def _fmt(cell) -> str:
-    """A CSV cell: a string as given, a number as the shortest decimal that
-    reads back to the same float."""
-    return cell if isinstance(cell, str) else repr(float(cell))
-
-
 def _write_csv(path: str, header, rows, footer=()):
     """Write a CSV file, UTF-8 with LF line ends: the ``header`` cells, one
     line per row of cells, then the ``footer`` lines as given.  Every CSV
-    output goes through here."""
+    output goes through here.  A cell is written as ``str`` gives it: a
+    string as it is, a float as the shortest decimal that reads back to
+    the same float, so callers pass strings and floats only."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(map(_fmt, header)) + "\n")
+        fh.write(",".join(map(str, header)) + "\n")
         for row in rows:
-            fh.write(",".join(map(_fmt, row)) + "\n")
+            fh.write(",".join(map(str, row)) + "\n")
         for line in footer:
             fh.write(line + "\n")
 
@@ -364,9 +360,8 @@ def _rows(*columns):
 
 
 def _write_series(path: str, traj: solver.Trajectory):
-    cols = ["t", "z", "lambda", "v", "f", "F", "g", "G"]
-    data = traj.series
-    _write_csv(path, cols, _rows(*(data[c] for c in cols)))
+    data = traj.series  # t, z, lambda, v, f, F, g, G: the CSV's column order
+    _write_csv(path, list(data), _rows(*data.values()))
 
 
 def _write_ksurface(path: str, traj: solver.Trajectory, max_rows: int = 257):
@@ -380,17 +375,15 @@ def _write_audit(path: str, traj: solver.Trajectory):
     rep = analysis.audit(traj)
     _write_csv(path, ["t", "total_trip_residual", "trip_miles_residual"],
                _rows(rep.t, rep.total_trip_steps, rep.trip_miles_steps),
-               [f"# max_total_trip_residual = {_fmt(rep.total_trip_residual)}",
-                f"# max_trip_miles_residual = {_fmt(rep.trip_miles_residual)}",
-                f"# truncation_mass = {_fmt(rep.truncation_mass)}",
+               [f"# max_total_trip_residual = {rep.total_trip_residual}",
+                f"# max_trip_miles_residual = {rep.trip_miles_residual}",
+                f"# truncation_mass = {rep.truncation_mass}",
                 f"# monotonicity_violations = {rep.monotonicity_violations}"])
 
 
 def _write_traveltimes(path: str, traj: solver.Trajectory, samples: int = 65):
     def rows():
-        for j in np.unique(np.linspace(0, traj.n_steps - 1,
-                                       min(samples, traj.n_steps)).astype(int)):
-            t = float(traj.t[j])
+        for t in traj.t[solver._even_steps(traj.n_steps, samples)].tolist():
             try:
                 est = analysis.average_travel_time(traj, traj.distances, t)
             except BathtubError:
@@ -428,15 +421,13 @@ def sweep(text: str, param: str, values: Sequence[float],
         raise ConfigError(f"sweep parameter must be a numeric key, got {param!r}")
     if len(values) == 0:
         raise ConfigError("sweep needs a non-empty value list")
+    values = [float(v) for v in values]  # an int value is written as a float
     base_raw = _scan(text)
     os.makedirs(output_dir, exist_ok=True)
     rows = []
-    any_failed = False
-    targets = []
     for v in values:
-        raw = dict(base_raw)
-        raw[param] = repr(float(v))
-        row = {"value": float(v), "status": "ok", "termination": "",
+        raw = {**base_raw, param: repr(v)}
+        row = {"value": v, "status": "ok", "termination": "",  # the CSV's columns
                "peak_lambda": float("nan"), "peak_t": float("nan"),
                "time_to_target": float("nan")}
         try:
@@ -449,22 +440,21 @@ def sweep(text: str, param: str, values: Sequence[float],
             if cfg.stop[0] == "z" and traj.termination is solver.Termination.HORIZON:
                 row["time_to_target"] = traj.time_to_distance(cfg.stop[1])
         except BathtubError as exc:
-            row["status"] = f"failed: {exc}"
-            any_failed = True
+            status = f"failed: {exc}"
+            if any(c in status for c in ',"\r\n'):  # quoted as RFC 4180 asks
+                status = '"' + status.replace('"', '""') + '"'
+            row["status"] = status
         rows.append(row)
-        targets.append(row["time_to_target"])
-    cols = ["value", "status", "termination", "peak_lambda", "peak_t",
-            "time_to_target"]
-    _write_csv(os.path.join(output_dir, "summary.csv"), cols,
-               ([row[c] for c in cols] for row in rows))
-    if param == "grid.dx" and len(values) >= 3 and not any_failed \
-            and not any(np.isnan(targets)):
+    _write_csv(os.path.join(output_dir, "summary.csv"), list(rows[0]),
+               (list(row.values()) for row in rows))
+    targets = [row["time_to_target"] for row in rows]  # NaN where a run failed
+    if param == "grid.dx" and len(values) >= 3 and not any(np.isnan(targets)):
         diffs = [targets[i] - targets[i + 1] for i in range(len(targets) - 1)]
         _, orders = analysis.observed_orders(diffs)
         _write_csv(os.path.join(output_dir, "convergence.csv"),
                    ["dx_coarse", "dx_fine", "target_coarse", "target_fine", "order"],
                    zip(values, values[1:], targets, targets[1:], orders))
-    return 1 if any_failed else 0
+    return 0 if all(row["status"] == "ok" for row in rows) else 1
 
 
 def _read_config(path: str) -> str:

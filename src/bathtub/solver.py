@@ -44,6 +44,7 @@ class Termination(Enum):
 class MaxTime:
     """Stop when the simulated clock reaches T hours."""
     T: float
+    Z = math.inf  # no distance limit; a class attribute, not a field
 
     def __post_init__(self):
         finite_positive(T=self.T)
@@ -53,9 +54,16 @@ class MaxTime:
 class MaxCumulativeDistance:
     """Stop when the cumulative travel distance z reaches Z miles."""
     Z: float
+    T = math.inf  # no time limit; a class attribute, not a field
 
     def __post_init__(self):
         finite_positive(Z=self.Z)
+
+
+def _check_horizon(horizon):
+    """The one check that a config's ``horizon`` is a horizon type."""
+    if not isinstance(horizon, (MaxTime, MaxCumulativeDistance)):
+        raise DomainError("horizon must be MaxTime or MaxCumulativeDistance")
 
 
 @dataclass(frozen=True)
@@ -67,8 +75,8 @@ class GridSpec:
     drops below ``v_min``, which must be positive: every step taken then
     advances z, which the integral scheme's live window relies on.  When
     ``strict_truncation`` is set, a run aborts if the mass of trips capped
-    at X exceeds ``truncation_tolerance`` times the total entering trips.
-    ``cells``, X/dx, is computed once.
+    at X exceeds one millionth of the total entering trips.  ``cells``,
+    X/dx, is computed once.
     """
 
     dx: float
@@ -77,7 +85,6 @@ class GridSpec:
     dt: Optional[float] = None
     v_min: float = 1e-9
     strict_truncation: bool = False
-    truncation_tolerance: float = 1e-6
 
     def __post_init__(self):
         finite_positive(dx=self.dx, X=self.X, v_min=self.v_min)
@@ -86,8 +93,7 @@ class GridSpec:
         n = self.X / self.dx
         if abs(n - round(n)) > 1e-9 * max(1.0, n):
             raise DomainError("X must be an integer multiple of dx")
-        if not isinstance(self.horizon, (MaxTime, MaxCumulativeDistance)):
-            raise DomainError("horizon must be MaxTime or MaxCumulativeDistance")
+        _check_horizon(self.horizon)
 
     @cached_property
     def cells(self) -> int:
@@ -169,7 +175,6 @@ class Trajectory:
     entry_theta: Optional[np.ndarray] = None
     F: Optional[np.ndarray] = None
     g: Optional[np.ndarray] = None
-    metadata: dict = field(default_factory=dict)
     G: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -204,6 +209,13 @@ class Trajectory:
         """Every row of K for a characteristic run, replayed; else None."""
         return self.profiles(slice(None)) if self.scheme == "characteristic" else None
 
+    @property
+    def metadata(self) -> dict:
+        """dx and X read off ``x_grid``, ``{}`` for an ungridded run.  Like
+        :attr:`K_history`, it goes once perfbench stops reading it (ROADMAP item 1)."""
+        return {} if self.x_grid is None else {"dx": float(self.x_grid[1]),
+                                               "X": float(self.x_grid[-1])}
+
     def profiles(self, steps, nodes: Optional[int] = None) -> np.ndarray:
         """Rows of K at ``steps`` on the first ``nodes`` grid nodes (all by
         default): a characteristic run replays its update over the log,
@@ -235,8 +247,7 @@ class Trajectory:
             raise DomainError(f"{name} must be at least 1, an integer, got {limit!r}")
         if self.scheme == "characteristic":
             return np.arange(self.n_steps)
-        return np.unique(np.linspace(0, self.n_steps - 1,
-                                     min(limit, self.n_steps)).astype(int))
+        return _even_steps(self.n_steps, limit)
 
     def state(self, j: int) -> BathtubState:
         return next(self.states([j]))
@@ -261,6 +272,11 @@ class Trajectory:
         zz, idx = np.unique(self.z, return_index=True)
         out = np.interp(ZZ, zz, self.t[idx])
         return float(out) if ZZ.ndim == 0 else out
+
+
+def _even_steps(n: int, limit: int) -> np.ndarray:
+    """At most ``limit`` evenly spaced steps of ``n``, the first and the last."""
+    return np.unique(np.linspace(0, n - 1, min(limit, n)).astype(int))
 
 
 # ---------------------------------------------------------------------------
@@ -341,6 +357,7 @@ def _march_z(fd: FundamentalDiagram, L: float, dz: float, horizon, v_min: float,
     t = 0.0
     lam = lam0
     j = 0
+    T, Z = horizon.T + 1e-12, horizon.Z - 1e-12
     termination = Termination.HORIZON
     while True:
         v = float(fd.speed(lam / L))
@@ -348,10 +365,10 @@ def _march_z(fd: FundamentalDiagram, L: float, dz: float, horizon, v_min: float,
         if v < v_min:
             termination = Termination.GRIDLOCK
             break
-        if isinstance(horizon, MaxCumulativeDistance) and j * dz >= horizon.Z - 1e-12:
+        if j * dz >= Z:
             break
         dt = dz / v
-        if isinstance(horizon, MaxTime) and t + dt > horizon.T + 1e-12:
+        if t + dt > T:
             break
         lam = step(j, t, dt)
         t += dt
@@ -434,6 +451,7 @@ def _replay(traj: Trajectory, steps: np.ndarray, nodes: Optional[int]) -> np.nda
 # ---------------------------------------------------------------------------
 
 _CAP = 1024  # first capacity of the march's buffers
+_TRUNCATION_TOLERANCE = 1e-6  # the share of all trips a strict run may cap at X
 
 
 class _Commodity:
@@ -559,10 +577,10 @@ class _Buf:
         return self.a[:self.n]
 
 
-def _march_integral(dt: float, horizon, coms: Sequence[_Commodity],
-                    speed_of: Callable, v_min: float):
+def _march_integral(grid: GridSpec, coms: Sequence[_Commodity], speed_of: Callable):
     """Fixed-step marcher shared by the single-commodity, mobility-service
-    and multi-commodity solvers.  ``speed_of(t, lam, f, g)`` returns the
+    and multi-commodity solvers; it reads the dt, horizon and v_min of the
+    commodities' ``grid`` once.  ``speed_of(t, lam, f, g)`` returns the
     per-commodity speeds, a list of floats, from the joint state, given
     lists.  Returns the time series and the termination; each commodity
     keeps its own series.
@@ -570,8 +588,8 @@ def _march_integral(dt: float, horizon, coms: Sequence[_Commodity],
     g = [0.0] * len(coms)
     n = 0  # steps taken
     t = 0.0
-    T = horizon.T - 1e-12 if isinstance(horizon, MaxTime) else np.inf
-    Z = horizon.Z - 1e-12 if isinstance(horizon, MaxCumulativeDistance) else np.inf
+    dt, v_min = grid.dt, grid.v_min
+    T, Z = grid.horizon.T - 1e-12, grid.horizon.Z - 1e-12
     termination = Termination.HORIZON
     while True:
         f = [c.influx.rate(t) for c in coms]
@@ -604,12 +622,10 @@ def _gridded(scheme: str, L: float, influx: InfluxProfile,
     traj = Trajectory(scheme=scheme, L=L, t=t, z=z, lam=lam, v=v,
                       f=influx.rate_array(t), entry_mass=ent_m,
                       termination=termination, distances=distances, ic=ic,
-                      truncated_mass=truncated, x_grid=grid.x_nodes(),
-                      metadata={"dx": grid.dx, "X": grid.X,
-                                "horizon": grid.horizon})
+                      truncated_mass=truncated, x_grid=grid.x_nodes())
     if grid.strict_truncation:
         total_in = lam[0] + traj.F[-1]
-        if truncated > grid.truncation_tolerance * max(total_in, 1.0):
+        if truncated > _TRUNCATION_TOLERANCE * max(total_in, 1.0):
             raise DataError(
                 f"{truncated:.6g} trips were capped at the grid limit X, "
                 f"more than the allowed fraction of the {total_in:.6g} total")
@@ -643,8 +659,7 @@ def solve_integral(s: Scenario) -> Trajectory:
         raise DomainError("solve_integral requires grid.dt")
     com = _Commodity(s.influx, s.distances, s.ic, s.grid)
     speed_of = lambda t, lam, f, g: [float(s.fd.speed(lam[0] / s.L))]
-    t, termination = _march_integral(s.grid.dt, s.grid.horizon, [com], speed_of,
-                                     s.grid.v_min)
+    t, termination = _march_integral(s.grid, [com], speed_of)
     return com.trajectory("integral", s.L, t, termination)
 
 
@@ -670,8 +685,7 @@ def solve_mobility_service(s: Scenario, speed_relation,
         return [float(speed_relation.speed(rho, lam[0], f[0], max(g[0], 0.0)))]
 
     com = _Commodity(s.influx, s.distances, s.ic, s.grid)
-    t, termination = _march_integral(s.grid.dt, s.grid.horizon, [com], speed_of,
-                                     s.grid.v_min)
+    t, termination = _march_integral(s.grid, [com], speed_of)
     return com.trajectory("mobility_service", s.L, t, termination)
 
 
@@ -708,7 +722,7 @@ def solve_multi_commodity(L: float, commodities: Sequence[CommodityDemand],
         lam, f = np.array(lam), np.array(f)
         return [float(rel(lam, f, np.maximum(g, 0.0))) for rel in speed_relations]
 
-    t, termination = _march_integral(grid.dt, grid.horizon, coms, speed_of, grid.v_min)
+    t, termination = _march_integral(grid, coms, speed_of)
     return [c.trajectory("multi_commodity", L, t, termination) for c in coms]
 
 

@@ -24,8 +24,7 @@ from .demand import (DeterministicDistances, EmptyNetwork, ExponentialDistances,
 from .diagrams import FundamentalDiagram
 from .errors import ContractError, DomainError, finite_non_negative, finite_positive
 from .piecewise import as_profile
-from .solver import (MaxCumulativeDistance, MaxTime, Termination, Trajectory,
-                     _Buf, _march_z)
+from .solver import MaxTime, Termination, Trajectory, _Buf, _check_horizon, _march_z
 
 
 # ---------------------------------------------------------------------------
@@ -48,8 +47,7 @@ class VickreyConfig:
     def __post_init__(self):
         finite_positive(L=self.L, B=self.B, dt=self.dt, v_min=self.v_min)
         finite_non_negative(lambda0=self.lambda0)
-        if not isinstance(self.horizon, (MaxTime, MaxCumulativeDistance)):
-            raise DomainError("horizon must be MaxTime or MaxCumulativeDistance")
+        _check_horizon(self.horizon)
 
 
 def solve_vickrey(c: VickreyConfig) -> Trajectory:
@@ -66,6 +64,7 @@ def solve_vickrey(c: VickreyConfig) -> Trajectory:
     ent_m = []
     termination = Termination.HORIZON
     j = 0
+    T, Z = c.horizon.T - 1e-12, c.horizon.Z - 1e-12
     while True:
         v = float(c.fd.speed(lam / c.L))
         v_l.append(v)
@@ -73,9 +72,7 @@ def solve_vickrey(c: VickreyConfig) -> Trajectory:
         if v < c.v_min:
             termination = Termination.GRIDLOCK
             break
-        if isinstance(c.horizon, MaxTime) and t >= c.horizon.T - 1e-12:
-            break
-        if isinstance(c.horizon, MaxCumulativeDistance) and z >= c.horizon.Z - 1e-12:
+        if t >= T or z >= Z:
             break
         f_t = c.influx.rate(t)
         ent_m.append(f_t * c.dt)
@@ -95,8 +92,7 @@ def solve_vickrey(c: VickreyConfig) -> Trajectory:
                       f=c.influx.rate_array(t_arr),
                       entry_mass=np.asarray(ent_m), termination=termination,
                       distances=ExponentialDistances(c.B),
-                      ic=ExponentialProfile(c.lambda0, c.B), g=np.asarray(g_l),
-                      metadata={"B": c.B, "dt": c.dt})
+                      ic=ExponentialProfile(c.lambda0, c.B), g=np.asarray(g_l))
 
 
 @dataclass
@@ -187,8 +183,7 @@ class DeterministicConfig:
         if np.any(pl.y < 0):
             raise DomainError("btilde must be non-negative")
         object.__setattr__(self, "btilde", pl)
-        if not isinstance(self.horizon, (MaxTime, MaxCumulativeDistance)):
-            raise DomainError("horizon must be MaxTime or MaxCumulativeDistance")
+        _check_horizon(self.horizon)
 
     def btilde_at(self, t: float, z: float) -> float:
         return float(self.btilde(z if self.btilde_coordinate == "z" else t))
@@ -222,7 +217,7 @@ def solve_deterministic(c: DeterministicConfig) -> Trajectory:
                       f=c.influx.rate_array(t), F=np.asarray(F_l),
                       entry_mass=mass_buf.view().copy(), termination=termination,
                       distances=None, ic=c.ic,
-                      entry_theta=theta_buf.view().copy(), metadata={"dz": dz})
+                      entry_theta=theta_buf.view().copy())
 
 
 def classify_regime(c: DeterministicConfig, traj: Trajectory,
@@ -397,8 +392,7 @@ def solve_constant_distance(c: DeterministicConfig) -> Tuple[Trajectory, TripFra
     traj = Trajectory(scheme="constant_distance", L=c.L, t=t, z=z, lam=lam, v=v,
                       f=c.influx.rate_array(t),
                       entry_mass=np.asarray(ent_m), termination=termination,
-                      distances=DeterministicDistances(B), ic=c.ic,
-                      metadata={"dz": dz, "Btilde": B})
+                      distances=DeterministicDistances(B), ic=c.ic)
     frame = TripFrame(Btilde=B, z=traj.z, tau=traj.t, F=traj.F, G=traj.G)
     return traj, frame
 

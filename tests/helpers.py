@@ -82,7 +82,9 @@ def reference_march(demands, grid, speed_of):
     mass f(t_j) dt at (t_j, z_j).  Its lambda is the initial profile at z
     plus ``np.dot`` of the masses and the survivals, by the masked
     reference from the entry times, over the log past its dead prefix (the
-    entries aged X or more, found by a loop).  Returns the t series, one
+    entries aged X or more, found by a loop); only that live slice of the
+    log is made an array, so a step costs the window, not the log.
+    Returns the t series, one
     dict of z, lam, v and entry_mass series per commodity, and the
     termination.
     """
@@ -111,13 +113,14 @@ def reference_march(demands, grid, speed_of):
         for m, (r, (_, dist, _)) in enumerate(zip(runs, demands)):
             z = r["z"][-1] + v[m] * dt
             r["entry_mass"].append(f[m] * dt)
-            ez = np.array(r["z"])
-            while r["start"] < ez.size and (z - ez[r["start"]]) / dx + 1e-9 >= cells:
+            ez = r["z"]  # the entry z of each logged mass
+            while r["start"] < len(ez) and (z - ez[r["start"]]) / dx + 1e-9 >= cells:
                 r["start"] += 1
-            i = r["start"]
-            surv = survival_capped_lin(dist, np.array(t)[i:], z - ez[i:], dx, cells)
+            i = r["start"]  # only the live slice becomes an array
+            surv = survival_capped_lin(dist, np.array(t[i:]), z - np.array(ez[i:]),
+                                       dx, cells)
             lam_new = (float(_profile_capped_lin(r["nodes"], z, dx))
-                       + float(np.dot(np.array(r["entry_mass"])[i:], surv)))
+                       + float(np.dot(np.array(r["entry_mass"][i:]), surv)))
             lam0, F = r["lam"][0], r["F"] + f[m] * dt
             g[m] = ((lam0 + F - lam_new) - (lam0 + (F - f[m] * dt) - r["lam"][-1])) / dt
             r["z"].append(z)

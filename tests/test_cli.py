@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import bathtub as bt
-from bathtub import cli
+from bathtub import analysis, cli
+from helpers import assert_same_bits
 
 PAPER_CONF = """\
 network.L = 10
@@ -196,6 +197,48 @@ class TestRun:
         for r in rows:
             assert float(r["exact"]) > 0.0
 
+    def test_every_numeric_cell_reads_back_to_its_value(self, tmp_path):
+        # a cell is str(float), the shortest decimal that reads back exactly
+        text = PAPER_CONF.replace("grid.dx = 0.015625", "grid.dx = 0.03125")
+        cfg = cli.parse_config(text.replace("outputs = series,ksurface,audit",
+                                            "outputs = " + ",".join(cli._OUTPUTS)))
+        assert cli.run(cfg, output_dir=str(tmp_path)) == 0
+        traj = cli.execute(cfg)
+
+        def cells(name):
+            lines = (tmp_path / name).read_text(encoding="utf-8").splitlines()
+            return lines[0].split(","), [ln.split(",") for ln in lines[1:]
+                                         if not ln.startswith("#")]
+
+        def reads_back(rows, want):
+            got = np.array([[float(c) for c in row] for row in rows])
+            assert_same_bits(got, np.asarray(want, dtype=float))
+
+        cols, rows = cells("series.csv")
+        reads_back(rows, np.column_stack([traj.series[c] for c in cols]))
+        header, rows = cells("ksurface.csv")
+        reads_back([header[1:]], [traj.x_grid])
+        steps = traj.profile_steps(257)
+        reads_back(rows, np.column_stack([traj.t[steps], traj.profiles(steps)]))
+        rep = analysis.audit(traj)
+        _, rows = cells("audit.csv")
+        reads_back(rows, np.column_stack([rep.t, rep.total_trip_steps,
+                                          rep.trip_miles_steps]))
+        footer = dict(ln[2:].split(" = ") for ln in
+                      (tmp_path / "audit.csv").read_text().splitlines()
+                      if ln.startswith("# "))
+        reads_back([[footer["max_total_trip_residual"],
+                     footer["max_trip_miles_residual"], footer["truncation_mass"]]],
+                   [[rep.total_trip_residual, rep.trip_miles_residual,
+                     rep.truncation_mass]])
+        _, rows = cells("traveltimes.csv")
+        assert len(rows) > 10
+        want = []
+        for row in rows:
+            est = analysis.average_travel_time(traj, traj.distances, float(row[0]))
+            want.append([float(row[0]), est.exact, est.entry_speed, est.exit_speed])
+        reads_back(rows, want)
+
     def test_reruns_are_byte_identical(self, tmp_path):
         cfg = cli.parse_config(PAPER_CONF)
         d1, d2 = tmp_path / "a", tmp_path / "b"
@@ -325,6 +368,41 @@ class TestSweep:
         rows = read_csv(tmp_path / "summary.csv")
         assert rows[0]["status"] == "ok"
         assert rows[1]["status"].startswith("failed")
+
+    def test_failure_message_with_a_comma_stays_one_cell(self, tmp_path):
+        text = (GOLDEN / "pulse.conf").read_text(encoding="utf-8")
+        values = [0.25, 3.0, -1.0]
+        assert cli.sweep(text, "grid.dx", values, output_dir=str(tmp_path)) == 1
+        with open(tmp_path / "summary.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert [len(r) for r in rows] == [6] * 4
+        assert "," in rows[3][1]
+        for v, row in zip(values[1:], rows[2:]):
+            with pytest.raises(bt.BathtubError) as exc:
+                cli.execute(cli.parse_config(
+                    text.replace("grid.dx = 0.25", f"grid.dx = {v!r}")))
+            assert row[1] == f"failed: {exc.value}"
+
+    def test_quotes_in_a_failure_message_are_doubled(self, tmp_path, monkeypatch):
+        def fail(cfg):
+            raise bt.DomainError('a "quoted", message')
+        monkeypatch.setattr(cli, "execute", fail)
+        assert cli.sweep(PAPER_CONF, "network.L", [10.0],
+                         output_dir=str(tmp_path)) == 1
+        lines = (tmp_path / "summary.csv").read_text(encoding="utf-8").splitlines()
+        assert lines[1] == '10.0,"failed: a ""quoted"", message",,nan,nan,nan'
+        assert read_csv(tmp_path / "summary.csv")[0]["status"] == \
+            'failed: a "quoted", message'
+
+    def test_int_values_write_as_floats(self, tmp_path):
+        text = (GOLDEN / "pulse.conf").read_text(encoding="utf-8")
+        text += "model.scheme = integral\n"
+        for name, values in (("int", [1, 0.5, 0.25]), ("float", [1.0, 0.5, 0.25])):
+            assert cli.sweep(text, "grid.dx", values,
+                             output_dir=str(tmp_path / name)) == 0
+        for name in ("summary.csv", "convergence.csv"):
+            assert ((tmp_path / "int" / name).read_bytes()
+                    == (tmp_path / "float" / name).read_bytes())
 
 
 def with_section(text, prefix, lines):

@@ -36,10 +36,25 @@ class TestGridSpec:
         with pytest.raises(bt.DomainError):
             bt.GridSpec(dx=0.3, X=1.0, horizon=bt.MaxTime(1.0))
 
-    def test_integral_scheme_requires_dt(self):
+    @pytest.mark.parametrize("solver", ["integral", "mobility_service",
+                                        "multi_commodity"])
+    def test_integral_scheme_requires_dt(self, solver):
         scen = empty_scenario(bt.MaxTime(0.5))
-        with pytest.raises(bt.DomainError):
-            bt.solve_integral(scen)
+        with pytest.raises(bt.DomainError, match="requires grid.dt"):
+            solve_fixed_step(solver, scen)
+
+    @pytest.mark.parametrize("horizon", [1.0, None, "z:30"])
+    def test_horizon_must_be_a_horizon_type(self, horizon):
+        with pytest.raises(bt.DomainError, match="horizon must be"):
+            bt.GridSpec(dx=2**-5, X=4.0, horizon=horizon)
+
+    def test_each_horizon_answers_both_limits(self):
+        # the other limit is a class attribute, so it is not a field
+        assert (bt.MaxTime(2.0).T, bt.MaxTime(2.0).Z) == (2.0, math.inf)
+        stop = bt.MaxCumulativeDistance(3.0)
+        assert (stop.T, stop.Z) == (math.inf, 3.0)
+        assert [f.name for f in dataclasses.fields(bt.MaxTime)] == ["T"]
+        assert [f.name for f in dataclasses.fields(stop)] == ["Z"]
 
     @pytest.mark.parametrize("v_min", [0.0, -1.0, math.inf, math.nan])
     def test_v_min_must_be_finite_and_positive(self, v_min):
@@ -239,7 +254,7 @@ def window_distances():
 
 def full_log_K(traj, t, xs):
     """K(t, x) summed over every entry logged before t, none skipped."""
-    dx, cells = traj.metadata["dx"], traj.x_grid.size - 1
+    dx, cells = float(traj.x_grid[1]), traj.x_grid.size - 1
     z = np.interp(t, traj.t, traj.z)
     sel = traj.entry_t < t - 1e-12
     nodes = traj.ic.profile_array(traj.x_grid).astype(float)
@@ -271,7 +286,7 @@ class TestIntegralWindow:
     @pytest.mark.parametrize("kind", sorted(window_distances()))
     def test_lambda_matches_full_log_sum(self, kind, ic_kind):
         traj = window_run(kind, ic_kind)
-        assert traj.z[-1] >= 3 * traj.metadata["X"]
+        assert traj.z[-1] >= 3 * traj.x_grid[-1]
         # step j carries the entries logged before it, aged to z_j
         ref = np.array([full_log_K(traj, t, np.zeros(1))[0] for t in traj.t])
         np.testing.assert_allclose(traj.lam, ref, rtol=1e-12, atol=0.0)
@@ -502,7 +517,7 @@ class TestProfiles:
     @pytest.mark.parametrize("kind", sorted(window_distances()))
     def test_rows_match_full_log_sum(self, kind, ic_kind):
         traj = window_run(kind, ic_kind)
-        assert traj.z[-1] >= 3 * traj.metadata["X"]
+        assert traj.z[-1] >= 3 * traj.x_grid[-1]
         rows = traj.profiles(np.arange(traj.n_steps))
         assert rows.shape == (traj.n_steps, traj.x_grid.size)
         ref = np.array([full_log_K(traj, t, traj.x_grid) for t in traj.t])
@@ -515,7 +530,7 @@ class TestProfiles:
         # the boarding delay jams the network at 6000 trips/h
         inflow = 3000.0 if solver == "mobility_service" else 6000.0
         traj = window_run(kind, ic_kind, solver, inflow=inflow)
-        assert traj.scheme == solver and traj.z[-1] >= 3 * traj.metadata["X"]
+        assert traj.scheme == solver and traj.z[-1] >= 3 * traj.x_grid[-1]
         rows = traj.profiles(np.arange(traj.n_steps))
         ref = np.array([full_log_K(traj, t, traj.x_grid) for t in traj.t])
         np.testing.assert_allclose(rows, ref, rtol=1e-12, atol=0.0)
@@ -527,7 +542,7 @@ class TestProfiles:
         # value may differ from the full-log sum by more than 1e-12 of
         # itself, though not of max lambda
         traj = window_run(kind, ic_kind, dx=0.1)
-        assert traj.x_grid.size == 21 and traj.z[-1] > 2 * traj.metadata["X"]
+        assert traj.x_grid.size == 21 and traj.z[-1] > 2 * traj.x_grid[-1]
         rows = traj.profiles(np.arange(traj.n_steps))
         ref = np.array([full_log_K(traj, t, traj.x_grid) for t in traj.t])
         np.testing.assert_allclose(rows, ref, rtol=1e-12,
@@ -554,7 +569,7 @@ class TestProfiles:
     @pytest.mark.parametrize("kind", sorted(window_distances()))
     def test_reconstruct_K_off_grid(self, kind):
         traj = window_run(kind, "exponential_ic")
-        dx = traj.metadata["dx"]
+        dx = float(traj.x_grid[1])
         xs = np.array([0.0, 0.37, 1.3, 5.5, 31.77, 32.2, 40.0]) * dx
         for j in (1, traj.n_steps // 3, traj.n_steps - 1):
             t = float(traj.t[j])
@@ -570,7 +585,7 @@ class TestProfiles:
             traj = window_run("uniform", "exponential_ic")
         else:
             traj = bt.solve_characteristic(paper_scenario(2**-4, stop=6.0))
-        dx, X = traj.metadata["dx"], traj.metadata["X"]
+        dx, X = float(traj.x_grid[1]), float(traj.x_grid[-1])
         on = np.array([0.0, 3.0, 1.0, 17.0]) * dx
         off = np.array([0.37, 3.37, 5.5, 0.37, 13.9]) * dx
         beyond = np.array([X, X + 0.5 * dx, X + dx, 2 * X, 40.0 * X])
@@ -594,7 +609,7 @@ class TestProfiles:
         # a characteristic entry ages from the end of its step, so between
         # steps the newest entry has a negative age at small x
         traj = bt.solve_characteristic(paper_scenario(2**-4, stop=6.0))
-        dx = traj.metadata["dx"]
+        dx = float(traj.x_grid[1])
         xs = np.array([0.0, 0.2, 0.5, 0.99, 1.0, 1.4, 7.3]) * dx
         for j in (3, traj.n_steps // 2, traj.n_steps - 2):
             t = float(0.6 * traj.t[j] + 0.4 * traj.t[j + 1])
@@ -718,7 +733,7 @@ class TestTruncatedMass:
     def test_equals_the_tally_in_log_order(self, solver, kind, ic_kind):
         ic = bt.EmptyNetwork() if ic_kind == "empty" else bt.ExponentialProfile(300.0, 1.0)
         traj = truncation_run(solver, truncation_laws()[kind], ic)
-        X = traj.metadata["X"]
+        X = float(traj.x_grid[-1])
         want = float(ic.tail_beyond(X))
         for t, m in zip(traj.entry_t.tolist(), traj.entry_mass.tolist()):
             want += m * float(traj.distances.tail_beyond(t, X))
@@ -1001,6 +1016,23 @@ class TestMultiCommodity:
         assert np.array_equal(runs[0].lam, runs[1].lam)
         assert np.array_equal(runs[0].z, runs[1].z)
 
+    @pytest.mark.parametrize("case, error, match", [
+        ("no_commodity", bt.DomainError, "at least one commodity"),
+        ("one_relation_for_two", bt.DomainError, "one speed relation per commodity"),
+        ("two_under_a_z_stop", bt.ContractError, "require a MaxTime horizon"),
+    ])
+    def test_bad_arguments_rejected(self, case, error, match):
+        horizon = (bt.MaxCumulativeDistance(1.0) if case == "two_under_a_z_stop"
+                   else bt.MaxTime(0.5))
+        grid = bt.GridSpec(dx=2**-4, X=4.0, horizon=horizon, dt=1e-3)
+        dem = bt.CommodityDemand(bt.ZeroInflux(), bt.ExponentialDistances(1.0))
+        rel = lambda lam, f, g: 30.0
+        commodities, rels = {"no_commodity": ([], []),
+                             "one_relation_for_two": ([dem, dem], [rel]),
+                             "two_under_a_z_stop": ([dem, dem], [rel, rel])}[case]
+        with pytest.raises(error, match=match):
+            bt.solve_multi_commodity(PAPER_L, commodities, rels, grid)
+
 
 class TestMobilityService:
     def test_density_feedback_reduces_to_integral_scheme(self):
@@ -1041,6 +1073,16 @@ class TestMobilityService:
         mask = traj.lam > 0.5 * traj.lam.max()
         rel = np.abs(g[mask][:-1] - pred[mask][:-1]) / pred[mask][:-1]
         assert np.max(rel) < 0.03
+
+    @pytest.mark.parametrize("density, error, match", [
+        (30.0, bt.ContractError, "vehicle_density must be a callable"),
+        (lambda t: -1.0, bt.DomainError, "vehicle density must be non-negative"),
+    ])
+    def test_bad_vehicle_density_rejected(self, density, error, match):
+        scen = empty_scenario(bt.MaxTime(0.5), dt=1e-3)
+        esr = bt.BoardingDelaySpeed(PAPER_FD, alpha=0.0, lane_miles=PAPER_L)
+        with pytest.raises(error, match=match):
+            bt.solve_mobility_service(scen, esr, vehicle_density=density)
 
 
 def _one_commodity(L, T=0.01):

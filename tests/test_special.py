@@ -399,6 +399,12 @@ class TestConfigValidation:
         with pytest.raises(bt.DomainError, match="v_min"):
             getattr(self, make)(v_min=v_min)
 
+    @pytest.mark.parametrize("horizon", [1.0, None])
+    @pytest.mark.parametrize("make", ["vickrey", "deterministic"])
+    def test_horizon_must_be_a_horizon_type(self, make, horizon):
+        with pytest.raises(bt.DomainError, match="horizon must be"):
+            getattr(self, make)(horizon=horizon)
+
     @pytest.mark.parametrize("field", ["L", "B", "dt", "lambda0"])
     def test_vickrey_rejects_infinite_values(self, field):
         with pytest.raises(bt.DomainError):

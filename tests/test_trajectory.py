@@ -181,6 +181,16 @@ def test_characteristic_trajectory_keeps_no_profile_rows():
     assert _solve("integral").K_history is None
 
 
+@pytest.mark.parametrize("name", SOLVERS)
+def test_metadata_is_read_off_the_grid(name):
+    traj = _solved(name)
+    if name in SOLVERS[:4]:
+        assert traj.metadata == {"dx": 2**-4, "X": 4.0}
+    else:
+        assert traj.metadata == {}
+    assert "metadata" not in {f.name for f in dataclasses.fields(traj)}
+
+
 def test_profile_needs_a_grid():
     with pytest.raises(bt.ContractError):
         _solve("vickrey").profile(0)
