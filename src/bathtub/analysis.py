@@ -252,7 +252,7 @@ class AuditReport:
 
 
 def audit(traj: Trajectory, demand: Optional[DistanceDistribution] = None,
-          max_profiles: int = 129) -> AuditReport:
+          max_profiles: int = 129, profiles=None) -> AuditReport:
     """Check conservation of total trips and of trip-miles at stored steps.
 
     The total-trip identity G = lam(0) + F - lam is checked relative to the
@@ -266,7 +266,10 @@ def audit(traj: Trajectory, demand: Optional[DistanceDistribution] = None,
 
     ``demand`` defaults to the distribution stored with the trajectory.
     The initial trip-miles are read from the step-0 profile, which already
-    embeds the initial condition.
+    embeds the initial condition.  ``profiles``, a ``(steps, rows)`` pair
+    of ascending steps and their rows from :meth:`Trajectory.profiles`,
+    supplies those rows instead of a replay; its steps must include the
+    audit's, or :class:`DomainError` is raised.
     """
     scale = np.maximum(traj.lam[0] + traj.F, 1e-12)
     tt_steps = np.abs(traj.G - (traj.lam[0] + traj.F - traj.lam)) / scale
@@ -284,13 +287,16 @@ def audit(traj: Trajectory, demand: Optional[DistanceDistribution] = None,
         added = _cumtrapz(traj.f * bmean, traj.t)
         processed = _cumtrapz(traj.lam * traj.v, traj.t)
         steps = traj.profile_steps(max_profiles, "max_profiles")  # step 0 comes first
-        for i, row in zip(steps, traj.profiles(steps)):
-            remaining = float(np.trapezoid(row, xg))
-            if i == 0:
-                initial_miles = remaining
-            resid = initial_miles + added[i] - processed[i] - remaining
-            miles_steps[i] = abs(resid)
-            violations += int(np.sum(np.diff(row) > mono_tol))
+        if profiles is None:
+            profiles = steps, traj.profiles(steps)
+        have, rows = np.asarray(profiles[0]), profiles[1]
+        idx = np.searchsorted(have, steps)
+        if idx.max() >= have.size or np.any(have[idx] != steps):
+            raise DomainError("profiles must hold a row at each of the "
+                              f"{steps.size} audited steps")
+        remaining, violations = _remaining_miles(rows, idx, xg, mono_tol)
+        miles_steps[steps] = np.abs(remaining[0] + added[steps] - processed[steps]
+                                    - remaining)
     miles_max = float(np.nanmax(miles_steps)) if np.any(~np.isnan(miles_steps)) else 0.0
     return AuditReport(total_trip_residual=float(tt_steps.max()),
                        trip_miles_residual=miles_max,
@@ -298,6 +304,26 @@ def audit(traj: Trajectory, demand: Optional[DistanceDistribution] = None,
                        monotonicity_violations=violations,
                        t=traj.t, total_trip_steps=tt_steps,
                        trip_miles_steps=miles_steps)
+
+
+_BLOCK = 16  # rows an audit integrates at once
+
+
+def _remaining_miles(rows: np.ndarray, idx: np.ndarray, x: np.ndarray,
+                     tol: float):
+    """The trapezoid integral over ``x`` of each row ``rows[idx]``, and the
+    count of grid pairs over all of them where K rises by more than
+    ``tol``.  One block of rows is gathered at a time, since a copy of
+    every row at once would raise the peak memory.  A block's sums run
+    along its contiguous rows, each pairwise as for one row alone, so
+    every integral has the bits of ``np.trapezoid(rows[i], x)``."""
+    remaining = np.empty(idx.size)
+    violations = 0
+    for a in range(0, idx.size, _BLOCK):
+        blk = rows[idx[a:a + _BLOCK]]
+        remaining[a:a + _BLOCK] = np.trapezoid(blk, x, axis=1)
+        violations += int(np.sum(np.diff(blk, axis=1) > tol))
+    return remaining, violations
 
 
 def _cumtrapz(y: np.ndarray, x: np.ndarray) -> np.ndarray:

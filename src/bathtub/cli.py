@@ -364,15 +364,40 @@ def _write_series(path: str, traj: solver.Trajectory):
     _write_csv(path, list(data), _rows(*data.values()))
 
 
-def _write_ksurface(path: str, traj: solver.Trajectory, max_rows: int = 257):
-    steps = traj.profile_steps(max_rows, "max_rows")
-    rows = ([t, *K.tolist()]  # one row at a time: a whole-array list is large
-            for t, K in zip(traj.t[steps].tolist(), traj.profiles(steps)))
-    _write_csv(path, ["t", *traj.x_grid.tolist()], rows)
+def _ksurface_rows(t: np.ndarray, K: np.ndarray):
+    """One CSV row per time in ``t`` and row of ``K``, as a single string
+    cell with the bytes of ``",".join(map(str, [t_j, *K[j]]))``, built one
+    row at a time (a whole-array list is large) and with fewer ``str``
+    calls.  ``str`` of a float depends only on its bits, so two kinds of
+    cell are copied, not formatted: the cells after a row's last one whose
+    bits are not those of +0.0 are written as "0.0" (a -0.0 has other bits
+    and is formatted), and a cell with the bits of the previous row's next
+    cell reuses that cell's string.  The characteristic update
+    K(t + dt, x) = K(t, x + dz) + m S(t, x) moves every cell where m S is 0
+    one cell down."""
+    cols = K.shape[1]
+    prev, prev_bits = [], np.empty(0, np.uint64)
+    for tj, row, bits in zip(t.tolist(), K, K.view(np.uint64)):
+        nonzero = np.flatnonzero(bits)
+        end = int(nonzero[-1]) + 1 if nonzero.size else 0
+        m = max(min(end, len(prev) - 1), 0)  # cells whose next cell prev holds
+        same = (bits[:m] == prev_bits[1:m + 1]).tolist()
+        values = row[:end].tolist()
+        cells = [cell if kept else str(v)
+                 for cell, kept, v in zip(prev[1:], same, values)]
+        cells += map(str, values[m:])
+        yield [",".join([str(tj), *cells]) + ",0.0" * (cols - end)]
+        prev, prev_bits = cells, bits
 
 
-def _write_audit(path: str, traj: solver.Trajectory):
-    rep = analysis.audit(traj)
+def _write_ksurface(path: str, traj: solver.Trajectory, profiles):
+    steps, rows = profiles
+    _write_csv(path, ["t", *traj.x_grid.tolist()],
+               _ksurface_rows(traj.t[steps], rows))
+
+
+def _write_audit(path: str, traj: solver.Trajectory, profiles):
+    rep = analysis.audit(traj, profiles=profiles)
     _write_csv(path, ["t", "total_trip_residual", "trip_miles_residual"],
                _rows(rep.t, rep.total_trip_steps, rep.trip_miles_steps),
                [f"# max_total_trip_residual = {rep.total_trip_residual}",
@@ -399,10 +424,19 @@ def run(cfg: RunConfig, output_dir: Optional[str] = None) -> int:
     traj = execute(cfg)
     if "series" in cfg.outputs:
         _write_series(os.path.join(out, "series.csv"), traj)
+    # One batch of K rows serves ksurface and the audit: the audit's steps
+    # are among ksurface's, all of a characteristic run's, else at most
+    # 129 of 257 evenly spaced ones (linspace(0, n - 1, 129)[i] is
+    # linspace(0, n - 1, 257)[2 i]).  Without ksurface the audit builds
+    # only its own rows.
+    profiles = None
     if "ksurface" in cfg.outputs:
-        _write_ksurface(os.path.join(out, "ksurface.csv"), traj)
+        steps = traj.profile_steps(257, "max_rows")
+        profiles = steps, traj.profiles(steps)
+        _write_ksurface(os.path.join(out, "ksurface.csv"), traj, profiles)
     if "audit" in cfg.outputs:
-        _write_audit(os.path.join(out, "audit.csv"), traj)
+        _write_audit(os.path.join(out, "audit.csv"), traj, profiles)
+    del profiles  # the pass's largest array, not held through the travel times
     if "traveltimes" in cfg.outputs:
         _write_traveltimes(os.path.join(out, "traveltimes.csv"), traj)
     return 0 if traj.termination is solver.Termination.HORIZON else 2

@@ -66,13 +66,18 @@ def _check_horizon(horizon):
         raise DomainError("horizon must be MaxTime or MaxCumulativeDistance")
 
 
+_MAX_CELLS = 2**20  # the most cells X/dx a grid may have
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Remaining-distance grid and stopping rule.
 
-    ``X`` must be an integer multiple of ``dx``; ``dt`` is only consumed by
-    the fixed-step (integral) scheme.  A run ends in gridlock once the speed
-    drops below ``v_min``, which must be positive: every step taken then
+    ``X`` must be an integer multiple of ``dx``, at most ``_MAX_CELLS``
+    (2^20) times it, so that one row of the grid takes at most 8 MB (the
+    steps × cells work of a run is not bounded).  ``dt`` is only consumed
+    by the fixed-step (integral) scheme.  A run ends in gridlock once the
+    speed drops below ``v_min``, which must be positive: every step taken then
     advances z, which the integral scheme's live window relies on.  When
     ``strict_truncation`` is set, a run aborts if the mass of trips capped
     at X exceeds one millionth of the total entering trips.  ``cells``,
@@ -91,6 +96,9 @@ class GridSpec:
         if self.dt is not None:
             finite_positive(dt=self.dt)
         n = self.X / self.dx
+        if n > _MAX_CELLS:
+            raise DomainError(f"X/dx must be at most {_MAX_CELLS} cells, got "
+                              f"{n:.6g} (dx = {self.dx!r}, X = {self.X!r})")
         if abs(n - round(n)) > 1e-9 * max(1.0, n):
             raise DomainError("X must be an integer multiple of dx")
         _check_horizon(self.horizon)

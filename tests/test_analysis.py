@@ -1,9 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import bathtub as bt
 from bathtub import analysis
-from helpers import PAPER_FD, PAPER_L, paper_char, paper_pulse
+from bathtub.solver import _even_steps
+from helpers import (PAPER_FD, PAPER_L, assert_same_bits, paper_char, paper_integral,
+                     paper_pulse)
 
 GS = bt.Greenshields(30.0, 200.0)
 
@@ -241,6 +245,83 @@ class TestAudit:
         r_coarse = bt.audit(paper_char(2**-4)).trip_miles_residual
         r_fine = bt.audit(paper_char(2**-5)).trip_miles_residual
         assert r_coarse >= 1.5 * r_fine
+
+
+def audit_reference(traj, max_profiles=129):
+    """The trip-miles residuals and violation count of :func:`analysis.audit`,
+    one profile row at a time."""
+    xg = traj.x_grid
+    X = float(xg[-1])
+    bmean = np.asarray([float(traj.distances.mean_distance_capped(float(s), X))
+                        for s in traj.t])
+    added = analysis._cumtrapz(traj.f * bmean, traj.t)
+    processed = analysis._cumtrapz(traj.lam * traj.v, traj.t)
+    tol = 1e-9 * max(1.0, float(traj.lam.max(initial=0.0)))
+    miles = np.full(traj.t.size, np.nan)
+    violations = 0
+    steps = traj.profile_steps(max_profiles)
+    for i, row in zip(steps, traj.profiles(steps)):
+        remaining = float(np.trapezoid(row, xg))
+        if i == 0:
+            initial = remaining
+        miles[i] = abs(initial + added[i] - processed[i] - remaining)
+        violations += int(np.sum(np.diff(row) > tol))
+    return miles, violations
+
+
+def assert_same_report(a, b):
+    for field in dataclasses.fields(a):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        if isinstance(x, np.ndarray):
+            assert_same_bits(x, y)
+        else:
+            assert type(x) is type(y) and x == y, field.name
+
+
+class TestAuditBlocks:
+    @pytest.mark.parametrize("rows", [1, 15, 17, 50])
+    def test_blocks_keep_the_bits_of_each_row(self, rows):
+        rng = np.random.default_rng(rows)
+        x = np.arange(321) * 2**-6
+        K = np.cumsum(rng.random((rows + 3, 321)), axis=1)[:, ::-1] * 37.0
+        K += rng.normal(0.0, 0.5, K.shape)  # some pairs rise
+        idx = rng.permutation(rows + 3)[:rows]
+        remaining, violations = analysis._remaining_miles(K, idx, x, 0.2)
+        assert_same_bits(remaining, np.array([np.trapezoid(K[i], x) for i in idx]))
+        assert violations == sum(int(np.sum(np.diff(K[i]) > 0.2)) for i in idx)
+
+    @pytest.mark.parametrize("solve,max_profiles", [(paper_char, 129),
+                                                    (paper_integral, 129),
+                                                    (paper_integral, 37)])
+    def test_audit_matches_a_per_row_reference(self, solve, max_profiles):
+        traj = solve(2**-4)
+        assert traj.profile_steps(max_profiles).size % 16 != 0
+        rep = analysis.audit(traj, max_profiles=max_profiles)
+        miles, violations = audit_reference(traj, max_profiles)
+        assert_same_bits(rep.trip_miles_steps, miles)
+        assert rep.monotonicity_violations == violations
+
+    @pytest.mark.parametrize("solve", [paper_char, paper_integral])
+    def test_given_profiles_give_the_same_report(self, solve):
+        traj = solve(2**-4)
+        steps = traj.profile_steps(257)
+        pair = steps, traj.profiles(steps)
+        assert_same_report(analysis.audit(traj, profiles=pair), analysis.audit(traj))
+
+    @pytest.mark.parametrize("drop", [0, -1, 64])
+    def test_profiles_missing_an_audited_step_are_rejected(self, drop):
+        traj = paper_integral(2**-4)
+        steps = traj.profile_steps(257)
+        steps = np.delete(steps, drop)
+        with pytest.raises(bt.DomainError, match="profiles"):
+            analysis.audit(traj, profiles=(steps, traj.profiles(steps)))
+
+    def test_audited_steps_are_among_ksurface_steps(self):
+        # linspace(0, n - 1, 129)[i] is linspace(0, n - 1, 257)[2 i]: the
+        # step sizes differ by an exact factor of 2
+        ns = [*range(1, 5001), 999_983, 10**6 - 1, 10**6, 10**6 + 1, 2**20 + 3]
+        for n in ns:
+            assert np.isin(_even_steps(n, 129), _even_steps(n, 257)).all(), n
 
 
 class TestStationaryDrift:

@@ -1,6 +1,7 @@
 import csv
 import pathlib
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -635,3 +636,110 @@ class TestConfigFile:
         assert cli.main(["sweep", str(conf), "--param", "network.L",
                          "--values", "10,20", "--out", str(tmp_path)]) == 0
         assert len(read_csv(tmp_path / "summary.csv")) == 2
+
+
+def golden_config(scheme, outputs):
+    """``pulse.conf`` under ``scheme`` with only ``outputs`` written."""
+    text = (GOLDEN / "pulse.conf").read_text(encoding="utf-8")
+    text = with_section(text, "outputs", f"outputs = {outputs}")
+    return text + f"model.scheme = {scheme}\n"
+
+
+class TestOnePass:
+    @pytest.mark.parametrize("scheme", ["characteristic", "integral"])
+    @pytest.mark.parametrize("outputs,builds", [
+        (",".join(cli._OUTPUTS), 1), ("ksurface", 1), ("audit", 1), ("series", 0)])
+    def test_one_profile_build_per_pass(self, scheme, outputs, builds, tmp_path,
+                                        monkeypatch):
+        calls = []
+        profiles = bt.Trajectory.profiles
+
+        def counted(traj, *args, **kwargs):
+            calls.append(args)
+            return profiles(traj, *args, **kwargs)
+
+        monkeypatch.setattr(bt.Trajectory, "profiles", counted)
+        cfg = cli.parse_config(golden_config(scheme, outputs))
+        assert cli.run(cfg, output_dir=str(tmp_path)) == 0
+        assert len(calls) == builds
+
+    def test_peak_memory_holds_one_profiles_array(self, tmp_path):
+        # the pass's largest array is the batch of K rows: a second copy, or
+        # holding it through the travel times, lifts the peak past 1.25 of it
+        text = with_section(PAPER_CONF, "outputs",
+                            "outputs = " + ",".join(cli._OUTPUTS))
+        cfg = cli.parse_config(text)
+        traj = cli.execute(cfg)
+        nbytes = traj.profiles(traj.profile_steps(257)).nbytes
+        del traj
+        tracemalloc.start()
+        try:
+            assert cli.run(cfg, output_dir=str(tmp_path)) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * nbytes
+
+    def test_too_fine_a_grid_is_one_error_line(self, tmp_path, capsys):
+        # X/dx = 2e9 cells: an x grid alone would take 16 GB
+        conf = tmp_path / "fine.conf"
+        conf.write_text(with_section(golden_config("characteristic", "series"),
+                                     "grid.dx", "grid.dx = 1e-9"))
+        assert cli.main(["run", str(conf), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert "dx" in err[0] and "X" in err[0]
+
+
+def ksurface_reference(t, K):
+    return [",".join(map(str, [tj, *row]))
+            for tj, row in zip(t, np.asarray(K).tolist())]
+
+
+# Hand-built K rows for the ksurface row rule: each case names what it holds.
+KSURFACE_CASES = {
+    "-0.0 in the middle": [[5.0, 4.0, -0.0, 2.0, 0.0],
+                           [4.0, -0.0, -0.0, 0.0, 0.0]],
+    "-0.0 inside a +0.0 tail": [[1.0, 0.0, -0.0, 0.0, 0.0],
+                                [0.0, -0.0, 0.0, 0.0, 0.0]],
+    "-0.0 under a +0.0 of the previous row": [[2.0, 1.0, 0.0, 3.0, 0.0],
+                                              [1.0, -0.0, 3.0, 0.0, 0.0],
+                                              [-0.0, 3.0, 0.0, 0.0, -0.0]],
+    "an all-zero row": [[1.0, 0.5, 0.0], [0.0, 0.0, 0.0], [0.25, 0.0, 0.0],
+                        [0.0, 0.0, 0.0]],
+    "rows with no zero": [[3.0, 2.5, 2.0, 1.5], [2.5, 2.0, 1.5, 1.25],
+                          [0.1, 0.2, 0.3, 0.4]],
+    "a subnormal": [[1e-300, 5e-324, 0.0], [5e-324, 0.0, 0.0],
+                    [2.2250738585072014e-308 / 3, 5e-324, -5e-324]],
+    "an exact shift": [[4.0, 3.0, 2.0, 1.0, 0.1], [3.0, 2.0, 1.0, 0.1, 0.0],
+                       [2.0, 1.0, 0.1, 0.0, 0.0], [1.0, 0.1, 0.0, 0.0, 0.0]],
+    "one row": [[0.1, 0.2, 0.30000000000000004]],
+    "nan and inf": [[np.inf, np.nan, 1.0], [np.nan, 1.0, 0.0], [1.0, -np.inf, 0.0]],
+}
+
+
+class TestKsurfaceRows:
+    @pytest.mark.parametrize("case", sorted(KSURFACE_CASES))
+    def test_rows_match_cell_by_cell_formatting(self, case):
+        K = np.array(KSURFACE_CASES[case])
+        t = (np.arange(len(K)) * 0.1).tolist()
+        rows = list(cli._ksurface_rows(np.array(t), K))
+        assert all(len(row) == 1 for row in rows)
+        assert [row[0] for row in rows] == ksurface_reference(t, K)
+
+    def test_shifted_rows_with_changes_match(self):
+        # rows built as the characteristic update builds them: the previous
+        # row moved one cell down, a new term added on some cells
+        rng = np.random.default_rng(7)
+        rows = [rng.random(40)]
+        for _ in range(60):
+            row = np.append(rows[-1][1:], 0.0)
+            hit = rng.random(40) < 0.3
+            row[hit] += rng.random(hit.sum())
+            row[rng.random(40) < 0.05] = -0.0
+            row[rng.integers(0, 41):] = 0.0
+            rows.append(row)
+        K = np.array(rows)
+        t = np.arange(len(K)) / 7.0
+        assert ([row[0] for row in cli._ksurface_rows(t, K)]
+                == ksurface_reference(t.tolist(), K))

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bathtub as bt
-from bathtub.solver import (_CAP, _CHUNK, _aged_out, _cell, _profile_capped_lin,
-                            _window_survival)
+from bathtub.solver import (_CAP, _CHUNK, _MAX_CELLS, _aged_out, _cell,
+                            _profile_capped_lin, _window_survival)
 from helpers import (PAPER_FD, PAPER_L, assert_same_bits, paper_btilde, paper_char,
                      paper_integral, paper_pulse, paper_scenario,
                      reference_march, solve_fixed_step, survival_capped_lin)
@@ -35,6 +35,14 @@ class TestGridSpec:
     def test_x_must_be_multiple_of_dx(self):
         with pytest.raises(bt.DomainError):
             bt.GridSpec(dx=0.3, X=1.0, horizon=bt.MaxTime(1.0))
+
+    @pytest.mark.parametrize("dx", [1.0, 2**-20])
+    def test_cell_count_is_bounded(self, dx):
+        # built at the bound and one cell past it; neither allocates a grid
+        X = _MAX_CELLS * dx
+        assert bt.GridSpec(dx=dx, X=X, horizon=bt.MaxTime(1.0)).cells == _MAX_CELLS
+        with pytest.raises(bt.DomainError, match=r"X/dx .*dx = .*X = "):
+            bt.GridSpec(dx=dx, X=X + dx, horizon=bt.MaxTime(1.0))
 
     @pytest.mark.parametrize("solver", ["integral", "mobility_service",
                                         "multi_commodity"])
