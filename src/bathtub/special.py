@@ -26,6 +26,10 @@ from .errors import ContractError, DomainError, finite_non_negative, finite_posi
 from .piecewise import as_profile
 from .solver import MaxTime, Termination, Trajectory, _Buf, _check_horizon, _march_z
 
+# steps per block: Vickrey's inflow rates and the deterministic march's
+# initial-profile terms are evaluated by one array call per block
+_BLOCK = 4096
+
 
 # ---------------------------------------------------------------------------
 # Vickrey's exponential model
@@ -55,44 +59,50 @@ def solve_vickrey(c: VickreyConfig) -> Trajectory:
 
     The out-flux column holds lam*v/B; the cumulative out-flow follows from
     conservation of total trips.  Terminates at the horizon or at gridlock
-    (v below ``v_min``).
+    (v below ``v_min``).  The inflow rates at t_j = j*dt come from one
+    ``rate_array`` call per block of steps, and every series but lam and v
+    is built once after the march.
     """
+    dt, B, L, v_min, speed = c.dt, c.B, c.L, c.v_min, c.fd.speed
     lam = float(c.lambda0)
-    t = 0.0
     z = 0.0
-    t_l, z_l, lam_l, v_l, g_l = [0.0], [0.0], [lam], [], []
-    ent_m = []
+    lam_l, v_l = [lam], []
+    f_parts, f_blk, k = [], [], 0
     termination = Termination.HORIZON
     j = 0
     T, Z = c.horizon.T - 1e-12, c.horizon.Z - 1e-12
     while True:
-        v = float(c.fd.speed(lam / c.L))
+        v = float(speed(lam / L))
         v_l.append(v)
-        g_l.append(lam * v / c.B)
-        if v < c.v_min:
+        if v < v_min:
             termination = Termination.GRIDLOCK
             break
-        if t >= T or z >= Z:
+        if j * dt >= T or z >= Z:
             break
-        f_t = c.influx.rate(t)
-        ent_m.append(f_t * c.dt)
-        lam = lam + c.dt * (f_t - lam * v / c.B)
+        if k == len(f_blk):
+            with np.errstate(over="ignore"):  # a huge dt overflows past the end
+                ts = np.arange(j, j + _BLOCK) * dt
+            f_parts.append(c.influx.rate_array(ts[ts < np.inf]))
+            f_blk, k = f_parts[-1].tolist(), 0
+        f_t = f_blk[k]
+        lam = lam + dt * (f_t - lam * v / B)
         lam = max(lam, 0.0)
-        z = z + v * c.dt
+        z = z + v * dt
         j += 1
-        t = j * c.dt
-        t_l.append(t)
-        z_l.append(z)
+        k += 1
         lam_l.append(lam)
 
-    t_arr = np.asarray(t_l)
+    t = np.arange(j + 1) * dt
+    lam_a, v_a = np.asarray(lam_l), np.asarray(v_l)
+    if sum(p.size for p in f_parts) == j:  # the march ended on a block's end
+        f_parts.append(c.influx.rate_array(t[j:]))
+    f = np.concatenate(f_parts)[:j + 1]
     # the Vickrey out-flux lam*v/B replaces the conservation-difference column
-    return Trajectory(scheme="vickrey", L=c.L, t=t_arr, z=np.asarray(z_l),
-                      lam=np.asarray(lam_l), v=np.asarray(v_l),
-                      f=c.influx.rate_array(t_arr),
-                      entry_mass=np.asarray(ent_m), termination=termination,
-                      distances=ExponentialDistances(c.B),
-                      ic=ExponentialProfile(c.lambda0, c.B), g=np.asarray(g_l))
+    return Trajectory(scheme="vickrey", L=L, t=t,
+                      z=np.concatenate(([0.0], np.cumsum(v_a[:j] * dt))),
+                      lam=lam_a, v=v_a, f=f, entry_mass=f[:j] * dt,
+                      termination=termination, distances=ExponentialDistances(B),
+                      ic=ExponentialProfile(c.lambda0, B), g=lam_a * v_a / B)
 
 
 @dataclass
@@ -111,7 +121,8 @@ def vickrey_equivalence_check(traj: Trajectory, B: float,
     """Measure how far a generalized run stays from exponential form.
 
     Returns the maximum over steps of |K(t,x)/lam(t) - exp(-x/B)| on the
-    x-grid (steps with no active trips are skipped) and, when ``influx`` and
+    x-grid, skipping the steps whose lam is at most 1e-9 * max(1, max lam)
+    (near-empty networks, where K/lam is noise), and, when ``influx`` and
     ``fd`` are supplied, the maximum |lam - lam_vickrey| against a matched
     scalar-ODE run interpolated onto the trajectory's times.
     """
@@ -199,6 +210,7 @@ def solve_deterministic(c: DeterministicConfig) -> Trajectory:
     """
     dz = c.dz
     F_l = [0.0]
+    ic_blk: List[float] = []
     theta_buf, mass_buf = _Buf(), _Buf()
 
     def step(j, tau, dtau):
@@ -207,9 +219,13 @@ def solve_deterministic(c: DeterministicConfig) -> Trajectory:
         theta_buf.push(z + c.btilde_at(tau, z))
         mass_buf.push(max(F_next - F_l[-1], 0.0))
         F_l.append(F_next)
+        if j % _BLOCK == 0:  # the initial-profile terms at z_end of the next block
+            with np.errstate(over="ignore"):  # a huge dz overflows past the end
+                z_blk = np.arange(j + 1, j + 1 + _BLOCK) * dz
+            ic_blk[:] = c.ic.profile_array(z_blk).tolist()
         z_end = (j + 1) * dz
         active = float(np.sum(mass_buf.view()[theta_buf.view() > z_end + 1e-12]))
-        return float(c.ic.profile(z_end)) + active
+        return ic_blk[j % _BLOCK] + active
 
     t, z, lam, v, termination = _march_z(c.fd, c.L, dz, c.horizon, c.v_min,
                                          float(c.ic.lambda0), step)
@@ -412,7 +428,6 @@ def delay_formulation_check(traj: Trajectory, frame: TripFrame,
     whose trips complete within the horizon are sampled.
     """
     B = frame.Btilde
-    t_hi = float(frame.tau[-1])
     ok = frame.z + B <= frame.z[-1] + 1e-12
     if not np.any(ok):
         return DelayCheckResult(0.0, 0.0)

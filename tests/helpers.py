@@ -5,7 +5,7 @@ import functools
 import numpy as np
 
 import bathtub as bt
-from bathtub.solver import _profile_capped_lin
+from bathtub.solver import Termination, Trajectory, _Buf, _march_z, _profile_capped_lin
 
 PAPER_FD = bt.Trapezoidal(u=30.0, C=750.0, w=10.0, kappa=200.0)
 PAPER_L = 10.0
@@ -130,6 +130,105 @@ def reference_march(demands, grid, speed_of):
     series = [{key: np.array(r[key]) for key in ("z", "lam", "v", "entry_mass")}
               for r in runs]
     return np.array(t), series, termination
+
+
+def reference_vickrey(c) -> bt.Trajectory:
+    """The Vickrey march with a scalar rate call per step and every series
+    appended as it goes, a bitwise reference for ``solve_vickrey``."""
+    lam = float(c.lambda0)
+    t = 0.0
+    z = 0.0
+    t_l, z_l, lam_l, v_l, g_l = [0.0], [0.0], [lam], [], []
+    ent_m = []
+    termination = Termination.HORIZON
+    j = 0
+    T, Z = c.horizon.T - 1e-12, c.horizon.Z - 1e-12
+    while True:
+        v = float(c.fd.speed(lam / c.L))
+        v_l.append(v)
+        g_l.append(lam * v / c.B)
+        if v < c.v_min:
+            termination = Termination.GRIDLOCK
+            break
+        if t >= T or z >= Z:
+            break
+        f_t = c.influx.rate(t)
+        ent_m.append(f_t * c.dt)
+        lam = lam + c.dt * (f_t - lam * v / c.B)
+        lam = max(lam, 0.0)
+        z = z + v * c.dt
+        j += 1
+        t = j * c.dt
+        t_l.append(t)
+        z_l.append(z)
+        lam_l.append(lam)
+
+    t_arr = np.asarray(t_l)
+    return Trajectory(scheme="vickrey", L=c.L, t=t_arr, z=np.asarray(z_l),
+                      lam=np.asarray(lam_l), v=np.asarray(v_l),
+                      f=c.influx.rate_array(t_arr),
+                      entry_mass=np.asarray(ent_m), termination=termination,
+                      distances=bt.ExponentialDistances(c.B),
+                      ic=bt.ExponentialProfile(c.lambda0, c.B), g=np.asarray(g_l))
+
+
+def reference_deterministic(c) -> bt.Trajectory:
+    """The deterministic-distance march with a scalar initial-profile call
+    per step, a bitwise reference for ``solve_deterministic``."""
+    dz = c.dz
+    F_l = [0.0]
+    theta_buf, mass_buf = _Buf(), _Buf()
+
+    def step(j, tau, dtau):
+        z = j * dz
+        F_next = c.influx.cumulative(tau + dtau)
+        theta_buf.push(z + c.btilde_at(tau, z))
+        mass_buf.push(max(F_next - F_l[-1], 0.0))
+        F_l.append(F_next)
+        z_end = (j + 1) * dz
+        active = float(np.sum(mass_buf.view()[theta_buf.view() > z_end + 1e-12]))
+        return float(c.ic.profile(z_end)) + active
+
+    t, z, lam, v, termination = _march_z(c.fd, c.L, dz, c.horizon, c.v_min,
+                                         float(c.ic.lambda0), step)
+    return Trajectory(scheme="deterministic", L=c.L, t=t, z=z, lam=lam, v=v,
+                      f=c.influx.rate_array(t), F=np.asarray(F_l),
+                      entry_mass=mass_buf.view().copy(), termination=termination,
+                      distances=None, ic=c.ic,
+                      entry_theta=theta_buf.view().copy())
+
+
+def reference_constant_distance(c) -> bt.Trajectory:
+    """The constant-distance recursion on the z-grid, a bitwise reference
+    for the trajectory of ``solve_constant_distance`` (its checks of the
+    config are left out)."""
+    B = float(c.btilde(0.0))
+    I = int(round(B / c.dz))
+    F_l = [0.0]
+    ent_m = []
+
+    def step(j, tau, dtau):
+        mass = c.influx.rate(tau) * dtau
+        ent_m.append(mass)
+        F_l.append(F_l[-1] + mass)
+        return F_l[j + 1] - (F_l[j + 1 - I] if j + 1 >= I else 0.0)
+
+    t, z, lam, v, termination = _march_z(c.fd, c.L, c.dz, c.horizon, c.v_min, 0.0, step)
+    return Trajectory(scheme="constant_distance", L=c.L, t=t, z=z, lam=lam, v=v,
+                      f=c.influx.rate_array(t),
+                      entry_mass=np.asarray(ent_m), termination=termination,
+                      distances=bt.DeterministicDistances(B), ic=c.ic)
+
+
+def assert_same_run(a: bt.Trajectory, b: bt.Trajectory):
+    """Every series, both logs and the termination of two runs agree bit
+    for bit."""
+    for name in ("t", "z", "lam", "v", "f", "F", "G", "g", "entry_mass"):
+        assert_same_bits(getattr(a, name), getattr(b, name))
+    assert (a.entry_theta is None) == (b.entry_theta is None)
+    if a.entry_theta is not None:
+        assert_same_bits(a.entry_theta, b.entry_theta)
+    assert a.termination is b.termination
 
 
 @functools.lru_cache(maxsize=None)

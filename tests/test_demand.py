@@ -54,6 +54,8 @@ class _RateOnly(bt.InfluxProfile):
 INFLUX_PROFILES = {
     "zero": bt.ZeroInflux(), "constant": bt.ConstantInflux(5.0),
     "piecewise": bt.PiecewiseLinearInflux([(0.0, 1.0), (2.0, 3.0)]),
+    "piecewise_pulse": bt.PiecewiseLinearInflux([(0.1, 0.0), (0.3, 3000.0),
+                                                 (0.5, 500.0), (0.9, 0.0)]),
     "pulse": paper_pulse(), "rate_only": _RateOnly()}
 
 
@@ -68,10 +70,17 @@ class TestRateArray:
 
     @pytest.mark.parametrize("name", sorted(INFLUX_PROFILES))
     def test_matches_scalar_rate(self, name):
+        """Bit for bit at t = j*dt, j = 0..60000, dt = 2e-5, the times the
+        Vickrey march reads in blocks (past every node but the piecewise
+        profile's last), and at six times reaching that node too."""
         prof = INFLUX_PROFILES[name]
+        dt = 2e-5
+        assert_same_bits(prof.rate_array(np.arange(60_001) * dt),
+                         np.array([prof.rate(j * dt) for j in range(60_001)]))
         ts = np.array([0.0, 0.1, 0.5, 0.95, 1.5, 3.0])
-        assert np.array_equal(prof.rate_array(ts), [prof.rate(t) for t in ts])
+        assert_same_bits(prof.rate_array(ts), np.array([prof.rate(t) for t in ts]))
         assert prof.rate_array(np.array([])).shape == (0,)
+
 
 class TestCumulativeInflow:
     def test_zero(self):
@@ -310,6 +319,18 @@ class TestInitialProfile:
     def test_exponential_rejects_non_finite(self, lam0, B):
         with pytest.raises(bt.DomainError):
             bt.ExponentialProfile(lam0, B)
+
+    @pytest.mark.parametrize("ic", [bt.EmptyNetwork(), bt.ExponentialProfile(300.0, 1.5),
+                                    bt.TabulatedProfile([0.0, 1.0, 3.0],
+                                                        [400.0, 200.0, 0.0])],
+                             ids=["empty", "exponential", "tabulated"])
+    def test_profile_array_matches_scalar_profile(self, ic):
+        """Bit for bit at x = (j + 1)*dz, j = 0..8191, dz = 2**-8, the
+        points the deterministic march reads in blocks (past the table's
+        nodes and its zero tail)."""
+        dz = 2.0**-8
+        assert_same_bits(ic.profile_array(np.arange(1, 8193) * dz),
+                         np.array([ic.profile((j + 1) * dz) for j in range(8192)]))
 
 
 class TestNonFiniteArguments:

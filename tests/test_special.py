@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 import bathtub as bt
-from helpers import (PAPER_FD, PAPER_L, paper_btilde, paper_pulse,
-                     stationary_exponential_scenario)
+from bathtub.special import _BLOCK
+from helpers import (PAPER_FD, PAPER_L, assert_same_run, paper_btilde, paper_pulse,
+                     reference_constant_distance, reference_deterministic,
+                     reference_vickrey, stationary_exponential_scenario)
 
 GS = bt.Greenshields(30.0, 200.0)
 
@@ -98,6 +100,121 @@ class TestEquivalenceCheck:
                                            influx=bt.ConstantInflux(3000.0),
                                            fd=PAPER_FD, dt=1e-5)
         assert res.max_lambda_deviation < 3.0 * (2**-5 + 2**-5 / 30.0) * 100.0
+
+
+def _vickrey(influx=None, dt=2e-4, horizon=None, lambda0=0.0):
+    return bt.VickreyConfig(L=PAPER_L, fd=PAPER_FD, B=2.0, lambda0=lambda0,
+                            influx=paper_pulse() if influx is None else influx,
+                            dt=dt, horizon=horizon or bt.MaxCumulativeDistance(30.0))
+
+
+def _time_after(k, dt):
+    """The clock of the z-grid march after k steps of ``dt`` each."""
+    t = 0.0
+    for _ in range(k):
+        t += dt
+    return t
+
+
+STEP_COUNTS = [0, _BLOCK - 1, _BLOCK, _BLOCK + 1]
+
+VICKREY_CASES = {
+    "reduced_scalar": lambda: _vickrey(),
+    "lambda0_positive": lambda: _vickrey(bt.ConstantInflux(1500.0), dt=1e-4,
+                                         horizon=bt.MaxTime(0.5), lambda0=300.0),
+    "gridlock": lambda: _vickrey(bt.ConstantInflux(4000.0), dt=1e-3,
+                                 horizon=bt.MaxTime(50.0)),
+    "gridlock_at_start": lambda: _vickrey(lambda0=PAPER_L * 200.0),
+    # the block's times past t_1 overflow to inf, and no rate is asked there
+    "huge_dt": lambda: _vickrey(bt.ZeroInflux(), dt=1e305),
+    "piecewise_influx": lambda: _vickrey(
+        bt.PiecewiseLinearInflux([(0.1, 0.0), (0.3, 3000.0), (0.5, 500.0),
+                                  (0.9, 0.0)]), dt=1e-4, horizon=bt.MaxTime(1.0)),
+    **{f"max_time_{k}_steps": (lambda k=k: _vickrey(
+        dt=2.0**-14, horizon=bt.MaxTime(k * 2.0**-14 if k else 1e-13), lambda0=50.0))
+       for k in STEP_COUNTS},
+}
+
+
+def _deterministic(influx=None, btilde=None, dz=2.0**-6, horizon=None,
+                   ic=None, coordinate="t"):
+    return bt.DeterministicConfig(
+        L=PAPER_L, fd=PAPER_FD, btilde=paper_btilde() if btilde is None else btilde,
+        influx=paper_pulse() if influx is None else influx, dz=dz,
+        horizon=horizon or bt.MaxCumulativeDistance(30.0),
+        ic=ic or bt.EmptyNetwork(), btilde_coordinate=coordinate)
+
+
+DETERMINISTIC_CASES = {
+    "reduced_scalar": lambda: _deterministic(),
+    "gridlock": lambda: _deterministic(bt.ConstantInflux(4000.0), btilde=2.0,
+                                       horizon=bt.MaxTime(50.0)),
+    "exponential_start": lambda: _deterministic(horizon=bt.MaxCumulativeDistance(10.0),
+                                                ic=bt.ExponentialProfile(300.0, 1.5)),
+    "tabulated_start": lambda: _deterministic(
+        horizon=bt.MaxCumulativeDistance(10.0),
+        ic=bt.TabulatedProfile([0.0, 1.0, 3.0], [400.0, 200.0, 0.0])),
+    # the block's points past z_2 overflow to inf, where K0 reads 0
+    "huge_dz": lambda: _deterministic(dz=1e305, ic=bt.ExponentialProfile(100.0, 1.0)),
+    "btilde_against_z": lambda: _deterministic(
+        bt.ConstantInflux(500.0), btilde=bt.PiecewiseLinear([0.0, 2.0, 50.0],
+                                                            [2.0, 0.0, 0.0]),
+        ic=bt.ExponentialProfile(100.0, 1.0), coordinate="z"),
+    # light demand on a light start keeps v = u, so the clock after k steps
+    # is known and a MaxTime stop lands on step k; these runs cross a block's
+    # end with an exponential start
+    **{f"max_time_{k}_steps": (lambda k=k: _deterministic(
+        bt.ConstantInflux(100.0), btilde=2.0, dz=2.0**-12,
+        horizon=bt.MaxTime(_time_after(k, 2.0**-12 / 30.0) if k else 1e-13),
+        ic=bt.ExponentialProfile(50.0, 1.0)))
+       for k in STEP_COUNTS},
+}
+
+CONSTANT_CASES = {
+    "reduced_scalar": lambda: _deterministic(btilde=2.0, dz=2.0**-7),
+    "gridlock": lambda: _deterministic(bt.ConstantInflux(4000.0), btilde=2.0,
+                                       horizon=bt.MaxTime(50.0)),
+}
+
+
+# step counts the cases must land on: a gridlock at the start, one step of
+# a huge dt or dz, and MaxTime stops on both sides of a block's end
+CASE_STEPS = {"gridlock_at_start": 0, "huge_dt": 1, "huge_dz": 1, **{f"max_time_{k}_steps": k for k in STEP_COUNTS}}
+
+
+def _check_case(case, run):
+    gridlock = case.startswith("gridlock")
+    assert run.termination is (bt.Termination.GRIDLOCK if gridlock
+                               else bt.Termination.HORIZON)
+    if case in CASE_STEPS:
+        assert run.n_steps == CASE_STEPS[case] + 1
+
+
+class TestReducedSolversBits:
+    """The reduced solvers against their plain per-step loops, bit for bit;
+    the Vickrey and deterministic marches read their inflow rates and
+    initial-profile terms in blocks of ``_BLOCK`` steps."""
+
+    @pytest.mark.parametrize("case", sorted(VICKREY_CASES))
+    def test_vickrey(self, case):
+        c = VICKREY_CASES[case]()
+        run = bt.solve_vickrey(c)
+        _check_case(case, run)
+        assert_same_run(run, reference_vickrey(c))
+
+    @pytest.mark.parametrize("case", sorted(DETERMINISTIC_CASES))
+    def test_deterministic(self, case):
+        c = DETERMINISTIC_CASES[case]()
+        run = bt.solve_deterministic(c)
+        _check_case(case, run)
+        assert_same_run(run, reference_deterministic(c))
+
+    @pytest.mark.parametrize("case", sorted(CONSTANT_CASES))
+    def test_constant_distance(self, case):
+        c = CONSTANT_CASES[case]()
+        run = bt.solve_constant_distance(c)[0]
+        _check_case(case, run)
+        assert_same_run(run, reference_constant_distance(c))
 
 
 class TestRegimeClassification:
