@@ -11,7 +11,8 @@ import numpy as np
 
 from .demand import DistanceDistribution, ExponentialDistances
 from .diagrams import FundamentalDiagram, flow_slope_sign
-from .errors import ContractError, DomainError, TripNotCompleted
+from .errors import (ContractError, DataError, DomainError, TripNotCompleted,
+                     finite_non_negative, finite_positive)
 from .solver import BathtubState, Trajectory
 
 
@@ -61,8 +62,8 @@ def stationary_state(fd: FundamentalDiagram, L: float, f: float,
     :func:`stationary_demand_from_profile` to go from a profile to the
     demand that sustains it.
     """
-    if not f >= 0:
-        raise DomainError("inflow must be non-negative")
+    finite_positive(L=L)
+    finite_non_negative(f=f)
     if not isinstance(dist, ExponentialDistances):
         raise ContractError("stationary_state inverts the exponential relation "
                             "B*f = L*Q; supply an ExponentialDistances instance")
@@ -111,12 +112,20 @@ def stationary_demand_from_profile(fd: FundamentalDiagram, L: float, lam: float,
 
     The stationary balance gives f = L Q(lam/L) phi(0) and an entering
     survival proportional to the remaining-distance density phi(x)/phi(0);
-    the density is taken from one-sided differences of the profile.
+    the density is taken from one-sided differences of the profile.  An
+    x-grid that is not finite and strictly increasing, or a survival that
+    is not finite and non-increasing, raises :class:`DataError`.
     """
+    finite_positive(L=L)
+    finite_non_negative(lam=lam)
     x = np.asarray(x_grid, dtype=float)
     Phi = np.asarray(survival, dtype=float)
     if x.size != Phi.size or x.size < 2:
         raise DomainError("need matching x-grid and survival arrays")
+    if not (np.all(np.isfinite(x)) and np.all(np.diff(x) > 0)):
+        raise DataError("x_grid must be finite and strictly increasing")
+    if not (np.all(np.isfinite(Phi)) and np.all(np.diff(Phi) <= 0)):
+        raise DataError("survival must be finite and non-increasing")
     if abs(Phi[0] - 1.0) > 1e-9:
         raise DomainError("a survival profile must start at 1")
     phi = -np.gradient(Phi, x)
@@ -136,8 +145,8 @@ def stability_classify(fd: FundamentalDiagram, L: float,
     Positive flow slope at the stationary density is stable, negative
     (hypercongestion) unstable, vanishing slope marginal.
     """
-    if not lam0 >= 0:
-        raise DomainError("lam0 must be non-negative")
+    finite_positive(L=L)
+    finite_non_negative(lam0=lam0)
     sign = flow_slope_sign(fd, lam0 / L)
     if sign > 0:
         return StabilityClass.STABLE
@@ -153,8 +162,8 @@ def gridlock_predict(f: float, Btilde: float, L: float,
     The condition is sufficient but not necessary, so the negative answer is
     reported as NOT_IMPLIED rather than as safety.
     """
-    if not (f >= 0 and Btilde >= 0):
-        raise DomainError("f and Btilde must be non-negative")
+    finite_positive(L=L)
+    finite_non_negative(f=f, Btilde=Btilde)
     C, _ = fd.capacity()
     if f * Btilde > L * C:
         return GridlockPrediction.WILL_GRIDLOCK

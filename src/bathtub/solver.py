@@ -220,7 +220,7 @@ class Trajectory:
     @property
     def metadata(self) -> dict:
         """dx and X read off ``x_grid``, ``{}`` for an ungridded run.  Like
-        :attr:`K_history`, it goes once perfbench stops reading it (ROADMAP item 1)."""
+        :attr:`K_history`, it goes once perfbench stops reading it (ROADMAP item 7)."""
         return {} if self.x_grid is None else {"dx": float(self.x_grid[1]),
                                                "X": float(self.x_grid[-1])}
 
@@ -354,7 +354,8 @@ def _march_z(fd: FundamentalDiagram, L: float, dz: float, horizon, v_min: float,
     one cell.  ``step(j, t_j, dt_j)`` advances the solver's own state and
     logs the mass entering during the step; it returns lambda_{j+1}.  The
     run ends in gridlock once v_j < ``v_min``, at a z stop once j dz
-    reaches Z, and at a time stop once the next step would pass T.  One
+    reaches Z, and at a time stop once the next step would pass T; a j dz
+    that overflows to inf raises :class:`DomainError` there.  One
     entry is logged per step taken, at its start, so the entry times are
     ``t[:-1]``.  Returns the t, z, lambda and v series (v holds the speed
     at the final state too) and the termination.
@@ -374,6 +375,8 @@ def _march_z(fd: FundamentalDiagram, L: float, dz: float, horizon, v_min: float,
             termination = Termination.GRIDLOCK
             break
         if j * dz >= Z:
+            if j * dz == math.inf:
+                raise DomainError(f"dz = {dz!r} carries z past the largest float")
             break
         dt = dz / v
         if t + dt > T:

@@ -26,9 +26,24 @@ from .errors import ContractError, DomainError, finite_non_negative, finite_posi
 from .piecewise import as_profile
 from .solver import MaxTime, Termination, Trajectory, _Buf, _check_horizon, _march_z
 
-# steps per block: Vickrey's inflow rates and the deterministic march's
-# initial-profile terms are evaluated by one array call per block
-_BLOCK = 4096
+_BLOCK = 4096  # values per array call of _points
+
+
+def _points(values_at, step: float, j0: int, name: str):
+    """Yield ``values_at(j * step)`` for j = j0, j0 + 1, ..., as floats,
+    from one array call per ``_BLOCK`` values.  Asking for a point whose
+    j * step overflows raises :class:`DomainError` naming ``step`` as
+    ``name``."""
+    j = j0
+    while True:
+        with np.errstate(over="ignore"):
+            x = np.arange(j, j + _BLOCK) * step
+        x = x[x < np.inf]
+        yield from values_at(x).tolist()
+        if x.size < _BLOCK:
+            raise DomainError(f"{name} = {step!r} carries the grid past the "
+                              "largest float")
+        j += _BLOCK
 
 
 # ---------------------------------------------------------------------------
@@ -59,15 +74,16 @@ def solve_vickrey(c: VickreyConfig) -> Trajectory:
 
     The out-flux column holds lam*v/B; the cumulative out-flow follows from
     conservation of total trips.  Terminates at the horizon or at gridlock
-    (v below ``v_min``).  The inflow rates at t_j = j*dt come from one
-    ``rate_array`` call per block of steps, and every series but lam and v
-    is built once after the march.
+    (v below ``v_min``); a dt that carries t or z past the largest float
+    raises :class:`DomainError`.  The march reads the inflow rates at
+    t_j = j*dt from :func:`_points`, and every series but lam and v is
+    built once after it.
     """
     dt, B, L, v_min, speed = c.dt, c.B, c.L, c.v_min, c.fd.speed
     lam = float(c.lambda0)
     z = 0.0
     lam_l, v_l = [lam], []
-    f_parts, f_blk, k = [], [], 0
+    f_next = _points(c.influx.rate_array, dt, 0, "dt").__next__
     termination = Termination.HORIZON
     j = 0
     T, Z = c.horizon.T - 1e-12, c.horizon.Z - 1e-12
@@ -78,25 +94,18 @@ def solve_vickrey(c: VickreyConfig) -> Trajectory:
             termination = Termination.GRIDLOCK
             break
         if j * dt >= T or z >= Z:
+            if max(j * dt, z) == np.inf:
+                raise DomainError(f"dt = {dt!r} carries t or z past the largest float")
             break
-        if k == len(f_blk):
-            with np.errstate(over="ignore"):  # a huge dt overflows past the end
-                ts = np.arange(j, j + _BLOCK) * dt
-            f_parts.append(c.influx.rate_array(ts[ts < np.inf]))
-            f_blk, k = f_parts[-1].tolist(), 0
-        f_t = f_blk[k]
-        lam = lam + dt * (f_t - lam * v / B)
+        lam = lam + dt * (f_next() - lam * v / B)
         lam = max(lam, 0.0)
         z = z + v * dt
         j += 1
-        k += 1
         lam_l.append(lam)
 
     t = np.arange(j + 1) * dt
     lam_a, v_a = np.asarray(lam_l), np.asarray(v_l)
-    if sum(p.size for p in f_parts) == j:  # the march ended on a block's end
-        f_parts.append(c.influx.rate_array(t[j:]))
-    f = np.concatenate(f_parts)[:j + 1]
+    f = c.influx.rate_array(t)
     # the Vickrey out-flux lam*v/B replaces the conservation-difference column
     return Trajectory(scheme="vickrey", L=L, t=t,
                       z=np.concatenate(([0.0], np.cumsum(v_a[:j] * dt))),
@@ -206,11 +215,12 @@ def solve_deterministic(c: DeterministicConfig) -> Trajectory:
     Entering mass during each z-cell is logged with its effective distance
     theta = z_entry + Btilde(entry); a trip is active at z exactly while its
     theta exceeds z, which realizes the FIFO / LIFO / simultaneous-exit
-    solutions uniformly across regime changes.
+    solutions uniformly across regime changes.  A dz that carries z past
+    the largest float raises :class:`DomainError`.
     """
     dz = c.dz
     F_l = [0.0]
-    ic_blk: List[float] = []
+    ic_next = _points(c.ic.profile_array, dz, 1, "dz").__next__  # K0 at z_end
     theta_buf, mass_buf = _Buf(), _Buf()
 
     def step(j, tau, dtau):
@@ -219,13 +229,9 @@ def solve_deterministic(c: DeterministicConfig) -> Trajectory:
         theta_buf.push(z + c.btilde_at(tau, z))
         mass_buf.push(max(F_next - F_l[-1], 0.0))
         F_l.append(F_next)
-        if j % _BLOCK == 0:  # the initial-profile terms at z_end of the next block
-            with np.errstate(over="ignore"):  # a huge dz overflows past the end
-                z_blk = np.arange(j + 1, j + 1 + _BLOCK) * dz
-            ic_blk[:] = c.ic.profile_array(z_blk).tolist()
         z_end = (j + 1) * dz
         active = float(np.sum(mass_buf.view()[theta_buf.view() > z_end + 1e-12]))
-        return ic_blk[j % _BLOCK] + active
+        return ic_next() + active
 
     t, z, lam, v, termination = _march_z(c.fd, c.L, dz, c.horizon, c.v_min,
                                          float(c.ic.lambda0), step)

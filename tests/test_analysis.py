@@ -417,3 +417,57 @@ def test_nan_argument_rejected(call):
     # NaN fails every range comparison, so it must be rejected, not answered
     with pytest.raises(bt.DomainError):
         call()
+
+
+
+def _implied(x, survival, L=10.0):
+    return bt.stationary_demand_from_profile(PAPER_FD, L, 50.0, x, survival)
+
+
+EXP2 = bt.ExponentialDistances(2.0)
+XS = np.linspace(0.0, 10.0, 11)
+L_CALLS = {
+    "stability_classify": lambda L: bt.stability_classify(PAPER_FD, L, 10.0),
+    "gridlock_predict": lambda L: bt.gridlock_predict(100.0, 2.0, L, PAPER_FD),
+    "stationary_state": lambda L: bt.stationary_state(PAPER_FD, L, 100.0, EXP2),
+    "stationary_demand_from_profile": lambda L: _implied(XS, np.exp(-XS / 2.0), L),
+}
+
+
+@pytest.mark.parametrize("L", [0.0, -1.0, NAN, np.inf])
+@pytest.mark.parametrize("entry", sorted(L_CALLS))
+def test_bad_L_rejected(entry, L):
+    # L = 0 divided by zero, and a NaN or negative L was answered quietly
+    with pytest.raises(bt.DomainError, match="L must be finite and positive"):
+        L_CALLS[entry](L)
+
+
+INFINITE_CALLS = {
+    "stationary_state_f": lambda: bt.stationary_state(PAPER_FD, 10.0, np.inf, EXP2),
+    "gridlock_predict_f": lambda: bt.gridlock_predict(np.inf, 2.0, 10.0, PAPER_FD),
+    "gridlock_predict_Btilde": lambda: bt.gridlock_predict(100.0, np.inf, 10.0,
+                                                           PAPER_FD),
+    "stability_classify_lam0": lambda: bt.stability_classify(PAPER_FD, 10.0, np.inf),
+}
+
+
+@pytest.mark.parametrize("call", INFINITE_CALLS.values(), ids=INFINITE_CALLS.keys())
+def test_infinite_argument_rejected(call):
+    with pytest.raises(bt.DomainError, match="must be finite and non-negative"):
+        call()
+
+
+BAD_PROFILES = {
+    "x_nan": ([0.0, NAN, 2.0], [1.0, 0.5, 0.2]),
+    "x_inf": ([0.0, 1.0, np.inf], [1.0, 0.5, 0.2]),
+    "x_not_increasing": ([0.0, 2.0, 1.0], [1.0, 0.5, 0.2]),
+    "x_repeated": ([0.0, 1.0, 1.0], [1.0, 0.5, 0.2]),
+    "survival_nan": ([0.0, 1.0, 2.0], [1.0, NAN, 0.2]),
+    "survival_rising": ([0.0, 1.0, 2.0], [1.0, 0.5, 0.7]),
+}
+
+
+@pytest.mark.parametrize("x, survival", BAD_PROFILES.values(), ids=BAD_PROFILES.keys())
+def test_bad_profile_rejected(x, survival):
+    with pytest.raises(bt.DataError):
+        _implied(x, survival)

@@ -217,6 +217,37 @@ class TestReducedSolversBits:
         assert_same_run(run, reference_constant_distance(c))
 
 
+class TestOverflow:
+    """A step that carries t or z past the largest float raises instead of
+    ending the run on an infinite z."""
+
+    @pytest.mark.parametrize("dz", [1e307, 1e308])
+    @pytest.mark.parametrize("ic", [bt.EmptyNetwork(), bt.ExponentialProfile(100.0, 1.0)],
+                             ids=["empty", "exponential"])
+    def test_deterministic(self, dz, ic):
+        with pytest.raises(bt.DomainError, match="dz"):
+            bt.solve_deterministic(_deterministic(bt.ZeroInflux(), dz=dz, ic=ic,
+                                                  horizon=bt.MaxTime(1e308)))
+
+    @pytest.mark.parametrize("dz", [1e307, 1e308])
+    def test_constant_distance(self, dz):
+        with pytest.raises(bt.DomainError, match="dz"):
+            bt.solve_constant_distance(_deterministic(bt.ZeroInflux(), btilde=dz, dz=dz,
+                                                      horizon=bt.MaxTime(1e308)))
+
+    @pytest.mark.parametrize("horizon", [bt.MaxTime(1e308), bt.MaxCumulativeDistance(30.0)],
+                             ids=["max_time", "max_distance"])
+    def test_vickrey(self, horizon):
+        with pytest.raises(bt.DomainError, match="dt"):
+            bt.solve_vickrey(_vickrey(bt.ZeroInflux(), dt=1e308, horizon=horizon))
+
+    def test_z_stop_on_a_finite_z_still_ends_the_run(self):
+        run = bt.solve_deterministic(_deterministic(bt.ZeroInflux(), dz=1e307,
+                                                    horizon=bt.MaxCumulativeDistance(1e308)))
+        assert run.termination is bt.Termination.HORIZON
+        assert run.z[-1] == 1e308
+
+
 class TestRegimeClassification:
     def test_constant_distance_is_first_in_first_out(self):
         cfg = bt.DeterministicConfig(L=10.0, fd=PAPER_FD, btilde=2.0,
