@@ -275,10 +275,11 @@ def audit(traj: Trajectory, demand: Optional[DistanceDistribution] = None,
 
     ``demand`` defaults to the distribution stored with the trajectory.
     The initial trip-miles are read from the step-0 profile, which already
-    embeds the initial condition.  ``profiles``, a ``(steps, rows)`` pair
-    of ascending steps and their rows from :meth:`Trajectory.profiles`,
-    supplies those rows instead of a replay; its steps must include the
-    audit's, or :class:`DomainError` is raised.
+    embeds the initial condition.  The rows are read one block at a time
+    from :meth:`Trajectory.profile_blocks`, or from ``profiles``, an
+    iterable of ``(steps, rows)`` blocks of ascending steps, such as that
+    method yields, whose steps must include the audit's, or
+    :class:`DomainError` is raised.
     """
     scale = np.maximum(traj.lam[0] + traj.F, 1e-12)
     tt_steps = np.abs(traj.G - (traj.lam[0] + traj.F - traj.lam)) / scale
@@ -290,20 +291,26 @@ def audit(traj: Trajectory, demand: Optional[DistanceDistribution] = None,
     mono_tol = 1e-9 * max(1.0, float(traj.lam.max(initial=0.0)))
     if traj.x_grid is not None:
         xg = traj.x_grid
-        X = float(xg[-1])
-        bmean = np.asarray([float(demand.mean_distance_capped(float(s), X))
-                            for s in traj.t])
+        bmean = demand.mean_distance_capped(traj.t, float(xg[-1]))
         added = _cumtrapz(traj.f * bmean, traj.t)
         processed = _cumtrapz(traj.lam * traj.v, traj.t)
         steps = traj.profile_steps(max_profiles, "max_profiles")  # step 0 comes first
         if profiles is None:
-            profiles = steps, traj.profiles(steps)
-        have, rows = np.asarray(profiles[0]), profiles[1]
-        idx = np.searchsorted(have, steps)
-        if idx.max() >= have.size or np.any(have[idx] != steps):
+            profiles = traj.profile_blocks(steps)
+        remaining = np.empty(steps.size)
+        done = 0  # audited steps whose rows were read
+        for have, rows in profiles:
+            have = np.asarray(have)
+            end = int(np.searchsorted(steps, have[-1], "right")) if have.size else done
+            idx = np.searchsorted(have, steps[done:end])
+            if np.any(have[idx] != steps[done:end]):
+                break  # an audited step before the block's last is missing
+            remaining[done:end], found = _remaining_miles(rows, idx, xg, mono_tol)
+            violations += found
+            done = end
+        if done < steps.size:
             raise DomainError("profiles must hold a row at each of the "
                               f"{steps.size} audited steps")
-        remaining, violations = _remaining_miles(rows, idx, xg, mono_tol)
         miles_steps[steps] = np.abs(remaining[0] + added[steps] - processed[steps]
                                     - remaining)
     miles_max = float(np.nanmax(miles_steps)) if np.any(~np.isnan(miles_steps)) else 0.0
@@ -315,24 +322,15 @@ def audit(traj: Trajectory, demand: Optional[DistanceDistribution] = None,
                        trip_miles_steps=miles_steps)
 
 
-_BLOCK = 16  # rows an audit integrates at once
-
-
 def _remaining_miles(rows: np.ndarray, idx: np.ndarray, x: np.ndarray,
                      tol: float):
     """The trapezoid integral over ``x`` of each row ``rows[idx]``, and the
     count of grid pairs over all of them where K rises by more than
-    ``tol``.  One block of rows is gathered at a time, since a copy of
-    every row at once would raise the peak memory.  A block's sums run
-    along its contiguous rows, each pairwise as for one row alone, so
-    every integral has the bits of ``np.trapezoid(rows[i], x)``."""
-    remaining = np.empty(idx.size)
-    violations = 0
-    for a in range(0, idx.size, _BLOCK):
-        blk = rows[idx[a:a + _BLOCK]]
-        remaining[a:a + _BLOCK] = np.trapezoid(blk, x, axis=1)
-        violations += int(np.sum(np.diff(blk, axis=1) > tol))
-    return remaining, violations
+    ``tol``.  The sums run along the gathered rows, each pairwise as for
+    one row alone, so every integral has the bits of
+    ``np.trapezoid(rows[i], x)``."""
+    blk = rows[idx]
+    return np.trapezoid(blk, x, axis=1), int(np.sum(np.diff(blk, axis=1) > tol))
 
 
 def _cumtrapz(y: np.ndarray, x: np.ndarray) -> np.ndarray:

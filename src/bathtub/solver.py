@@ -155,9 +155,9 @@ class Trajectory:
     ``entry_z``, the cumulative distance from which each mass ages in the
     discrete dynamics, is the step end ``z[1:]`` in the characteristic
     scheme and the step start ``z[:-1]`` in every other, so that
-    :func:`reconstruct_K` and :meth:`profiles`, its batch form, reproduce
-    the scheme's own K values (a characteristic run's :meth:`profiles`
-    replays its update over the log, bit for bit).  ``distances`` and
+    :func:`reconstruct_K` and :meth:`profile_blocks`, its batch form,
+    reproduce the scheme's own K values (a characteristic run's blocks
+    replay its update over the log, bit for bit).  ``distances`` and
     ``ic`` are the run's distance law and initial condition.  Deterministic
     runs log each entry's effective distance in ``entry_theta`` instead of
     a distance law (their B~ may be given against z).  ``F`` is the running
@@ -224,22 +224,38 @@ class Trajectory:
         return {} if self.x_grid is None else {"dx": float(self.x_grid[1]),
                                                "X": float(self.x_grid[-1])}
 
-    def profiles(self, steps, nodes: Optional[int] = None) -> np.ndarray:
-        """Rows of K at ``steps`` on the first ``nodes`` grid nodes (all by
-        default): a characteristic run replays its update over the log,
-        every other gridded run is rebuilt in one batch by :func:`_rebuild`,
-        the kernel :func:`reconstruct_K` uses too.  ``steps`` that do not
-        index the steps raise :class:`DomainError`."""
+    def profile_blocks(self, steps, nodes: Optional[int] = None):
+        """The rows of K at the distinct ``steps``, ascending, on the first
+        ``nodes`` grid nodes (all by default), as ``(steps, rows)`` blocks
+        of at most ``_CHUNK`` (16) rows, each built as it is read: a
+        characteristic run replays its update over the log once, forward
+        (:func:`_replay`), and every other gridded run rebuilds them with
+        :func:`_rebuild_blocks`, the kernel :func:`reconstruct_K` uses too.
+        ``steps`` that do not index the steps raise :class:`DomainError`
+        at the call, not when the blocks are read."""
         if self.x_grid is None:
             raise ContractError("this trajectory does not carry a distance grid")
         try:
-            steps = np.arange(self.n_steps)[steps].reshape(-1)
+            steps = np.unique(np.arange(self.n_steps)[steps])
         except IndexError:
             raise DomainError(f"steps must index the {self.n_steps} steps, "
                               f"got {steps!r}") from None
+        blocks = [steps[a:a + _CHUNK] for a in range(0, steps.size, _CHUNK)]
         if self.scheme == "characteristic":
-            return _replay(self, steps, nodes)
-        return _rebuild(self, self.t[steps], self.x_grid[:nodes].size)
+            return _replay(self, blocks, nodes)
+        width = self.x_grid[:nodes].size
+        return zip(blocks, _rebuild_blocks(self, self.t[steps], width))
+
+    def profiles(self, steps, nodes: Optional[int] = None) -> np.ndarray:
+        """Rows of K at ``steps`` (any order, repeats allowed) on the first
+        ``nodes`` grid nodes, collected from :meth:`profile_blocks`."""
+        blocks = self.profile_blocks(steps, nodes)
+        steps = np.arange(self.n_steps)[steps].reshape(-1)
+        distinct, at = np.unique(steps, return_inverse=True)
+        rows = np.empty((distinct.size, self.x_grid[:nodes].size))
+        for b, block in blocks:
+            rows[np.searchsorted(distinct, b)] = block
+        return rows if np.array_equal(distinct, steps) else rows[at]
 
     def profile(self, j: int, nodes: Optional[int] = None) -> np.ndarray:
         """K at step ``j`` on the first ``nodes`` grid nodes."""
@@ -261,12 +277,14 @@ class Trajectory:
         return next(self.states([j]))
 
     def states(self, steps=None):
-        """States at ``steps`` (all by default), profiles built in one batch."""
-        steps = np.arange(self.n_steps) if steps is None else steps
-        for j, K in zip(steps, self.profiles(steps)):
-            yield BathtubState(t=float(self.t[j]), z=float(self.z[j]),
-                               lam=float(self.lam[j]), v=float(self.v[j]),
-                               x_grid=self.x_grid, K=K)
+        """States at the distinct ``steps`` (all by default), ascending,
+        their profiles read from :meth:`profile_blocks`."""
+        blocks = self.profile_blocks(slice(None) if steps is None else steps)
+        for b, rows in blocks:
+            for j, K in zip(b.tolist(), rows):
+                yield BathtubState(t=float(self.t[j]), z=float(self.z[j]),
+                                   lam=float(self.lam[j]), v=float(self.v[j]),
+                                   x_grid=self.x_grid, K=K)
 
     def time_to_distance(self, Z):
         """Time at which z first reaches Z, by linear interpolation; an
@@ -439,22 +457,23 @@ def _advance(K: np.ndarray, mass: float, t: float,
     K[-1] = 0.0
 
 
-def _replay(traj: Trajectory, steps: np.ndarray, nodes: Optional[int]) -> np.ndarray:
-    """Rows of a characteristic run's K at ``steps`` (any order, repeats
-    allowed) on the first ``nodes`` grid nodes: :func:`_advance` replayed
-    from the initial profile over the log the march ran and checked."""
+def _replay(traj: Trajectory, blocks: List[np.ndarray], nodes: Optional[int]):
+    """Yield ``(steps, rows)`` for each block of ascending, distinct steps
+    of a characteristic run, the rows of K at those steps on the first
+    ``nodes`` grid nodes: :func:`_advance` replayed once, forward, from the
+    initial profile over the log the march ran and checked."""
     x = traj.x_grid
     K = traj.ic.profile_array(x).astype(float)
     mass, et = traj.entry_mass.tolist(), traj.entry_t.tolist()
-    out = np.empty((steps.size, x[:nodes].size))
     j = 0  # steps replayed so far
-    order = np.argsort(steps)
-    for r, s in zip(order.tolist(), steps[order].tolist()):
-        for m, t in zip(mass[j:s], et[j:s]):
-            _advance(K, m, t, traj.distances, x)
-        out[r] = K[:nodes]
-        j = s
-    return out
+    for steps in blocks:
+        rows = np.empty((steps.size, x[:nodes].size))
+        for r, s in enumerate(steps.tolist()):
+            for m, t in zip(mass[j:s], et[j:s]):
+                _advance(K, m, t, traj.distances, x)
+            rows[r] = K[:nodes]
+            j = s
+        yield steps, rows
 
 
 # ---------------------------------------------------------------------------
@@ -741,29 +760,37 @@ def solve_multi_commodity(L: float, commodities: Sequence[CommodityDemand],
 # reconstruction and derived views
 # ---------------------------------------------------------------------------
 
-_CHUNK = 16  # steps per rebuild chunk, which share one survival table
+_CHUNK = 16  # rows per block of K; a rebuilt block shares one survival table
 
 
 def _rebuild(traj: Trajectory, t: np.ndarray, nodes: int,
              shift: float = 0.0) -> np.ndarray:
-    """K of a gridded run at times ``t`` (one row each) and offsets
-    x = n dx + ``shift``, n = 0, ..., ``nodes`` - 1.
+    """The blocks of :func:`_rebuild_blocks` as one array, a row per t."""
+    blocks = _rebuild_blocks(traj, t, nodes, shift)
+    return np.concatenate([np.empty((0, nodes)), *blocks])
+
+
+def _rebuild_blocks(traj: Trajectory, t: np.ndarray, nodes: int,
+                    shift: float = 0.0):
+    """Yield K of a gridded run at times ``t`` (one row each), ``_CHUNK``
+    rows at a time, at offsets x = n dx + ``shift``, n = 0, ..., nodes - 1.
 
     An entry of age a = z(t) - z_i meets the offsets at a + shift + n dx,
     so one floor test per entry, the cell k of a + shift by :func:`_cell`,
     puts its pair with node n in cell n + k, at the same fraction theta of
     the cell for every n.  The entries logged before t that have not aged X
-    (k <= cells - 1) are the row's live window.  Each chunk of rows shares a
-    table of the node survivals S(t_i, c dx), c = 0, ..., cells - 1, with
-    one zero column on the left (c = -1) and zeros from c = cells on, so
-    an entry's reads for n = 0, ..., nodes are one slice of its table row,
-    G[i, n] = S_{n+k}, with no clip.  The row is then two matrix-vector
-    products, (m (1 - theta)) @ G[:, :-1] + (m theta) @ G[:, 1:].  Between
-    the steps of a characteristic run the newest entries' ages can lie in
-    (-dx, 0), so k = -1: their pairs with n = 0 read 0, the lower node from
-    the left column, the upper one by leaving them out of that column's
-    product.  The initial-profile term is evaluated once for all rows, and
-    not at all for an empty start.
+    (k <= cells - 1) are the row's live window, found for all rows at once.
+    Each chunk of rows shares a table of the node survivals S(t_i, c dx),
+    c = 0, ..., cells - 1, with one zero column on the left (c = -1) and
+    zeros from c = cells on, so an entry's reads for n = 0, ..., nodes are
+    one slice of its table row, G[i, n] = S_{n+k}, with no clip.  The row
+    is then two matrix-vector products,
+    (m (1 - theta)) @ G[:, :-1] + (m theta) @ G[:, 1:].  Between the steps
+    of a characteristic run the newest entries' ages can lie in (-dx, 0),
+    so k = -1: their pairs with n = 0 read 0, the lower node from the left
+    column, the upper one by leaving them out of that column's product.
+    The initial-profile term is evaluated per chunk, and not at all for an
+    empty start.
     """
     dx, cells = float(traj.x_grid[1]), traj.x_grid.size - 1  # x_grid[1] is dx
     et, ez, em = traj.entry_t, traj.entry_z, traj.entry_mass
@@ -771,12 +798,13 @@ def _rebuild(traj: Trajectory, t: np.ndarray, nodes: int,
     hi = np.searchsorted(et, t - 1e-12)  # entries logged strictly before t
     lo = _dead_prefix(z, ez, hi, dx, cells, shift)
     k0 = traj.ic.profile_array(traj.x_grid).astype(float)
-    if k0.any():
-        out = _profile_capped_lin(k0, np.arange(nodes) * dx + shift + z[:, None], dx)
-    else:
-        out = np.zeros((t.size, nodes))
+    offsets = np.arange(nodes) * dx + shift
     for a in range(0, t.size, _CHUNK):
         rows = range(a, min(a + _CHUNK, t.size))
+        if k0.any():
+            out = _profile_capped_lin(k0, offsets + z[a:a + _CHUNK, None], dx)
+        else:
+            out = np.zeros((len(rows), nodes))
         base, top = lo[rows].min(), hi[rows].max()
         table = np.zeros((top - base, cells + nodes + 1))
         table[:, 1:cells + 1] = traj.distances.survival_array(
@@ -792,8 +820,8 @@ def _rebuild(traj: Trajectory, t: np.ndarray, nodes: int,
             if k.size and k[-1] < 0:  # k does not increase along the window
                 up = k >= 0
                 row[0] = w_lo @ G[:, 0] + w_hi[up] @ G[up, 1]
-            out[r] += row
-    return out
+            out[r - a] += row
+        yield out
 
 
 def _dead_prefix(z: np.ndarray, ez: np.ndarray, hi: np.ndarray, dx: float,
@@ -817,7 +845,7 @@ def reconstruct_K(traj: Trajectory, t: float, x) -> float:
 
     ``t`` between stored steps interpolates z linearly; a non-finite ``t``
     or ``x`` raises :class:`DomainError`.  Gridded runs use the kernel of
-    :meth:`Trajectory.profiles`: each x is a grid node plus a sub-cell
+    :meth:`Trajectory.profile_blocks`: each x is a grid node plus a sub-cell
     shift added to every entry's age, each entry takes the march's floor
     test once per distinct shift, and the entries logged after t or aged X
     or more are skipped.  A deterministic entry counts while its effective

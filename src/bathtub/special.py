@@ -139,12 +139,13 @@ def vickrey_equivalence_check(traj: Trajectory, B: float,
         raise ContractError("profile comparison needs a trajectory with a grid")
     ref = np.exp(-traj.x_grid / B)
     dev = 0.0
+    floor = 1e-9 * max(1.0, traj.lam.max())
     steps = traj.profile_steps(profile_samples, "profile_samples")
-    for j, row in zip(steps, traj.profiles(steps)):
-        lam = traj.lam[j]
-        if lam <= 1e-9 * max(1.0, traj.lam.max()):
-            continue
-        dev = max(dev, float(np.max(np.abs(row / lam - ref))))
+    for b, rows in traj.profile_blocks(steps):
+        lam = traj.lam[b]
+        live = lam > floor
+        row_dev = np.max(np.abs(rows[live] / lam[live, None] - ref), axis=1)
+        dev = max([dev, *row_dev.tolist()])
 
     lam_dev = float("nan")
     if influx is not None and fd is not None:

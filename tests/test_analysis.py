@@ -303,10 +303,15 @@ class TestAuditBlocks:
 
     @pytest.mark.parametrize("solve", [paper_char, paper_integral])
     def test_given_profiles_give_the_same_report(self, solve):
+        # one block of every row, or ksurface's 16-row blocks, of which
+        # the audit reads only its own steps
         traj = solve(2**-4)
         steps = traj.profile_steps(257)
+        own = analysis.audit(traj)
         pair = steps, traj.profiles(steps)
-        assert_same_report(analysis.audit(traj, profiles=pair), analysis.audit(traj))
+        assert_same_report(analysis.audit(traj, profiles=[pair]), own)
+        assert_same_report(analysis.audit(traj, profiles=traj.profile_blocks(steps)),
+                           own)
 
     @pytest.mark.parametrize("drop", [0, -1, 64])
     def test_profiles_missing_an_audited_step_are_rejected(self, drop):
@@ -314,7 +319,9 @@ class TestAuditBlocks:
         steps = traj.profile_steps(257)
         steps = np.delete(steps, drop)
         with pytest.raises(bt.DomainError, match="profiles"):
-            analysis.audit(traj, profiles=(steps, traj.profiles(steps)))
+            analysis.audit(traj, profiles=[(steps, traj.profiles(steps))])
+        with pytest.raises(bt.DomainError, match="profiles"):
+            analysis.audit(traj, profiles=traj.profile_blocks(steps))
 
     def test_audited_steps_are_among_ksurface_steps(self):
         # linspace(0, n - 1, 129)[i] is linspace(0, n - 1, 257)[2 i]: the

@@ -647,38 +647,53 @@ def golden_config(scheme, outputs):
 
 class TestOnePass:
     @pytest.mark.parametrize("scheme", ["characteristic", "integral"])
-    @pytest.mark.parametrize("outputs,builds", [
-        (",".join(cli._OUTPUTS), 1), ("ksurface", 1), ("audit", 1), ("series", 0)])
-    def test_one_profile_build_per_pass(self, scheme, outputs, builds, tmp_path,
-                                        monkeypatch):
-        calls = []
-        profiles = bt.Trajectory.profiles
+    @pytest.mark.parametrize("outputs,limit", [
+        (",".join(cli._OUTPUTS), 257), ("ksurface", 257), ("audit", 129), ("series", 0)])
+    def test_each_row_is_built_once_per_pass(self, scheme, outputs, limit, tmp_path,
+                                             monkeypatch):
+        # ksurface and the audit read one stream of row blocks: every row
+        # either needs is built once, and no array of all rows is collected
+        built, runs = [], []
+        produce = bt.Trajectory.profile_blocks
 
         def counted(traj, *args, **kwargs):
-            calls.append(args)
-            return profiles(traj, *args, **kwargs)
+            runs.append(traj)
+            for steps, rows in produce(traj, *args, **kwargs):
+                assert len(steps) == len(rows) <= 16
+                built.append(steps)
+                yield steps, rows
 
-        monkeypatch.setattr(bt.Trajectory, "profiles", counted)
+        def collected(*args, **kwargs):
+            raise AssertionError("cli.run collected every row at once")
+
+        monkeypatch.setattr(bt.Trajectory, "profile_blocks", counted)
+        monkeypatch.setattr(bt.Trajectory, "profiles", collected)
         cfg = cli.parse_config(golden_config(scheme, outputs))
         assert cli.run(cfg, output_dir=str(tmp_path)) == 0
-        assert len(calls) == builds
+        assert len(runs) == (limit > 0)
+        if limit:
+            expected = runs[0].profile_steps(limit)
+            assert_same_bits(np.concatenate(built), expected)
 
-    def test_peak_memory_holds_one_profiles_array(self, tmp_path):
-        # the pass's largest array is the batch of K rows: a second copy, or
-        # holding it through the travel times, lifts the peak past 1.25 of it
+    def test_peak_memory_holds_no_steps_by_cells_array(self, tmp_path):
+        # the rows of K stream through ksurface and the audit in blocks of
+        # 16: a quarter of the surface's bytes (steps x nodes x 8, sized
+        # from the written file) bounds the pass's peak, where an array of
+        # every row would take all of them
         text = with_section(PAPER_CONF, "outputs",
                             "outputs = " + ",".join(cli._OUTPUTS))
         cfg = cli.parse_config(text)
-        traj = cli.execute(cfg)
-        nbytes = traj.profiles(traj.profile_steps(257)).nbytes
-        del traj
         tracemalloc.start()
         try:
             assert cli.run(cfg, output_dir=str(tmp_path)) == 0
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 1.25 * nbytes
+        with open(tmp_path / "ksurface.csv", encoding="utf-8") as fh:
+            nodes = len(fh.readline().split(",")) - 1
+            steps = sum(1 for _ in fh)
+        assert (steps, nodes) == (1921, 321)
+        assert peak < 0.25 * steps * nodes * 8
 
     def test_too_fine_a_grid_is_one_error_line(self, tmp_path, capsys):
         # X/dx = 2e9 cells: an x grid alone would take 16 GB
@@ -726,6 +741,17 @@ class TestKsurfaceRows:
         rows = list(cli._ksurface_rows(np.array(t), K))
         assert all(len(row) == 1 for row in rows)
         assert [row[0] for row in rows] == ksurface_reference(t, K)
+
+    @pytest.mark.parametrize("split", [1, 5, 16])
+    def test_rows_split_over_calls_match(self, split):
+        # the writer formats one block at a time and carries the last row
+        # of a block into the next call
+        K = np.array(KSURFACE_CASES["an exact shift"] * 5)
+        t = np.arange(len(K)) / 3.0
+        prev = [[], np.empty(0, np.uint64)]
+        rows = [row[0] for a in range(0, len(K), split)
+                for row in cli._ksurface_rows(t[a:a + split], K[a:a + split], prev)]
+        assert rows == ksurface_reference(t.tolist(), K)
 
     def test_shifted_rows_with_changes_match(self):
         # rows built as the characteristic update builds them: the previous

@@ -253,6 +253,31 @@ def keyed_laws():
             "tabulated": table}
 
 
+CAPPED_MEAN_LAWS = {
+    "exponential": lambda: bt.ExponentialDistances(2.0),
+    "exponential_btilde": lambda: bt.ExponentialDistances(paper_btilde()),
+    "uniform": lambda: bt.UniformDistances(paper_btilde()),
+    "deterministic": lambda: bt.DeterministicDistances(paper_btilde()),
+    "tabulated": lambda: keyed_laws()["tabulated"],
+}
+
+
+class TestCappedMeanArray:
+    @pytest.mark.parametrize("name", sorted(CAPPED_MEAN_LAWS))
+    def test_matches_scalar_calls(self, name):
+        """One array call gives the bits of one scalar call per time, at
+        t = j * 1e-4, j = 0..20010, across and past every node of B~ (every
+        tenth of them for the table, whose scalar call is slow), with X
+        cutting each law's support: the audit reads the entered trip-miles
+        in one call."""
+        law, X = CAPPED_MEAN_LAWS[name](), 2.5
+        t = np.arange(20_011) * 1e-4
+        if name == "tabulated":
+            t = t[::10]
+        loop = np.asarray([float(law.mean_distance_capped(float(s), X)) for s in t])
+        assert_same_bits(law.mean_distance_capped(t, X), loop)
+
+
 # entry times on a node, between nodes, before the first and after the last
 entry_times = st.one_of(st.sampled_from(KEY_NODES),
                         st.floats(KEY_NODES[0], KEY_NODES[-1]),

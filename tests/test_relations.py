@@ -2,9 +2,12 @@
 
 Scaling the demand (L, the inflow and the initial trips) by a power of two
 c changes no clock, distance or speed, and scales every count by c exactly;
-splitting a pulse 1:1 over two commodities adds back to the one-commodity
-run; and under a constant inflow below capacity, Vickrey's march settles on
-the stationary state.  None of these needs a reference solution.
+measuring distance in a unit c times smaller (every length, L and the
+speeds times c, the jam density over c, the capacity kept) changes no
+clock or count and scales z and v by c exactly; splitting a pulse 1:1
+over two commodities adds back to the one-commodity run; and under a
+constant inflow below capacity, Vickrey's march settles on the
+stationary state.  None of these needs a reference solution.
 """
 
 import numpy as np
@@ -95,6 +98,44 @@ def test_demand_scale_is_exact_on_every_solver():
         for c in (2.0**-4, 2.0**4):
             _check_demand_scale(solver, c, (10000.0, 4000.0),
                                 bt.UniformDistances(paper_btilde()), "exponential")
+
+
+def _in_units(c, scheme, pulse, law, ic):
+    """A gridded run with distances in a unit 1/c: B~, X, dx, the z stop,
+    L, u and w times c, kappa over c, C and the inflow as they are."""
+    fd = bt.Trapezoidal(u=30.0 * c, C=750.0, w=10.0 * c, kappa=200.0 / c)
+    distances = {
+        "exponential": bt.ExponentialDistances(1.5 * c),
+        "uniform": bt.UniformDistances(bt.PiecewiseLinear(
+            [0.0, 0.4, 0.6, 1.0], [2.0 * c, 5.0 * c, 5.0 * c, 2.0 * c], extend="clamp")),
+        "deterministic": bt.DeterministicDistances(2.0 * c),
+        "tabulated": bt.TabulatedSurvival([0.0, 1.0 * c, 3.0 * c], [0.0, 1.0],
+                                          [[1.0, 0.5, 0.0], [1.0, 0.8, 0.0]]),
+    }[law]
+    ic = {"empty": bt.EmptyNetwork(),
+          "exponential": bt.ExponentialProfile(100.0, 1.0 * c),
+          "tabulated": bt.TabulatedProfile([0.0, 1.0 * c, 3.0 * c],
+                                           [400.0, 200.0, 0.0])}[ic]
+    grid = bt.GridSpec(dx=DX * c, X=4.0 * c, horizon=bt.MaxCumulativeDistance(3.0 * c),
+                       dt=DX / 32.0)
+    scen = bt.Scenario(L=PAPER_L * c, fd=fd, influx=bt.TrapezoidalPulse(*pulse, 1.0),
+                       distances=distances, grid=grid, ic=ic)
+    return (bt.solve_integral if scheme == "integral" else bt.solve_characteristic)(scen)
+
+
+@settings(max_examples=12, derandomize=True, deadline=None)
+@given(c=st.sampled_from([2.0, 0.5]),
+       scheme=st.sampled_from(["characteristic", "integral"]), pulse=_pulse,
+       law=st.sampled_from(["exponential", "uniform", "deterministic", "tabulated"]),
+       ic=_initial)
+def test_distance_unit_is_exact(c, scheme, pulse, law, ic):
+    base = _in_units(1.0, scheme, pulse, law, ic)
+    run = _in_units(c, scheme, pulse, law, ic)
+    assert run.termination is base.termination
+    for name in ("t", "lam", "F", "G", "g", "entry_mass"):
+        assert_same_bits(getattr(run, name), getattr(base, name))
+    for name in ("z", "v"):
+        assert_same_bits(getattr(run, name), c * getattr(base, name))
 
 
 @settings(max_examples=10, derandomize=True, deadline=None)
