@@ -266,7 +266,7 @@ def _config_from_raw(raw: Dict[str, object]) -> RunConfig:
     _, fd = _build(vals, "fd.variant", _FD)
     _, influx = _build(vals, "demand.influx.kind", _INFLUX)
     dist_kind, distances = _build(vals, "demand.distance.kind", _DISTANCES)
-    _, ic = _build(vals, "ic.kind", _IC, default="empty")
+    ic_kind, ic = _build(vals, "ic.kind", _IC, default="empty")
     model_kind = _kind(vals, "model.kind", _MODELS)
     scheme = _kind(vals, "model.scheme", _SCHEMES, default="characteristic")
     stop = _parse_stop(vals["grid.stop"])
@@ -278,6 +278,8 @@ def _config_from_raw(raw: Dict[str, object]) -> RunConfig:
     if model_distance not in (None, dist_kind):
         raise ConfigError(f"model.kind={model_kind} needs "
                           f"demand.distance.kind={model_distance}")
+    if model_kind in ("vickrey", "constant"):
+        _check_reduced(vals, model_kind, ic_kind, ic)
     outputs_raw = str(vals.get("outputs", "series"))
     outputs = tuple(s.strip() for s in outputs_raw.split(",") if s.strip())
     if not outputs:
@@ -296,6 +298,29 @@ def _config_from_raw(raw: Dict[str, object]) -> RunConfig:
                      dx=vals.get("grid.dx"), X=vals.get("grid.X"),
                      dt=vals.get("grid.dt"), dz=vals.get("grid.dz"),
                      outputs=outputs, output_dir=str(vals.get("output_dir", ".")))
+
+
+def _check_reduced(vals: Dict[str, object], model_kind: str, ic_kind: str,
+                   ic: demand_mod.InitialCondition):
+    """Reject, naming the key, what Vickrey's ODE and the constant-distance
+    recursion cannot solve.  Both take one constant mean distance,
+    ``demand.distance.B``, so B~ nodes beside it would go unread.  The
+    recursion starts from an empty network; the ODE starts empty or from an
+    exponential profile with the same mean."""
+    label = f"model.kind={model_kind}"
+    if "demand.distance.Btilde_nodes" in vals:
+        raise ConfigError(f"{label} takes the constant demand.distance.B; "
+                          "remove demand.distance.Btilde_nodes")
+    if ic.lambda0 == 0.0:
+        return
+    if model_kind == "constant" or ic_kind != "exponential":
+        start = "an empty" if model_kind == "constant" else "an empty or exponential"
+        raise ConfigError(f"{label} needs {start} start, got ic.kind={ic_kind} "
+                          f"with {ic.lambda0:g} initial trips")
+    B = vals["demand.distance.B"]
+    if ic.B != B:
+        raise ConfigError(f"{label} needs ic.B = demand.distance.B = {B:g}, "
+                          f"got ic.B = {ic.B:g}")
 
 
 def _parse_stop(text: str) -> Tuple[str, float]:

@@ -370,8 +370,6 @@ class InitialCondition:
 
 @dataclass(frozen=True)
 class EmptyNetwork(InitialCondition):
-    lambda0: float = 0.0
-
     def profile_array(self, x):
         return np.zeros_like(np.asarray(x, dtype=float))
 

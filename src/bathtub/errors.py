@@ -1,7 +1,8 @@
-"""Exception types shared across the package, and the bounds check that
-every model parameter goes through."""
+"""Exception types shared across the package, the bounds check that
+every model parameter goes through, and the check of every count."""
 
 import math
+import numbers
 
 
 class BathtubError(Exception):
@@ -48,6 +49,14 @@ def finite_non_negative(**values):
     """As :func:`finite_positive`, but zero is allowed."""
     _reject([k for k, v in values.items() if not 0 <= v < math.inf],
             "non-negative")
+
+
+def count_at_least_one(**values):
+    """Raise :class:`DomainError` naming the first value that is not an
+    integer of at least 1: a count of steps, samples or ranks."""
+    for name, v in values.items():
+        if not (isinstance(v, numbers.Integral) and v >= 1):
+            raise DomainError(f"{name} must be at least 1, an integer, got {v!r}")
 
 
 def _reject(bad, bound):

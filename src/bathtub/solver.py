@@ -32,7 +32,7 @@ import numpy as np
 from .demand import DistanceDistribution, EmptyNetwork, InfluxProfile, InitialCondition
 from .diagrams import FundamentalDiagram
 from .errors import (ContractError, DataError, DomainError, UndefinedStatisticsError,
-                     finite_positive)
+                     count_at_least_one, finite_positive)
 
 
 class Termination(Enum):
@@ -267,8 +267,7 @@ class Trajectory:
         ``limit`` that is not an integer of at least 1 raises
         :class:`DomainError` naming it as ``name``, the caller's argument,
         for every scheme."""
-        if not (isinstance(limit, (int, np.integer)) and limit >= 1):
-            raise DomainError(f"{name} must be at least 1, an integer, got {limit!r}")
+        count_at_least_one(**{name: limit})
         if self.scheme == "characteristic":
             return np.arange(self.n_steps)
         return _even_steps(self.n_steps, limit)
@@ -446,8 +445,8 @@ def solve_characteristic(s: Scenario) -> Trajectory:
 
     t, z, lam, v, termination = _march_z(s.fd, s.L, grid.dx, grid.horizon,
                                          grid.v_min, lam_checked(), step)
-    return _gridded("characteristic", s.L, s.influx, s.distances, s.ic, grid,
-                    t, z, lam, v, np.asarray(ent_m), termination)
+    return _gridded("characteristic", s.L, s, grid, t, z, lam, v, np.asarray(ent_m),
+                    termination)
 
 
 def _advance(K: np.ndarray, mass: float, t: float,
@@ -514,11 +513,10 @@ class _Commodity:
     its F series and :func:`_gridded` its truncated mass from the log.
     """
 
-    def __init__(self, influx, distances, ic, grid: GridSpec):
-        self.influx = influx
-        self.distances = distances
-        self.ic = ic
-        self.grid = grid
+    def __init__(self, demand, grid: GridSpec):
+        self.demand, self.grid = demand, grid
+        self.influx, self.distances = demand.influx, demand.distances
+        ic = demand.ic
         self.k0_nodes = ic.profile_array(grid.x_nodes()).astype(float)
         # the negation of _profile_capped_lin's ``inside`` test: beyond this
         # offset every initial trip has left (at once, for an empty start)
@@ -583,12 +581,6 @@ class _Commodity:
         self.z_now, self.lam_now, self.F = z, lam_new, F
         return g
 
-    def trajectory(self, scheme: str, L: float, t: np.ndarray,
-                   termination: Termination) -> Trajectory:
-        return _gridded(scheme, L, self.influx, self.distances, self.ic, self.grid,
-                        t, self.z.view().copy(), self.lam.view().copy(),
-                        self.v.view().copy(), self.mass.view().copy(), termination)
-
 
 class _Buf:
     """Append-only float buffer backed by a doubling numpy array."""
@@ -607,14 +599,19 @@ class _Buf:
         return self.a[:self.n]
 
 
-def _march_integral(grid: GridSpec, coms: Sequence[_Commodity], speed_of: Callable):
-    """Fixed-step marcher shared by the single-commodity, mobility-service
-    and multi-commodity solvers; it reads the dt, horizon and v_min of the
-    commodities' ``grid`` once.  ``speed_of(t, lam, f, g)`` returns the
-    per-commodity speeds, a list of floats, from the joint state, given
-    lists.  Returns the time series and the termination; each commodity
-    keeps its own series.
+def _solve_fixed_step(scheme: str, L: float, demands: Sequence, grid: GridSpec,
+                      speed_of: Callable) -> List[Trajectory]:
+    """The fixed-step run of the integral, mobility-service and
+    multi-commodity solvers, which differ only in ``speed_of``: one
+    :class:`_Commodity` per demand (anything with ``influx``, ``distances``
+    and ``ic``, such as a :class:`Scenario`), marched on the dt, horizon
+    and v_min of ``grid``, read once.  ``speed_of(t, lam, f, g)`` returns
+    the per-commodity speeds, a list of floats, from the joint state, given
+    lists.  Returns one trajectory per demand, labelled ``scheme``.
     """
+    if grid.dt is None:
+        raise DomainError(f"solve_{scheme} requires grid.dt")
+    coms = [_Commodity(d, grid) for d in demands]
     g = [0.0] * len(coms)
     n = 0  # steps taken
     t = 0.0
@@ -634,25 +631,28 @@ def _march_integral(grid: GridSpec, coms: Sequence[_Commodity], speed_of: Callab
         g = [c.step(t, dt, fm, vm) for c, fm, vm in zip(coms, f, v)]
         n += 1
         t = n * dt
-    return np.arange(n + 1) * dt, termination
+    t = np.arange(n + 1) * dt
+    return [_gridded(scheme, L, c.demand, grid, t, c.z.view().copy(),
+                     c.lam.view().copy(), c.v.view().copy(), c.mass.view().copy(),
+                     termination) for c in coms]
 
 
-def _gridded(scheme: str, L: float, influx: InfluxProfile,
-             distances: DistanceDistribution, ic: InitialCondition,
-             grid: GridSpec, t, z, lam, v, ent_m, termination) -> Trajectory:
-    """Trajectory of a run on ``grid`` that logged the masses ``ent_m`` at
-    the step starts ``t[:-1]``.  The mass capped at X is tallied here, for
-    every gridded scheme: the initial trips beyond X plus each logged mass
-    times its law's tail beyond X, summed in log order.  Enforces
+def _gridded(scheme: str, L: float, demand, grid: GridSpec,
+             t, z, lam, v, ent_m, termination) -> Trajectory:
+    """Trajectory of a run of ``demand`` (its ``influx``, ``distances`` and
+    ``ic``) on ``grid`` that logged the masses ``ent_m`` at the step starts
+    ``t[:-1]``.  The mass capped at X is tallied here, for every gridded
+    scheme: the initial trips beyond X plus each logged mass times its
+    law's tail beyond X, summed in log order.  Enforces
     ``grid.strict_truncation``."""
     # np.cumsum adds in log order, where np.dot and np.sum may reorder
     truncated = float(np.cumsum(np.concatenate((
-        [float(ic.tail_beyond(grid.X))],
-        ent_m * distances.tail_beyond(t[:-1], grid.X))))[-1])
+        [float(demand.ic.tail_beyond(grid.X))],
+        ent_m * demand.distances.tail_beyond(t[:-1], grid.X))))[-1])
     traj = Trajectory(scheme=scheme, L=L, t=t, z=z, lam=lam, v=v,
-                      f=influx.rate_array(t), entry_mass=ent_m,
-                      termination=termination, distances=distances, ic=ic,
-                      truncated_mass=truncated, x_grid=grid.x_nodes())
+                      f=demand.influx.rate_array(t), entry_mass=ent_m,
+                      termination=termination, distances=demand.distances,
+                      ic=demand.ic, truncated_mass=truncated, x_grid=grid.x_nodes())
     if grid.strict_truncation:
         total_in = lam[0] + traj.F[-1]
         if truncated > _TRUNCATION_TOLERANCE * max(total_in, 1.0):
@@ -685,12 +685,8 @@ def solve_integral(s: Scenario) -> Trajectory:
     signs on congested runs: the schemes share their limit as the grid is
     refined, not their values on any one grid.
     """
-    if s.grid.dt is None:
-        raise DomainError("solve_integral requires grid.dt")
-    com = _Commodity(s.influx, s.distances, s.ic, s.grid)
     speed_of = lambda t, lam, f, g: [float(s.fd.speed(lam[0] / s.L))]
-    t, termination = _march_integral(s.grid, [com], speed_of)
-    return com.trajectory("integral", s.L, t, termination)
+    return _solve_fixed_step("integral", s.L, [s], s.grid, speed_of)[0]
 
 
 def solve_mobility_service(s: Scenario, speed_relation,
@@ -703,8 +699,6 @@ def solve_mobility_service(s: Scenario, speed_relation,
     back, which reduces to :func:`solve_integral` when the relation ignores
     (f, g).  The out-flux enters the speed evaluation lagged one step.
     """
-    if s.grid.dt is None:
-        raise DomainError("solve_mobility_service requires grid.dt")
     if vehicle_density is not None and not callable(vehicle_density):
         raise ContractError("vehicle_density must be a callable of t")
 
@@ -714,9 +708,7 @@ def solve_mobility_service(s: Scenario, speed_relation,
             raise DomainError("vehicle density must be non-negative")
         return [float(speed_relation.speed(rho, lam[0], f[0], max(g[0], 0.0)))]
 
-    com = _Commodity(s.influx, s.distances, s.ic, s.grid)
-    t, termination = _march_integral(s.grid, [com], speed_of)
-    return com.trajectory("mobility_service", s.L, t, termination)
+    return _solve_fixed_step("mobility_service", s.L, [s], s.grid, speed_of)[0]
 
 
 @dataclass(frozen=True)
@@ -737,8 +729,6 @@ def solve_multi_commodity(L: float, commodities: Sequence[CommodityDemand],
     density this reproduces :func:`solve_integral` exactly.
     """
     finite_positive(L=L)
-    if grid.dt is None:
-        raise DomainError("solve_multi_commodity requires grid.dt")
     M = len(commodities)
     if M < 1:
         raise DomainError("at least one commodity is required")
@@ -746,14 +736,12 @@ def solve_multi_commodity(L: float, commodities: Sequence[CommodityDemand],
         raise DomainError("one speed relation per commodity is required")
     if M > 1 and not isinstance(grid.horizon, MaxTime):
         raise ContractError("multi-commodity runs require a MaxTime horizon")
-    coms = [_Commodity(c.influx, c.distances, c.ic, grid) for c in commodities]
 
     def speed_of(t, lam, f, g):
         lam, f = np.array(lam), np.array(f)
         return [float(rel(lam, f, np.maximum(g, 0.0))) for rel in speed_relations]
 
-    t, termination = _march_integral(grid, coms, speed_of)
-    return [c.trajectory("multi_commodity", L, t, termination) for c in coms]
+    return _solve_fixed_step("multi_commodity", L, commodities, grid, speed_of)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,8 @@ import numpy as np
 from .demand import (DeterministicDistances, EmptyNetwork, ExponentialDistances,
                      ExponentialProfile, InfluxProfile, InitialCondition)
 from .diagrams import FundamentalDiagram
-from .errors import ContractError, DomainError, finite_non_negative, finite_positive
+from .errors import (ContractError, DomainError, count_at_least_one, finite_non_negative,
+                     finite_positive)
 from .piecewise import as_profile
 from .solver import MaxTime, Termination, Trajectory, _Buf, _check_horizon, _march_z
 
@@ -133,8 +134,10 @@ def vickrey_equivalence_check(traj: Trajectory, B: float,
     x-grid, skipping the steps whose lam is at most 1e-9 * max(1, max lam)
     (near-empty networks, where K/lam is noise), and, when ``influx`` and
     ``fd`` are supplied, the maximum |lam - lam_vickrey| against a matched
-    scalar-ODE run interpolated onto the trajectory's times.
+    scalar-ODE run interpolated onto the trajectory's times.  ``B`` must be
+    finite and positive.
     """
+    finite_positive(B=B)
     if traj.x_grid is None:
         raise ContractError("profile comparison needs a trajectory with a grid")
     ref = np.exp(-traj.x_grid / B)
@@ -374,6 +377,7 @@ class TripFrame:
         return float(self._tau_of_z(target))
 
     def sample_ranks(self, n: int = 200) -> np.ndarray:
+        count_at_least_one(n=n)
         top = float(self.F[-1])
         return np.linspace(0.0, top, n, endpoint=False) + top / (2.0 * n)
 
@@ -434,6 +438,7 @@ def delay_formulation_check(traj: Trajectory, frame: TripFrame,
     distance covered over the trip duration Y(t) equals Btilde; only times
     whose trips complete within the horizon are sampled.
     """
+    count_at_least_one(samples=samples)
     B = frame.Btilde
     ok = frame.z + B <= frame.z[-1] + 1e-12
     if not np.any(ok):

@@ -567,6 +567,84 @@ class TestModelRows:
             cli.parse_config(text)
 
 
+REDUCED_ICS = {
+    "empty": "ic.kind = empty",
+    "exponential": "ic.kind = exponential\nic.lambda0 = 100\nic.B = 7",
+    "tabulated": "ic.kind = tabulated\nic.table = {table}",
+}
+REDUCED_MEANS = {
+    "B": "demand.distance.B = 2",
+    "nodes": "demand.distance.Btilde_nodes = 0:1.5, 0.5:2.5",
+    "both": "demand.distance.B = 2\ndemand.distance.Btilde_nodes = 0:1.5, 0.5:2.5",
+}
+
+
+def model_config(model, ic, mean, table):
+    """``MODEL_ROWS[model]`` on a small grid with the start ``ic`` and the
+    mean distance ``mean``."""
+    text = MODEL_ROWS[model][0]
+    for prefix, lines in (("grid.dx", "grid.dx = 0.125"), ("grid.X", "grid.X = 3"),
+                          ("grid.stop", "grid.stop = z:4"),
+                          ("demand.distance.B", REDUCED_MEANS[mean]),
+                          ("ic.", REDUCED_ICS[ic].format(table=table))):
+        text = with_section(text, prefix, lines)
+    return text
+
+
+def reduced_key(model, ic, mean):
+    """The key a config must name when Vickrey's ODE or the constant-distance
+    recursion cannot solve it, else None."""
+    if model not in ("vickrey", "constant"):
+        return None
+    if mean != "B":
+        return {"nodes": "demand.distance.B", "both": "demand.distance.Btilde_nodes"}[mean]
+    if ic == "tabulated" or (ic == "exponential" and model == "constant"):
+        return "ic.kind"
+    return "ic.B" if ic == "exponential" else None
+
+
+class TestReducedModelInputs:
+    """Vickrey's ODE reads only demand.distance.B and lambda(0), and the
+    constant-distance recursion starts empty: what they cannot solve fails
+    at parse time, naming its key, instead of running with wrong counts."""
+
+    @pytest.mark.parametrize("mean", sorted(REDUCED_MEANS))
+    @pytest.mark.parametrize("ic", sorted(REDUCED_ICS))
+    @pytest.mark.parametrize("model", sorted(MODEL_ROWS))
+    def test_runs_or_fails_with_one_named_error(self, model, ic, mean, tmp_path,
+                                                capsys):
+        table = tmp_path / "ic.csv"
+        table.write_text("x,count\n0,400\n0.5,250\n1.5,0\n")
+        conf = tmp_path / "run.conf"
+        conf.write_text(model_config(model, ic, mean, table))
+        code = cli.main(["run", str(conf), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        key = reduced_key(model, ic, mean)
+        if key is None:
+            assert code in (0, 2), err
+            return
+        assert code == 1
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert key in lines[0]
+
+    def test_vickrey_runs_from_an_exponential_start_of_the_same_mean(self, tmp_path):
+        text = with_section(model_config("vickrey", "exponential", "B", ""),
+                            "ic.B", "ic.B = 2")
+        cfg = cli.parse_config(text)
+        assert cli.run(cfg, output_dir=str(tmp_path)) == 0
+        # g(0) = lambda(0) v(0) / B
+        g0 = float(read_csv(tmp_path / "series.csv")[0]["g"])
+        assert g0 == pytest.approx(100.0 * float(cfg.fd.speed(10.0)) / 2.0)
+
+    @pytest.mark.parametrize("model", ["vickrey", "constant"])
+    def test_empty_start_of_any_kind_is_accepted(self, model, tmp_path):
+        text = with_section(model_config(model, "exponential", "B", ""),
+                            "ic.lambda0", "ic.lambda0 = 0")
+        assert cli.run(cli.parse_config(text), output_dir=str(tmp_path)) == 0
+
+
 # A config that reads each numeric key, with the key's line last.
 NUMERIC_USES = {
     "network.L": MINIMAL_CONF,

@@ -760,6 +760,35 @@ class TestTruncatedMass:
                        bt.EmptyNetwork(), strict=True)
 
 
+INITIAL_CONDITIONS = {
+    "empty": bt.EmptyNetwork(),
+    "exponential": bt.ExponentialProfile(300.0, 1.0),
+    "tabulated": bt.TabulatedProfile([0.0, 0.5, 1.5], [400.0, 250.0, 0.0]),
+}
+
+
+class TestInitialCount:
+    """lambda(0) is K(0, 0): an initial condition has no count of its own."""
+
+    def test_empty_network_takes_no_count(self):
+        with pytest.raises(TypeError):
+            bt.EmptyNetwork(lambda0=5.0)
+        assert dataclasses.fields(bt.EmptyNetwork) == ()
+        assert bt.EmptyNetwork().lambda0 == 0.0
+
+    @pytest.mark.parametrize("ic", sorted(INITIAL_CONDITIONS))
+    @pytest.mark.parametrize("solver", GRIDDED + ["deterministic"])
+    def test_first_count_is_the_profile_at_zero(self, solver, ic):
+        ic = INITIAL_CONDITIONS[ic]
+        if solver == "deterministic":
+            traj = bt.solve_deterministic(bt.DeterministicConfig(
+                L=PAPER_L, fd=PAPER_FD, btilde=2.0, influx=paper_pulse(),
+                dz=2**-4, horizon=bt.MaxCumulativeDistance(1.0), ic=ic))
+        else:
+            traj = truncation_run(solver, bt.UniformDistances(1.0), ic)
+        assert_same_bits(traj.lam[0], ic.profile(0.0))
+
+
 class TestOutflux:
     def test_empty_run_has_zero_outflux(self):
         traj = bt.solve_characteristic(empty_scenario(bt.MaxTime(0.5)))

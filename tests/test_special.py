@@ -5,8 +5,8 @@ import pytest
 
 import bathtub as bt
 from bathtub.special import _BLOCK
-from helpers import (PAPER_FD, PAPER_L, assert_same_run, paper_btilde, paper_pulse,
-                     reference_constant_distance, reference_deterministic,
+from helpers import (PAPER_FD, PAPER_L, assert_same_run, paper_btilde, paper_char,
+                     paper_pulse, reference_constant_distance, reference_deterministic,
                      reference_vickrey, stationary_exponential_scenario)
 
 GS = bt.Greenshields(30.0, 200.0)
@@ -100,6 +100,13 @@ class TestEquivalenceCheck:
                                            influx=bt.ConstantInflux(3000.0),
                                            fd=PAPER_FD, dt=1e-5)
         assert res.max_lambda_deviation < 3.0 * (2**-5 + 2**-5 / 30.0) * 100.0
+
+    @pytest.mark.parametrize("B", [0.0, math.nan, -1.0, math.inf])
+    def test_mean_must_be_finite_and_positive(self, B):
+        # each used to report a deviation: 0.0, perfect agreement, at B = 0
+        # and NaN, 148.4 at B = -1 and 1.0 at B = inf
+        with pytest.raises(bt.DomainError, match=r"^B must be finite and positive"):
+            bt.vickrey_equivalence_check(paper_char(2**-3), B)
 
 
 def _vickrey(influx=None, dt=2e-4, horizon=None, lambda0=0.0):
@@ -512,6 +519,16 @@ class TestTripFrame:
         assert frame.entry_travel_time(0.0) == pytest.approx(2.0 / 30.0, abs=1e-9)
         assert math.isfinite(frame.exit_travel_time(end))
         assert frame.position(end, 1.0) < 0.0  # trip 1 finished long before
+
+    @pytest.mark.parametrize("n", [0, -1, 2.5])
+    def test_sample_count_must_be_at_least_one(self, run, n):
+        # n = 0 divided by zero, -1 raised numpy's ValueError, 2.5 a TypeError
+        traj, frame = run
+        with pytest.raises(bt.DomainError, match=r"^n must be at least 1, an integer"):
+            frame.sample_ranks(n)
+        with pytest.raises(bt.DomainError,
+                           match=r"^samples must be at least 1, an integer"):
+            bt.delay_formulation_check(traj, frame, samples=n)  # 0 checked nothing
 
     def test_delay_check_restricts_to_pre_gridlock_times(self):
         cfg = bt.DeterministicConfig(L=10.0, fd=PAPER_FD, btilde=2.0,
