@@ -299,29 +299,36 @@ class TabulatedSurvival(DistanceDistribution):
         self.values = np.maximum(v, 0.0)
         self.time_dependent = t.size > 1
 
-    def _row(self, t):
-        t = np.asarray(t, dtype=float)
+    def _columns(self, t):
+        """``at(c)``: the table interpolated in t at times ``t``, read at
+        the columns ``c`` (broadcast against ``t``) and nowhere else."""
+        v = self.values
         if self.t_grid.size == 1:
-            return np.broadcast_to(self.values[0], t.shape + (self.x_grid.size,))
+            return lambda c: v[0, c]
         i = np.clip(np.searchsorted(self.t_grid, t, side="right") - 1, 0,
                     self.t_grid.size - 2)
         w = np.clip((t - self.t_grid[i]) / (self.t_grid[i + 1] - self.t_grid[i]),
                     0.0, 1.0)
-        return (1.0 - w)[..., None] * self.values[i] + w[..., None] * self.values[i + 1]
+        return lambda c: (1.0 - w) * v[i, c] + w * v[i + 1, c]
+
+    def _row(self, t):
+        t = np.asarray(t, dtype=float)
+        return self._columns(t[..., None])(np.arange(self.x_grid.size))
 
     def survival_array(self, t, x):
+        """Bilinear in (t, x); only the two columns that bracket each x, and
+        the last one, are interpolated in t, so the temporaries hold one
+        value per (t, x) pair, not a table row."""
         t = np.asarray(t, dtype=float)
         x = np.asarray(x, dtype=float)
         t, x = np.broadcast_arrays(t, x)
-        rows = self._row(t)
+        at = self._columns(t)
         xg = self.x_grid
         j = np.clip(np.searchsorted(xg, x, side="right") - 1, 0, xg.size - 2)
         w = (x - xg[j]) / (xg[j + 1] - xg[j])
         w = np.clip(w, 0.0, None)
-        lo = np.take_along_axis(rows, j[..., None], axis=-1)[..., 0]
-        hi = np.take_along_axis(rows, (j + 1)[..., None], axis=-1)[..., 0]
-        out = (1.0 - w) * lo + w * hi
-        return np.where(x >= xg[-1], rows[..., -1], out)
+        out = (1.0 - w) * at(j) + w * at(j + 1)
+        return np.where(x >= xg[-1], at(xg.size - 1), out)
 
     def mean_distance(self, t):
         row = self._row(np.asarray(t, dtype=float))

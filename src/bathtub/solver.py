@@ -768,10 +768,14 @@ def _rebuild_blocks(traj: Trajectory, t: np.ndarray, nodes: int,
     puts its pair with node n in cell n + k, at the same fraction theta of
     the cell for every n.  The entries logged before t that have not aged X
     (k <= cells - 1) are the row's live window, found for all rows at once.
-    Each chunk of rows shares a table of the node survivals S(t_i, c dx),
-    c = 0, ..., cells - 1, with one zero column on the left (c = -1) and
-    zeros from c = cells on, so an entry's reads for n = 0, ..., nodes are
-    one slice of its table row, G[i, n] = S_{n+k}, with no clip.  The row
+    One table of the node survivals S(t_i, c dx), c = 0, ..., cells - 1,
+    with one zero column on the left (c = -1) and zeros from c = cells on,
+    serves every chunk, so an entry's reads for n = 0, ..., nodes are one
+    slice of its table row, G[i, n] = S_{n+k}, with no clip.  The table is
+    a ring of as many rows as the widest chunk window: entry i lives in row
+    i % cap, filled ``_CHUNK`` entries at a time when a chunk first needs
+    it, so ascending times evaluate each entry's row once; a chunk whose
+    window starts before the entries held refills.  The row
     is then two matrix-vector products,
     (m (1 - theta)) @ G[:, :-1] + (m theta) @ G[:, 1:].  Between the steps
     of a characteristic run the newest entries' ages can lie in (-dx, 0),
@@ -787,28 +791,37 @@ def _rebuild_blocks(traj: Trajectory, t: np.ndarray, nodes: int,
     lo = _dead_prefix(z, ez, hi, dx, cells, shift)
     k0 = traj.ic.profile_array(traj.x_grid).astype(float)
     offsets = np.arange(nodes) * dx + shift
-    for a in range(0, t.size, _CHUNK):
-        rows = range(a, min(a + _CHUNK, t.size))
+    chunks = [range(a, min(a + _CHUNK, t.size)) for a in range(0, t.size, _CHUNK)]
+    windows = [(lo[rows].min(), hi[rows].max()) for rows in chunks]
+    cap = max([1] + [top - base for base, top in windows])
+    table = np.zeros((cap, cells + nodes + 1))
+    slices = np.lib.stride_tricks.sliding_window_view(table, nodes + 1, axis=1)
+    held = filled = 0  # the ring holds entries held, ..., filled - 1
+    for rows, (base, top) in zip(chunks, windows):
+        if not held <= base <= filled:
+            held = filled = base
+        for i in range(filled, top, _CHUNK):
+            e = np.arange(i, min(i + _CHUNK, top))
+            table[e % cap, 1:cells + 1] = traj.distances.survival_array(
+                et[e, None], np.arange(cells) * dx)
+        filled = max(filled, top)
+        held = max(held, filled - cap)
         if k0.any():
-            out = _profile_capped_lin(k0, offsets + z[a:a + _CHUNK, None], dx)
+            out = _profile_capped_lin(k0, offsets + z[rows, None], dx)
         else:
             out = np.zeros((len(rows), nodes))
-        base, top = lo[rows].min(), hi[rows].max()
-        table = np.zeros((top - base, cells + nodes + 1))
-        table[:, 1:cells + 1] = traj.distances.survival_array(
-            et[base:top, None], np.arange(cells) * dx)
-        slices = np.lib.stride_tricks.sliding_window_view(table, nodes + 1, axis=1)
         for r in rows:
             k, th = _cell(z[r] - ez[lo[r]:hi[r]] + shift, dx)
             k = k.astype(np.intp)
-            G = slices[np.arange(lo[r] - base, hi[r] - base), k + 1]
+            G = slices[np.arange(lo[r], hi[r]) % cap, k + 1]
             m = em[lo[r]:hi[r]]
             w_lo, w_hi = m * (1.0 - th), m * th
             row = w_lo @ G[:, :-1] + w_hi @ G[:, 1:]
             if k.size and k[-1] < 0:  # k does not increase along the window
                 up = k >= 0
                 row[0] = w_lo @ G[:, 0] + w_hi[up] @ G[up, 1]
-            out[r - a] += row
+            del G
+            out[r - rows.start] += row
         yield out
 
 

@@ -71,6 +71,78 @@ def survival_capped_lin(dist, t_arr, y_arr, dx, cells):
     return np.where(lo_ok, (1.0 - th) * slo + th * shi, 0.0)
 
 
+def tabulated_survival_reference(table, t, x):
+    """``TabulatedSurvival.survival_array`` by its first formula, a bitwise
+    reference: a whole table row interpolated in t for every (t, x) pair,
+    then its two bracketing columns (or the last) read off that row."""
+    t, x = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(x, dtype=float))
+    v, tg, xg = table.values, table.t_grid, table.x_grid
+    if tg.size == 1:
+        rows = np.broadcast_to(v[0], t.shape + (xg.size,))
+    else:
+        i = np.clip(np.searchsorted(tg, t, side="right") - 1, 0, tg.size - 2)
+        w = np.clip((t - tg[i]) / (tg[i + 1] - tg[i]), 0.0, 1.0)
+        rows = (1.0 - w)[..., None] * v[i] + w[..., None] * v[i + 1]
+    j = np.clip(np.searchsorted(xg, x, side="right") - 1, 0, xg.size - 2)
+    w = np.clip((x - xg[j]) / (xg[j + 1] - xg[j]), 0.0, None)
+    lo = np.take_along_axis(rows, j[..., None], axis=-1)[..., 0]
+    hi = np.take_along_axis(rows, (j + 1)[..., None], axis=-1)[..., 0]
+    return np.where(x >= xg[-1], rows[..., -1], (1.0 - w) * lo + w * hi)
+
+
+def reference_rows(traj, t, nodes, shift=0.0):
+    """K of a gridded run at times ``t`` (any order, one row each) on the
+    offsets n dx + ``shift``, n < ``nodes``, each row built alone: a
+    bitwise reference for ``solver._rebuild_blocks``.
+
+    A row's live window is every entry logged before t whose age plus
+    ``shift`` has not aged X (found by a mask, not a bisection); its table
+    holds only that window's node survivals, with the kernel's zero column
+    on the left and zeros from X on, and the row is the kernel's gather and
+    two matrix-vector products, with its fix-up for the pairs in cell -1.
+    """
+    dx, cells = float(traj.x_grid[1]), traj.x_grid.size - 1
+    et, ez, em = traj.entry_t, traj.entry_z, traj.entry_mass
+    k0 = traj.ic.profile_array(traj.x_grid).astype(float)
+    offsets = np.arange(nodes) * dx + shift
+    out = []
+    for tr in np.asarray(t, dtype=float).tolist():
+        z = np.interp(tr, traj.t, traj.z)
+        before = np.flatnonzero(et < tr - 1e-12)
+        live = before[(z - ez[before] + shift) / dx + 1e-9 < cells]
+        th = (z - ez[live] + shift) / dx
+        k = np.floor(th + 1e-9)
+        th = np.maximum(th - k, 0.0)
+        k = k.astype(np.intp)
+        table = np.zeros((live.size, cells + nodes + 1))
+        table[:, 1:cells + 1] = traj.distances.survival_array(
+            et[live, None], np.arange(cells) * dx)
+        slices = np.lib.stride_tricks.sliding_window_view(table, nodes + 1, axis=1)
+        G = slices[np.arange(live.size), k + 1]
+        w_lo, w_hi = em[live] * (1.0 - th), em[live] * th
+        row = w_lo @ G[:, :-1] + w_hi @ G[:, 1:]
+        if k.size and k[-1] < 0:
+            up = k >= 0
+            row[0] = w_lo @ G[:, 0] + w_hi[up] @ G[up, 1]
+        ic = (_profile_capped_lin(k0, offsets + z, dx) if k0.any()
+              else np.zeros(nodes))
+        out.append(ic + row)
+    return np.array(out).reshape(-1, nodes)
+
+
+def ring_windows(traj, t, rows=16):
+    """The part [base, top) of the entry log that each ``rows``-row chunk
+    of the times ``t`` reads when its K rows are rebuilt: top is the most
+    entries logged before one of its times, base the fewest of them that
+    have aged X (each counted by a mask)."""
+    dx, cells = float(traj.x_grid[1]), traj.x_grid.size - 1
+    z = np.interp(t, traj.t, traj.z)
+    hi = [int(np.sum(traj.entry_t < tr - 1e-12)) for tr in np.asarray(t).tolist()]
+    lo = [int(np.sum((zr - traj.entry_z[:h]) / dx + 1e-9 >= cells))
+          for zr, h in zip(z.tolist(), hi)]
+    return [(min(lo[a:a + rows]), max(hi[a:a + rows])) for a in range(0, len(hi), rows)]
+
+
 def reference_march(demands, grid, speed_of):
     """The fixed-step march written out plainly, a bitwise reference for
     ``solve_integral``, ``solve_mobility_service`` and

@@ -8,7 +8,7 @@ import pytest
 
 import bathtub as bt
 from bathtub import analysis, cli
-from helpers import assert_same_bits
+from helpers import assert_same_bits, ring_windows
 
 PAPER_CONF = """\
 network.L = 10
@@ -773,6 +773,30 @@ class TestOnePass:
         assert (steps, nodes) == (1921, 321)
         assert peak < 0.25 * steps * nodes * 8
 
+    def test_integral_peak_memory_is_one_survival_ring(self, tmp_path):
+        # an integral run rebuilds its rows from one ring of node survivals,
+        # as tall as the widest 16-row window of the entry log: twice the
+        # ring's bytes, cap x (cells + nodes + 1) x 8, bound the pass's peak,
+        # where a table per chunk (with the last one and its gathers still
+        # alive) took about 3.5 times them
+        text = with_section(PAPER_CONF, "grid.dx", "grid.dx = 0.03125\n"
+                            f"grid.dt = {2.0**-5 / 30.0!r}\nmodel.scheme = integral")
+        cfg = cli.parse_config(with_section(text, "outputs",
+                                            "outputs = " + ",".join(cli._OUTPUTS)))
+        traj = cli.execute(cfg)
+        cap = max(top - base for base, top in
+                  ring_windows(traj, traj.t[traj.profile_steps(257)]))
+        cells = traj.x_grid.size - 1
+        ring = cap * (cells + (cells + 1) + 1) * 8
+        tracemalloc.start()
+        try:
+            assert cli.run(cfg, output_dir=str(tmp_path)) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (cap, cells) == (783, 160)
+        assert peak < 2 * ring
+
     def test_too_fine_a_grid_is_one_error_line(self, tmp_path, capsys):
         # X/dx = 2e9 cells: an x grid alone would take 16 GB
         conf = tmp_path / "fine.conf"
@@ -782,6 +806,32 @@ class TestOnePass:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
         assert "dx" in err[0] and "X" in err[0]
+
+
+@pytest.mark.parametrize("scheme", ["characteristic", "integral"])
+def test_doubled_demand_doubles_the_series_counts(scheme, tmp_path):
+    # L and the inflow times 2 (an empty start): no clock, distance or speed
+    # moves, and every count doubles exactly, as the solvers' relation
+    # tests find; the CSV cells read back to the same floats
+    text = with_section(PAPER_CONF, "outputs", "outputs = series")
+    text = with_section(text, "grid.dx", "grid.dx = 0.03125\n"
+                        f"grid.dt = {2.0**-5 / 30.0!r}\nmodel.scheme = {scheme}")
+    doubled = text
+    for key, value in [("network.L", "20"), ("demand.influx.ramp", "20000"),
+                       ("demand.influx.plateau", "8000")]:
+        doubled = with_section(doubled, key, f"{key} = {value}")
+    series = {}
+    for name, conf in [("one", text), ("two", doubled)]:
+        assert cli.run(cli.parse_config(conf), output_dir=str(tmp_path / name)) == 0
+        rows = read_csv(tmp_path / name / "series.csv")
+        series[name] = {k: np.array([float(r[k]) for r in rows]) for k in rows[0]}
+    one, two = series["one"], series["two"]
+    assert sorted(one) == sorted(["t", "z", "lambda", "v", "f", "F", "g", "G"])
+    for key in ("t", "z", "v"):
+        assert_same_bits(two[key], one[key])
+    for key in ("lambda", "f", "F", "g", "G"):
+        assert_same_bits(two[key], 2.0 * one[key])
+    assert one["lambda"].max() > 1000.0
 
 
 def ksurface_reference(t, K):

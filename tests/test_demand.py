@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bathtub as bt
-from helpers import assert_same_bits, paper_btilde, paper_pulse, riemann_integral
+from helpers import (assert_same_bits, paper_btilde, paper_pulse, riemann_integral,
+                     tabulated_survival_reference)
 
 
 class TestInflux:
@@ -236,6 +238,45 @@ class TestTabulatedSurvival:
         assert got.shape == (3,)
         np.testing.assert_allclose(got, [1.0, 1.15, 1.3], rtol=0.0, atol=1e-12)
 
+
+    @pytest.mark.parametrize("times", [1, 2, 5])
+    def test_survival_keeps_the_bits_of_whole_row_interpolation(self, times):
+        # only the columns that bracket each x are interpolated in t, with
+        # the arithmetic of the whole interpolated row the survival used to
+        # read them from: below, between and beyond the time rows, at the
+        # nodes, between them and past the last one
+        rng = np.random.default_rng(times)
+        x = np.concatenate(([0.0], np.sort(rng.uniform(0.0, 4.0, 6))))
+        vals = np.sort(rng.uniform(0.0, 1.0, (times, x.size)), axis=1)[:, ::-1]
+        vals[:, 0] = 1.0
+        t_grid = np.sort(rng.uniform(0.2, 2.0, times))
+        d = bt.TabulatedSurvival(x, t_grid, vals)
+        t = np.concatenate(([0.0], t_grid, rng.uniform(0.0, 3.0, 20)))[:, None]
+        xs = np.concatenate((x, rng.uniform(0.0, 6.0, 30)))[None, :]
+        assert_same_bits(d.survival_array(t, xs), tabulated_survival_reference(d, t, xs))
+        assert_same_bits(d.survival_array(0.7, xs[0]),
+                         tabulated_survival_reference(d, 0.7, xs[0]))
+        assert_same_bits(d.survival_array(t[:, 0], 1.1),
+                         tabulated_survival_reference(d, t[:, 0], 1.1))
+
+    def test_survival_holds_no_table_row_per_pair(self):
+        # 41 x nodes: a whole interpolated row per (t, x) pair took about
+        # 125 times the bytes of the result; two columns take about 9
+        x = np.linspace(0.0, 10.0, 41)
+        B = np.array([2.0, 3.875, 5.0, 3.875, 2.0])[:, None]  # uniform laws
+        d = bt.TabulatedSurvival(x, np.linspace(0.0, 1.0, 5),
+                                 np.maximum(0.0, 1.0 - x / (2.0 * B)))
+        t = np.linspace(0.0, 1.2, 200)[:, None]
+        xs = np.arange(160) * 2.0**-5
+        d.survival_array(t[:2], xs)  # numpy's first-call allocations
+        tracemalloc.start()
+        try:
+            out = d.survival_array(t, xs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (200, 160)
+        assert peak < 16 * out.nbytes
 
 KEY_NODES = [0.2, 0.45, 0.7, 1.3]
 

@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 
 import bathtub as bt
 from bathtub.solver import (_CAP, _CHUNK, _MAX_CELLS, _aged_out, _cell,
-                            _profile_capped_lin, _window_survival)
+                            _profile_capped_lin, _rebuild, _window_survival)
 from helpers import (PAPER_FD, PAPER_L, assert_same_bits, paper_btilde, paper_char,
                      paper_integral, paper_pulse, paper_scenario,
-                     reference_march, solve_fixed_step, survival_capped_lin)
+                     reference_march, reference_rows, ring_windows,
+                     solve_fixed_step, survival_capped_lin)
 
 
 def empty_scenario(horizon, dx=2**-5, dt=None):
@@ -649,6 +650,29 @@ class TestProfiles:
         assert all(np.array_equal(st.K, row) for st, row in zip(states, rows))
         assert np.array_equal(traj.state(7).K, rows[7])
 
+    def test_each_entry_survival_row_is_evaluated_once(self, monkeypatch):
+        # the rebuilt chunks share one ring of node survivals, filled at most
+        # _CHUNK entries per call: each entry in a chunk's window is asked
+        # once, where a table per chunk asked 6,972 rows for these 1,605
+        traj = paper_integral(2**-5)
+        steps = traj.profile_steps(257)
+        windows = ring_windows(traj, traj.t[steps])
+        law, asked = type(traj.distances), []
+        survival_array = law.survival_array
+
+        def counted(self, t, x):
+            asked.append(np.broadcast_shapes(np.shape(t), np.shape(x)))
+            return survival_array(self, t, x)
+
+        monkeypatch.setattr(law, "survival_array", counted)
+        for _ in traj.profile_blocks(steps):
+            pass
+        distinct = set().union(*(range(base, top) for base, top in windows))
+        assert len(distinct) == 1605
+        assert sum(rows for rows, _ in asked) == len(distinct)
+        assert all(rows <= _CHUNK and cells == traj.x_grid.size - 1
+                   for rows, cells in asked)
+
     @pytest.mark.parametrize("t, x", [(math.nan, 0.0), (None, math.nan),
                                       (None, math.inf), (math.inf, 0.0)])
     def test_non_finite_query_rejected(self, t, x):
@@ -658,6 +682,63 @@ class TestProfiles:
             bt.reconstruct_K(traj, t, x)
         with pytest.raises(bt.DomainError):
             bt.reconstruct_K(traj, t, np.array([0.0, x]))
+
+
+REFERENCE_LAWS = {
+    "exponential": bt.ExponentialDistances(paper_btilde()),
+    "uniform": bt.UniformDistances(paper_btilde()),
+    "deterministic": bt.DeterministicDistances(1.5),
+    "tabulated": bt.TabulatedSurvival([0.0, 0.5, 1.0, 2.0, 3.0], [0.2, 0.7],
+                                      [[1.0, 0.8, 0.5, 0.2, 0.0],
+                                       [1.0, 0.9, 0.7, 0.3, 0.0]])}
+REFERENCE_STARTS = {
+    "empty": bt.EmptyNetwork(),
+    "exponential": bt.ExponentialProfile(80.0, 1.0),
+    "tabulated": bt.TabulatedProfile([0.0, 1.0, 3.0], [300.0, 150.0, 0.0])}
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(solver=st.sampled_from(["integral", "mobility_service"]),
+       ramp=st.floats(500.0, 20000.0), plateau=st.floats(100.0, 4000.0),
+       law=st.sampled_from(sorted(REFERENCE_LAWS)),
+       start=st.sampled_from(sorted(REFERENCE_STARTS)),
+       steps=st.lists(st.integers(0, 10**6), min_size=1, max_size=40),
+       nodes=st.one_of(st.none(), st.integers(1, 17)),
+       when=st.floats(0.0, 1.0), xs=st.lists(st.floats(0.0, 2.5), min_size=1, max_size=4))
+def test_rebuilt_rows_equal_rows_built_alone(solver, ramp, plateau, law, start,
+                                             steps, nodes, when, xs):
+    """``profiles`` (steps in any order, with repeats), ``states``,
+    ``reconstruct_K`` at any x and the kernel itself on unordered times
+    (where a chunk may start before the entries its ring holds) share one
+    survival ring across their rows; each row must have the bytes of that
+    row rebuilt alone from a table of its own live window."""
+    grid = bt.GridSpec(dx=2**-3, X=2.0, horizon=bt.MaxCumulativeDistance(6.0),
+                       dt=2**-3 / 30.0)
+    traj = solve_fixed_step(solver, bt.Scenario(
+        L=PAPER_L, fd=PAPER_FD, influx=bt.TrapezoidalPulse(ramp, plateau, 1.0),
+        distances=REFERENCE_LAWS[law], grid=grid, ic=REFERENCE_STARTS[start]))
+    steps = np.array(steps) % traj.n_steps
+    width = traj.x_grid[:nodes].size
+    assert_same_bits(traj.profiles(steps, nodes), reference_rows(traj, traj.t[steps], width))
+    shift = when * traj.x_grid[1]
+    assert_same_bits(_rebuild(traj, traj.t[steps], width, shift),
+                     reference_rows(traj, traj.t[steps], width, shift))
+    # chunks of one time each, in a shuffled order: narrow windows that wrap
+    # the ring, and chunks that start before the entries it holds
+    picks = np.random.default_rng(len(steps)).permutation(traj.n_steps)[:12]
+    t_shuffled = np.repeat(traj.t[picks], _CHUNK)
+    assert_same_bits(_rebuild(traj, t_shuffled, width, shift),
+                     reference_rows(traj, t_shuffled, width, shift))
+    states = list(traj.states(steps))
+    assert [state.t for state in states] == traj.t[np.unique(steps)].tolist()
+    assert_same_bits(np.array([state.K for state in states]),
+                     reference_rows(traj, traj.t[np.unique(steps)], traj.x_grid.size))
+    dx, cells = float(traj.x_grid[1]), traj.x_grid.size - 1
+    t = when * float(traj.t[-1])  # between steps, as a rule
+    for x in xs:
+        n = int(np.floor(x / dx + 1e-9))
+        want = reference_rows(traj, [t], n + 1, x - n * dx)[0, n] if n <= cells else 0.0
+        assert_same_bits(np.float64(bt.reconstruct_K(traj, t, x)), np.float64(want))
 
 
 class NaNRate(bt.InfluxProfile):
