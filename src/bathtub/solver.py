@@ -22,6 +22,7 @@ schemes and :func:`reconstruct_K` mutually consistent at first order.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -240,11 +241,11 @@ class Trajectory:
         except IndexError:
             raise DomainError(f"steps must index the {self.n_steps} steps, "
                               f"got {steps!r}") from None
-        blocks = [steps[a:a + _CHUNK] for a in range(0, steps.size, _CHUNK)]
         if self.scheme == "characteristic":
+            blocks = [steps[a:a + _CHUNK] for a in range(0, steps.size, _CHUNK)]
             return _replay(self, blocks, nodes)
-        width = self.x_grid[:nodes].size
-        return zip(blocks, _rebuild_blocks(self, self.t[steps], width))
+        rebuilt = _rebuild_blocks(self, self.t[steps], self.x_grid[:nodes].size)
+        return ((steps[rows], block) for rows, block in rebuilt)
 
     def profiles(self, steps, nodes: Optional[int] = None) -> np.ndarray:
         """Rows of K at ``steps`` (any order, repeats allowed) on the first
@@ -375,11 +376,13 @@ def _march_z(fd: FundamentalDiagram, L: float, dz: float, horizon, v_min: float,
     that overflows to inf raises :class:`DomainError` there.  One
     entry is logged per step taken, at its start, so the entry times are
     ``t[:-1]``.  Returns the t, z, lambda and v series (v holds the speed
-    at the final state too) and the termination.
+    at the final state too) and the termination.  The series grow as
+    packed doubles (``array("d")``, 8 bytes a value where a list of floats
+    takes 32) and are returned as zero-copy numpy views of them.
     """
-    t_list = [0.0]
-    lam_list = [lam0]
-    v_list: List[float] = []
+    t_list = array("d", [0.0])
+    lam_list = array("d", [lam0])
+    v_list = array("d")
     t = 0.0
     lam = lam0
     j = 0
@@ -429,7 +432,7 @@ def solve_characteristic(s: Scenario) -> Trajectory:
     grid = s.grid
     x_nodes = grid.x_nodes()
     K = s.ic.profile_array(x_nodes).astype(float)
-    ent_m: List[float] = []
+    ent_m = array("d")
 
     def lam_checked() -> float:
         if not K.min() >= 0:  # NaN fails too
@@ -755,13 +758,15 @@ def _rebuild(traj: Trajectory, t: np.ndarray, nodes: int,
              shift: float = 0.0) -> np.ndarray:
     """The blocks of :func:`_rebuild_blocks` as one array, a row per t."""
     blocks = _rebuild_blocks(traj, t, nodes, shift)
-    return np.concatenate([np.empty((0, nodes)), *blocks])
+    return np.concatenate([np.empty((0, nodes)), *(block for _, block in blocks)])
 
 
 def _rebuild_blocks(traj: Trajectory, t: np.ndarray, nodes: int,
                     shift: float = 0.0):
     """Yield K of a gridded run at times ``t`` (one row each), ``_CHUNK``
-    rows at a time, at offsets x = n dx + ``shift``, n = 0, ..., nodes - 1.
+    rows at a time, at offsets x = n dx + ``shift``, n = 0, ..., nodes - 1,
+    each block as ``(rows, block)`` with ``rows`` the slice of ``t`` it
+    holds.  The ring table below is freed once the blocks are exhausted.
 
     An entry of age a = z(t) - z_i meets the offsets at a + shift + n dx,
     so one floor test per entry, the cell k of a + shift by :func:`_cell`,
@@ -822,7 +827,7 @@ def _rebuild_blocks(traj: Trajectory, t: np.ndarray, nodes: int,
                 row[0] = w_lo @ G[:, 0] + w_hi[up] @ G[up, 1]
             del G
             out[r - rows.start] += row
-        yield out
+        yield slice(rows.start, rows.stop), out
 
 
 def _dead_prefix(z: np.ndarray, ez: np.ndarray, hi: np.ndarray, dx: float,

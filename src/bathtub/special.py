@@ -13,6 +13,7 @@ Three families admit reduced dynamics:
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import List, Optional, Tuple
@@ -83,7 +84,7 @@ def solve_vickrey(c: VickreyConfig) -> Trajectory:
     dt, B, L, v_min, speed = c.dt, c.B, c.L, c.v_min, c.fd.speed
     lam = float(c.lambda0)
     z = 0.0
-    lam_l, v_l = [lam], []
+    lam_l, v_l = array("d", [lam]), array("d")
     f_next = _points(c.influx.rate_array, dt, 0, "dt").__next__
     termination = Termination.HORIZON
     j = 0
@@ -223,7 +224,7 @@ def solve_deterministic(c: DeterministicConfig) -> Trajectory:
     the largest float raises :class:`DomainError`.
     """
     dz = c.dz
-    F_l = [0.0]
+    F_l = array("d", [0.0])
     ic_next = _points(c.ic.profile_array, dz, 1, "dz").__next__  # K0 at z_end
     theta_buf, mass_buf = _Buf(), _Buf()
 
@@ -406,14 +407,16 @@ def solve_constant_distance(c: DeterministicConfig) -> Tuple[Trajectory, TripFra
     I = int(round(I))
 
     dz = c.dz
-    F_l = [0.0]
-    ent_m: List[float] = []
+    F_l, ent_m = array("d", [0.0]), array("d")
+    F = 0.0  # F_{j+1}, kept here so a step reads back only F_{j+1-I}
 
     def step(j, tau, dtau):
+        nonlocal F
         mass = c.influx.rate(tau) * dtau
         ent_m.append(mass)
-        F_l.append(F_l[-1] + mass)
-        return F_l[j + 1] - (F_l[j + 1 - I] if j + 1 >= I else 0.0)
+        F += mass
+        F_l.append(F)
+        return F - (F_l[j + 1 - I] if j + 1 >= I else 0.0)
 
     t, z, lam, v, termination = _march_z(c.fd, c.L, dz, c.horizon, c.v_min, 0.0, step)
     traj = Trajectory(scheme="constant_distance", L=c.L, t=t, z=z, lam=lam, v=v,

@@ -1,6 +1,7 @@
 """Shared scenario builders and cached solves for the test suite."""
 
 import functools
+import tracemalloc
 
 import numpy as np
 
@@ -50,6 +51,17 @@ def assert_same_bits(a, b):
     a, b = np.asarray(a), np.asarray(b)
     assert a.dtype == b.dtype and a.shape == b.shape
     assert a.tobytes() == b.tobytes()
+
+
+def traced_peak(fn):
+    """``(fn(), peak)``: the result of ``fn()`` and the peak bytes that
+    tracemalloc saw allocated while it ran.  Tracing stops even if ``fn``
+    raises."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def survival_capped_lin(dist, t_arr, y_arr, dx, cells):

@@ -1,14 +1,13 @@
 import csv
 import pathlib
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
 
 import bathtub as bt
 from bathtub import analysis, cli
-from helpers import assert_same_bits, ring_windows
+from helpers import assert_same_bits, ring_windows, traced_peak
 
 PAPER_CONF = """\
 network.L = 10
@@ -761,12 +760,8 @@ class TestOnePass:
         text = with_section(PAPER_CONF, "outputs",
                             "outputs = " + ",".join(cli._OUTPUTS))
         cfg = cli.parse_config(text)
-        tracemalloc.start()
-        try:
-            assert cli.run(cfg, output_dir=str(tmp_path)) == 0
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        status, peak = traced_peak(lambda: cli.run(cfg, output_dir=str(tmp_path)))
+        assert status == 0
         with open(tmp_path / "ksurface.csv", encoding="utf-8") as fh:
             nodes = len(fh.readline().split(",")) - 1
             steps = sum(1 for _ in fh)
@@ -788,12 +783,8 @@ class TestOnePass:
                   ring_windows(traj, traj.t[traj.profile_steps(257)]))
         cells = traj.x_grid.size - 1
         ring = cap * (cells + (cells + 1) + 1) * 8
-        tracemalloc.start()
-        try:
-            assert cli.run(cfg, output_dir=str(tmp_path)) == 0
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        status, peak = traced_peak(lambda: cli.run(cfg, output_dir=str(tmp_path)))
+        assert status == 0
         assert (cap, cells) == (783, 160)
         assert peak < 2 * ring
 

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +7,7 @@ from hypothesis import strategies as st
 
 import bathtub as bt
 from helpers import (assert_same_bits, paper_btilde, paper_pulse, riemann_integral,
-                     tabulated_survival_reference)
+                     tabulated_survival_reference, traced_peak)
 
 
 class TestInflux:
@@ -269,12 +268,7 @@ class TestTabulatedSurvival:
         t = np.linspace(0.0, 1.2, 200)[:, None]
         xs = np.arange(160) * 2.0**-5
         d.survival_array(t[:2], xs)  # numpy's first-call allocations
-        tracemalloc.start()
-        try:
-            out = d.survival_array(t, xs)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        out, peak = traced_peak(lambda: d.survival_array(t, xs))
         assert out.shape == (200, 160)
         assert peak < 16 * out.nbytes
 

@@ -11,6 +11,7 @@ stationary state.  None of these needs a reference solution.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -136,6 +137,50 @@ def test_distance_unit_is_exact(c, scheme, pulse, law, ic):
         assert_same_bits(getattr(run, name), getattr(base, name))
     for name in ("z", "v"):
         assert_same_bits(getattr(run, name), c * getattr(base, name))
+
+
+def _reduced_in_units(c, solver, pulse, ic, coordinate):
+    """A reduced-model run with distances in a unit 1/c: Vickrey's B, the
+    z-grid solvers' B~ (and its z nodes when it is given against z) and dz,
+    the initial profile's lengths, L, u, w and the z stop times c, kappa
+    over c, C, dt and the inflow as they are."""
+    fd = bt.Trapezoidal(u=30.0 * c, C=750.0, w=10.0 * c, kappa=200.0 / c)
+    influx = bt.TrapezoidalPulse(*pulse, 1.0)
+    stop = bt.MaxCumulativeDistance(20.0 * c)
+    if solver == "vickrey":
+        return bt.solve_vickrey(bt.VickreyConfig(
+            L=PAPER_L * c, fd=fd, B=1.5 * c, lambda0=_ic(ic, 1.0).lambda0,
+            influx=influx, dt=2**-10, horizon=stop))
+    if solver == "constant_distance":
+        return bt.solve_constant_distance(bt.DeterministicConfig(
+            L=PAPER_L * c, fd=fd, btilde=2.0 * c, influx=influx, dz=2**-5 * c,
+            horizon=stop))[0]
+    nodes = [0.0, 0.4, 0.6, 1.0]
+    btilde = bt.PiecewiseLinear([x * c if coordinate == "z" else x for x in nodes],
+                                [2.0 * c, 5.0 * c, 5.0 * c, 2.0 * c], extend="clamp")
+    profile = {"empty": bt.EmptyNetwork(),
+               "exponential": bt.ExponentialProfile(100.0, 1.0 * c),
+               "tabulated": bt.TabulatedProfile([0.0, 1.0 * c, 3.0 * c],
+                                                [400.0, 200.0, 0.0])}[ic]
+    return bt.solve_deterministic(bt.DeterministicConfig(
+        L=PAPER_L * c, fd=fd, btilde=btilde, influx=influx, dz=2**-5 * c,
+        horizon=stop, ic=profile, btilde_coordinate=coordinate))
+
+
+@pytest.mark.parametrize("solver", ["vickrey", "deterministic", "constant_distance"])
+@settings(max_examples=8, derandomize=True, deadline=None)
+@given(c=st.sampled_from([2.0, 0.5]), pulse=_pulse, ic=_initial,
+       coordinate=st.sampled_from(["t", "z"]))
+def test_distance_unit_is_exact_on_the_reduced_solvers(c, solver, pulse, ic, coordinate):
+    base = _reduced_in_units(1.0, solver, pulse, ic, coordinate)
+    run = _reduced_in_units(c, solver, pulse, ic, coordinate)
+    assert run.termination is base.termination
+    for name in ("t", "lam", "F", "G", "g", "entry_mass"):
+        assert_same_bits(getattr(run, name), getattr(base, name))
+    for name in ("z", "v"):
+        assert_same_bits(getattr(run, name), c * getattr(base, name))
+    if run.entry_theta is not None:
+        assert_same_bits(run.entry_theta, c * base.entry_theta)
 
 
 @settings(max_examples=10, derandomize=True, deadline=None)

@@ -1,6 +1,8 @@
+import collections
 import dataclasses
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from bathtub.solver import (_CAP, _CHUNK, _MAX_CELLS, _aged_out, _cell,
 from helpers import (PAPER_FD, PAPER_L, assert_same_bits, paper_btilde, paper_char,
                      paper_integral, paper_pulse, paper_scenario,
                      reference_march, reference_rows, ring_windows,
-                     solve_fixed_step, survival_capped_lin)
+                     solve_fixed_step, survival_capped_lin, traced_peak)
 
 
 def empty_scenario(horizon, dx=2**-5, dt=None):
@@ -672,6 +674,21 @@ class TestProfiles:
         assert sum(rows for rows, _ in asked) == len(distinct)
         assert all(rows <= _CHUNK and cells == traj.x_grid.size - 1
                    for rows, cells in asked)
+
+    def test_read_blocks_free_the_ring(self):
+        # the rebuilt blocks share a ring of 783 x 322 node survivals (about
+        # 2 MB); an iterator read to its end no longer holds it
+        traj = paper_integral(2**-5)
+        steps = traj.profile_steps(257)
+
+        def read_all():  # the memory held while the read iterator lives
+            blocks = traj.profile_blocks(steps)
+            collections.deque(blocks, maxlen=0)
+            return tracemalloc.get_traced_memory()[0]
+
+        held, peak = traced_peak(read_all)
+        assert peak > 1e6  # the ring was built
+        assert held < 1e5
 
     @pytest.mark.parametrize("t, x", [(math.nan, 0.0), (None, math.nan),
                                       (None, math.inf), (math.inf, 0.0)])

@@ -7,7 +7,7 @@ import bathtub as bt
 from bathtub.special import _BLOCK
 from helpers import (PAPER_FD, PAPER_L, assert_same_run, paper_btilde, paper_char,
                      paper_pulse, reference_constant_distance, reference_deterministic,
-                     reference_vickrey, stationary_exponential_scenario)
+                     reference_vickrey, stationary_exponential_scenario, traced_peak)
 
 GS = bt.Greenshields(30.0, 200.0)
 
@@ -222,6 +222,30 @@ class TestReducedSolversBits:
         run = bt.solve_constant_distance(c)[0]
         _check_case(case, run)
         assert_same_run(run, reference_constant_distance(c))
+
+
+SERIES = ("t", "z", "lam", "v", "f", "F", "G", "g", "entry_mass", "entry_theta")
+
+
+class TestPeakMemory:
+    """A reduced solver's traced peak stays within a small multiple of the
+    series it returns.  The marches append their per-step values as packed
+    doubles, 8 bytes each, and the ratios read 1.35, 1.49 and 2.08 at these
+    sizes; lists of floats (32 bytes each) read 1.99, 2.46 and 2.57."""
+
+    @pytest.mark.parametrize("solve, config, bound", [
+        (bt.solve_vickrey, lambda: _vickrey(dt=1e-4), 1.6),
+        (lambda c: bt.solve_constant_distance(c)[0],
+         lambda: _deterministic(btilde=2.0, dz=2.0**-7), 1.9),
+        (bt.solve_deterministic, lambda: _deterministic(dz=2.0**-7), 2.3),
+    ], ids=["vickrey", "constant_distance", "deterministic"])
+    def test_peak_is_near_the_returned_series(self, solve, config, bound):
+        c = config()
+        run, peak = traced_peak(lambda: solve(c))
+        kept = sum(getattr(run, name).nbytes for name in SERIES
+                   if getattr(run, name) is not None)
+        assert run.n_steps > 3000
+        assert peak < bound * kept
 
 
 class TestOverflow:
