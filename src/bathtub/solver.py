@@ -482,7 +482,7 @@ def _replay(traj: Trajectory, blocks: List[np.ndarray], nodes: Optional[int]):
 # difference-integration scheme (shared marcher)
 # ---------------------------------------------------------------------------
 
-_CAP = 1024  # first capacity of the march's buffers
+_CAP = 1024  # first size of the survival window's buffer
 _TRUNCATION_TOLERANCE = 1e-6  # the share of all trips a strict run may cap at X
 
 
@@ -511,9 +511,11 @@ class _Commodity:
     its sum by the vector length: past the evaluated part the buffer holds
     zeros or survivals of earlier steps, finite values that each meet a
     zero mass, so their products are +0.0 and the sum keeps its bits.  The
-    sum differs from one over the whole log only in summation order.  z,
-    lambda and lambda(0) are also kept as floats.  The trajectory derives
-    its F series and :func:`_gridded` its truncated mass from the log.
+    sum differs from one over the whole log only in summation order.  The
+    series and logs are packed doubles (``array("d")``), read through
+    :func:`_items` views, and handed to the trajectory without a copy.  The
+    trajectory derives its F series and :func:`_gridded` its truncated mass
+    from the log.
     """
 
     def __init__(self, demand, grid: GridSpec):
@@ -525,11 +527,8 @@ class _Commodity:
         # offset every initial trip has left (at once, for an empty start)
         self.k0_reach = (grid.cells * grid.dx + 1e-9 * grid.dx
                          if self.k0_nodes.any() else -np.inf)
-        self.z, self.lam, self.v = _Buf(), _Buf(), _Buf()
-        self.mass, self.key = _Buf(), _Buf()
-        self.z.push(0.0)
-        self.lam.push(ic.lambda0)
-        self.z_now, self.lam0, self.lam_now = 0.0, float(ic.lambda0), float(ic.lambda0)
+        self.z, self.lam, self.v = array("d", [0.0]), array("d", [ic.lambda0]), array("d")
+        self.mass, self.key = array("d"), array("d")
         self.F = 0.0
         self.start = 0  # first live entry of the log
         self.last = 0  # first live entry not in the last cell
@@ -548,18 +547,18 @@ class _Commodity:
             raise DomainError(
                 f"a step of dt = {dt:g} h at v = {v:g} mph moves z by more "
                 f"than one cell dx = {dx:g} mi; use dt <= dx/v = {dx / v:g} h")
-        ez, n = self.z.a, self.z.n
-        z = self.z_now + v * dt
+        ez, n = self.z, len(self.z)
+        z = ez[-1] + v * dt
         mass = f * dt
-        self.mass.push(mass)
-        self.key.push(self.distances.entry_key(t))
+        self.mass.append(mass)
+        self.key.append(self.distances.entry_key(t))
         if mass != 0.0:
             self.live_end = n
         i = self.start
-        while i < n and _aged_out(z - ez.item(i), dx, cells):
+        while i < n and _aged_out(z - ez[i], dx, cells):
             i += 1
         p = self.last  # an entry aged X has aged into the last cell too
-        while p < n and _aged_out(z - ez.item(p), dx, cells - 1):
+        while p < n and _aged_out(z - ez[p], dx, cells - 1):
             p += 1
         self.start, self.last = i, p
         e = self.live_end
@@ -567,9 +566,9 @@ class _Commodity:
             if self.surv.size < n - i:
                 self.surv = np.zeros(2 * (n - i))
             surv = self.surv[:n - i]
-            _window_survival(self.distances, self.key.a[i:e], z - ez[i:e],
+            _window_survival(self.distances, _items(self.key, i, e), z - _items(ez, i, e),
                              dx, min(p, e) - i, surv[:e - i])
-            boundary = float(np.dot(self.mass.a[i:n], surv))
+            boundary = float(np.dot(_items(self.mass, i, n), surv))
         else:
             boundary = 0.0
         if z > self.k0_reach:
@@ -577,29 +576,19 @@ class _Commodity:
         else:
             initial = float(_profile_capped_lin(self.k0_nodes, z, dx))
         lam_new = initial + boundary
-        lam0, F = self.lam0, self.F + f * dt
-        g = ((lam0 + F - lam_new) - (lam0 + (F - f * dt) - self.lam_now)) / dt
-        self.z.push(z)
-        self.lam.push(lam_new)
-        self.z_now, self.lam_now, self.F = z, lam_new, F
+        lam0, F = self.lam[0], self.F + f * dt
+        g = ((lam0 + F - lam_new) - (lam0 + (F - f * dt) - self.lam[-1])) / dt
+        ez.append(z)
+        self.lam.append(lam_new)
+        self.F = F
         return g
 
 
-class _Buf:
-    """Append-only float buffer backed by a doubling numpy array."""
-
-    def __init__(self, cap: int = _CAP):
-        self.a = np.empty(cap)
-        self.n = 0
-
-    def push(self, v: float):
-        if self.n == self.a.size:
-            self.a = np.concatenate([self.a, np.empty(self.a.size)])
-        self.a[self.n] = v
-        self.n += 1
-
-    def view(self) -> np.ndarray:
-        return self.a[:self.n]
+def _items(log: array, i: int, j: int) -> np.ndarray:
+    """Items ``i`` to ``j`` of a log, as a numpy view of it.  The log cannot
+    grow while a view of it lives, so a step takes its views as temporaries
+    that die before its next ``append``."""
+    return np.frombuffer(log, float, j - i, 8 * i)
 
 
 def _solve_fixed_step(scheme: str, L: float, demands: Sequence, grid: GridSpec,
@@ -623,21 +612,20 @@ def _solve_fixed_step(scheme: str, L: float, demands: Sequence, grid: GridSpec,
     termination = Termination.HORIZON
     while True:
         f = [c.influx.rate(t) for c in coms]
-        v = speed_of(t, [c.lam_now for c in coms], f, g)
+        v = speed_of(t, [c.lam[-1] for c in coms], f, g)
         for c, vm in zip(coms, v):
-            c.v.push(vm)
+            c.v.append(vm)
         if any(vm < v_min for vm in v):
             termination = Termination.GRIDLOCK
             break
-        if t >= T or coms[0].z_now >= Z:
+        if t >= T or coms[0].z[-1] >= Z:
             break
         g = [c.step(t, dt, fm, vm) for c, fm, vm in zip(coms, f, v)]
         n += 1
         t = n * dt
     t = np.arange(n + 1) * dt
-    return [_gridded(scheme, L, c.demand, grid, t, c.z.view().copy(),
-                     c.lam.view().copy(), c.v.view().copy(), c.mass.view().copy(),
-                     termination) for c in coms]
+    return [_gridded(scheme, L, c.demand, grid, t, np.asarray(c.z), np.asarray(c.lam),
+                     np.asarray(c.v), np.asarray(c.mass), termination) for c in coms]
 
 
 def _gridded(scheme: str, L: float, demand, grid: GridSpec,

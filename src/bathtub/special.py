@@ -26,22 +26,22 @@ from .diagrams import FundamentalDiagram
 from .errors import (ContractError, DomainError, count_at_least_one, finite_non_negative,
                      finite_positive)
 from .piecewise import as_profile
-from .solver import MaxTime, Termination, Trajectory, _Buf, _check_horizon, _march_z
+from .solver import MaxTime, Termination, Trajectory, _check_horizon, _march_z
 
 _BLOCK = 4096  # values per array call of _points
 
 
 def _points(values_at, step: float, j0: int, name: str):
-    """Yield ``values_at(j * step)`` for j = j0, j0 + 1, ..., as floats,
-    from one array call per ``_BLOCK`` values.  Asking for a point whose
-    j * step overflows raises :class:`DomainError` naming ``step`` as
-    ``name``."""
+    """Yield ``values_at(j * step)`` for j = j0, j0 + 1, ..., as floats
+    read one at a time from one array call per ``_BLOCK`` values.  Asking
+    for a point whose j * step overflows raises :class:`DomainError`
+    naming ``step`` as ``name``."""
     j = j0
     while True:
         with np.errstate(over="ignore"):
             x = np.arange(j, j + _BLOCK) * step
         x = x[x < np.inf]
-        yield from values_at(x).tolist()
+        yield from memoryview(values_at(x))
         if x.size < _BLOCK:
             raise DomainError(f"{name} = {step!r} carries the grid past the "
                               "largest float")
@@ -226,25 +226,25 @@ def solve_deterministic(c: DeterministicConfig) -> Trajectory:
     dz = c.dz
     F_l = array("d", [0.0])
     ic_next = _points(c.ic.profile_array, dz, 1, "dz").__next__  # K0 at z_end
-    theta_buf, mass_buf = _Buf(), _Buf()
+    theta_l, mass_l = array("d"), array("d")
 
     def step(j, tau, dtau):
         z = j * dz
         F_next = c.influx.cumulative(tau + dtau)
-        theta_buf.push(z + c.btilde_at(tau, z))
-        mass_buf.push(max(F_next - F_l[-1], 0.0))
+        theta_l.append(z + c.btilde_at(tau, z))
+        mass_l.append(max(F_next - F_l[-1], 0.0))
         F_l.append(F_next)
         z_end = (j + 1) * dz
-        active = float(np.sum(mass_buf.view()[theta_buf.view() > z_end + 1e-12]))
+        # the logs' views are temporaries, gone before the next append
+        active = float(np.sum(np.asarray(mass_l)[np.asarray(theta_l) > z_end + 1e-12]))
         return ic_next() + active
 
     t, z, lam, v, termination = _march_z(c.fd, c.L, dz, c.horizon, c.v_min,
                                          float(c.ic.lambda0), step)
     return Trajectory(scheme="deterministic", L=c.L, t=t, z=z, lam=lam, v=v,
                       f=c.influx.rate_array(t), F=np.asarray(F_l),
-                      entry_mass=mass_buf.view().copy(), termination=termination,
-                      distances=None, ic=c.ic,
-                      entry_theta=theta_buf.view().copy())
+                      entry_mass=np.asarray(mass_l), termination=termination,
+                      distances=None, ic=c.ic, entry_theta=np.asarray(theta_l))
 
 
 def classify_regime(c: DeterministicConfig, traj: Trajectory,

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 
 import bathtub as bt
-from bathtub.solver import Termination, Trajectory, _Buf, _march_z, _profile_capped_lin
+from bathtub.solver import Termination, Trajectory, _march_z, _profile_capped_lin
 
 PAPER_FD = bt.Trapezoidal(u=30.0, C=750.0, w=10.0, kappa=200.0)
 PAPER_L = 10.0
@@ -258,28 +258,28 @@ def reference_vickrey(c) -> bt.Trajectory:
 
 def reference_deterministic(c) -> bt.Trajectory:
     """The deterministic-distance march with a scalar initial-profile call
-    per step, a bitwise reference for ``solve_deterministic``."""
+    per step and plain lists for its logs, a bitwise reference for
+    ``solve_deterministic``."""
     dz = c.dz
-    F_l = [0.0]
-    theta_buf, mass_buf = _Buf(), _Buf()
+    F_l, theta_l, mass_l = [0.0], [], []
 
     def step(j, tau, dtau):
         z = j * dz
         F_next = c.influx.cumulative(tau + dtau)
-        theta_buf.push(z + c.btilde_at(tau, z))
-        mass_buf.push(max(F_next - F_l[-1], 0.0))
+        theta_l.append(z + c.btilde_at(tau, z))
+        mass_l.append(max(F_next - F_l[-1], 0.0))
         F_l.append(F_next)
         z_end = (j + 1) * dz
-        active = float(np.sum(mass_buf.view()[theta_buf.view() > z_end + 1e-12]))
+        mass, theta = np.fromiter(mass_l, float), np.fromiter(theta_l, float)
+        active = float(np.sum(mass[theta > z_end + 1e-12]))
         return float(c.ic.profile(z_end)) + active
 
     t, z, lam, v, termination = _march_z(c.fd, c.L, dz, c.horizon, c.v_min,
                                          float(c.ic.lambda0), step)
     return Trajectory(scheme="deterministic", L=c.L, t=t, z=z, lam=lam, v=v,
                       f=c.influx.rate_array(t), F=np.asarray(F_l),
-                      entry_mass=mass_buf.view().copy(), termination=termination,
-                      distances=None, ic=c.ic,
-                      entry_theta=theta_buf.view().copy())
+                      entry_mass=np.array(mass_l), termination=termination,
+                      distances=None, ic=c.ic, entry_theta=np.array(theta_l))
 
 
 def reference_constant_distance(c) -> bt.Trajectory:

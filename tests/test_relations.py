@@ -5,9 +5,11 @@ c changes no clock, distance or speed, and scales every count by c exactly;
 measuring distance in a unit c times smaller (every length, L and the
 speeds times c, the jam density over c, the capacity kept) changes no
 clock or count and scales z and v by c exactly; splitting a pulse 1:1
-over two commodities adds back to the one-commodity run; and under a
+over two commodities adds back to the one-commodity run; under a
 constant inflow below capacity, Vickrey's march settles on the
-stationary state.  None of these needs a reference solution.
+stationary state; and with a constant distance, the deterministic march
+and the constant-distance recursion converge on each other at first
+order.  None of these needs a reference solution.
 """
 
 import numpy as np
@@ -16,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bathtub as bt
-from helpers import PAPER_FD, PAPER_L, assert_same_bits, paper_btilde
+from helpers import PAPER_FD, PAPER_L, assert_same_bits, paper_btilde, paper_pulse
 
 SOLVERS = ["vickrey", "deterministic", "constant_distance", "characteristic",
            "integral", "mobility_service", "multi_commodity"]
@@ -209,3 +211,19 @@ def test_vickrey_settles_on_the_stationary_state(B, share):
         dt=1e-3, horizon=bt.MaxTime(3.0)))
     target = bt.stationary_state(PAPER_FD, PAPER_L, f, bt.ExponentialDistances(B))
     assert abs(run.lam[-1] - target.lam) <= 1e-9 * target.lam
+
+
+@pytest.mark.parametrize("B", [1.5, 2.0])
+def test_deterministic_march_converges_on_the_constant_distance_recursion(B):
+    # the recursion counts a trip while its age is at most B~, the march
+    # while its theta exceeds z, so their counts differ by one cell's
+    # entering mass: the largest gap halves with dz
+    gaps = []
+    for k in range(4, 8):
+        c = bt.DeterministicConfig(L=PAPER_L, fd=PAPER_FD, btilde=B, influx=paper_pulse(),
+                                   dz=2.0**-k, horizon=bt.MaxCumulativeDistance(30.0))
+        a, b = bt.solve_deterministic(c), bt.solve_constant_distance(c)[0]
+        n = min(a.n_steps, b.n_steps)
+        gaps.append(np.max(np.abs(a.lam[:n] - b.lam[:n])))
+    ratios = np.array(gaps[:-1]) / np.array(gaps[1:])
+    assert np.all((1.8 <= ratios) & (ratios <= 2.2)), ratios

@@ -1,13 +1,15 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import bathtub as bt
-from bathtub.special import _BLOCK
+from bathtub.special import _BLOCK, _points
 from helpers import (PAPER_FD, PAPER_L, assert_same_run, paper_btilde, paper_char,
-                     paper_pulse, reference_constant_distance, reference_deterministic,
-                     reference_vickrey, stationary_exponential_scenario, traced_peak)
+                     paper_pulse, paper_scenario, reference_constant_distance,
+                     reference_deterministic, reference_vickrey,
+                     stationary_exponential_scenario, traced_peak)
 
 GS = bt.Greenshields(30.0, 200.0)
 
@@ -228,17 +230,20 @@ SERIES = ("t", "z", "lam", "v", "f", "F", "G", "g", "entry_mass", "entry_theta")
 
 
 class TestPeakMemory:
-    """A reduced solver's traced peak stays within a small multiple of the
-    series it returns.  The marches append their per-step values as packed
-    doubles, 8 bytes each, and the ratios read 1.35, 1.49 and 2.08 at these
-    sizes; lists of floats (32 bytes each) read 1.99, 2.46 and 2.57."""
+    """A march's traced peak stays within a small multiple of the series it
+    returns.  The marches append their per-step values as packed doubles,
+    8 bytes each, and the ratios read 1.22, 1.49, 1.56 and 1.55 at these
+    sizes; lists of floats (32 bytes each) read 1.99, 2.46 and 2.57 on the
+    reduced solvers, and the fixed-step march's doubling numpy logs, copied
+    into its trajectory, read 2.14."""
 
     @pytest.mark.parametrize("solve, config, bound", [
         (bt.solve_vickrey, lambda: _vickrey(dt=1e-4), 1.6),
         (lambda c: bt.solve_constant_distance(c)[0],
          lambda: _deterministic(btilde=2.0, dz=2.0**-7), 1.9),
         (bt.solve_deterministic, lambda: _deterministic(dz=2.0**-7), 2.3),
-    ], ids=["vickrey", "constant_distance", "deterministic"])
+        (bt.solve_integral, lambda: paper_scenario(2.0**-5, dt=2.0**-7 / 30.0), 1.8),
+    ], ids=["vickrey", "constant_distance", "deterministic", "integral"])
     def test_peak_is_near_the_returned_series(self, solve, config, bound):
         c = config()
         run, peak = traced_peak(lambda: solve(c))
@@ -246,6 +251,17 @@ class TestPeakMemory:
                    if getattr(run, name) is not None)
         assert run.n_steps > 3000
         assert peak < bound * kept
+
+    def test_a_suspended_point_reader_holds_about_one_block(self):
+        # a block of 4,096 doubles takes 32 kB; as a list of floats it took 163 kB
+        points = _points(bt.ExponentialProfile(100.0, 1.0).profile_array, 2.0**-8, 1, "dz")
+
+        def first():  # the memory held once the reader has yielded a point
+            next(points)
+            return tracemalloc.get_traced_memory()[0]
+
+        held, _ = traced_peak(first)
+        assert held < 100e3
 
 
 class TestOverflow:
