@@ -39,6 +39,7 @@ _NODE_KEYS = {"demand.distance.Btilde_nodes", "demand.influx.nodes"}
 _KNOWN = _FLOAT_KEYS | _STR_KEYS | _NODE_KEYS
 
 _OUTPUTS = ("series", "ksurface", "audit", "traveltimes")
+_TRAVELTIME_SAMPLES = 65  # evenly spaced entry times traveltimes.csv tries
 
 
 @dataclass
@@ -50,7 +51,6 @@ class RunConfig:
     influx: demand_mod.InfluxProfile
     distances: Optional[demand_mod.DistanceDistribution]
     btilde: object
-    B: Optional[float]
     ic: demand_mod.InitialCondition
     model_kind: str
     scheme: str
@@ -292,8 +292,7 @@ def _config_from_raw(raw: Dict[str, object]) -> RunConfig:
                               f"model.kind={model_kind}")
 
     return RunConfig(L=vals["network.L"], fd=fd, influx=influx,
-                     distances=distances, btilde=vals[_MEAN],
-                     B=vals.get("demand.distance.B"), ic=ic,
+                     distances=distances, btilde=vals[_MEAN], ic=ic,
                      model_kind=model_kind, scheme=scheme, stop=stop,
                      dx=vals.get("grid.dx"), X=vals.get("grid.X"),
                      dt=vals.get("grid.dt"), dz=vals.get("grid.dz"),
@@ -305,19 +304,25 @@ def _check_reduced(vals: Dict[str, object], model_kind: str, ic_kind: str,
     """Reject, naming the key, what Vickrey's ODE and the constant-distance
     recursion cannot solve.  Both take one constant mean distance,
     ``demand.distance.B``, so B~ nodes beside it would go unread.  The
-    recursion starts from an empty network; the ODE starts empty or from an
-    exponential profile with the same mean."""
+    recursion starts from an empty network and needs a whole number of
+    ``grid.dz`` cells in B; the ODE starts empty or from an exponential
+    profile with the same mean."""
     label = f"model.kind={model_kind}"
     if "demand.distance.Btilde_nodes" in vals:
         raise ConfigError(f"{label} takes the constant demand.distance.B; "
                           "remove demand.distance.Btilde_nodes")
+    B = vals["demand.distance.B"]
+    if model_kind == "constant":
+        cells = B / vals["grid.dz"]  # the test solve_constant_distance makes
+        if abs(cells - round(cells)) > 1e-9 * max(1.0, cells):
+            raise ConfigError(f"{label} needs demand.distance.B = {B:g} to be a "
+                              f"whole number of grid.dz = {vals['grid.dz']:g} cells")
     if ic.lambda0 == 0.0:
         return
     if model_kind == "constant" or ic_kind != "exponential":
         start = "an empty" if model_kind == "constant" else "an empty or exponential"
         raise ConfigError(f"{label} needs {start} start, got ic.kind={ic_kind} "
                           f"with {ic.lambda0:g} initial trips")
-    B = vals["demand.distance.B"]
     if ic.B != B:
         raise ConfigError(f"{label} needs ic.B = demand.distance.B = {B:g}, "
                           f"got ic.B = {ic.B:g}")
@@ -352,7 +357,7 @@ def execute(cfg: RunConfig):
             return solver.solve_integral(scen)
         return solver.solve_characteristic(scen)
     if cfg.model_kind == "vickrey":
-        vc = special.VickreyConfig(L=cfg.L, fd=cfg.fd, B=cfg.B,
+        vc = special.VickreyConfig(L=cfg.L, fd=cfg.fd, B=cfg.distances.B,
                                    lambda0=cfg.ic.lambda0, influx=cfg.influx,
                                    dt=cfg.dt, horizon=horizon)
         return special.solve_vickrey(vc)
@@ -398,45 +403,28 @@ def _write_series(path: str, traj: solver.Trajectory):
     _write_csv(path, list(data), _rows(*data.values()))
 
 
-def _ksurface_rows(t: np.ndarray, K: np.ndarray, prev=None):
-    """One CSV row per time in ``t`` and row of ``K``, as a single string
-    cell with the bytes of ``",".join(map(str, [t_j, *K[j]]))``, built one
-    row at a time (a whole-array list is large) and with fewer ``str``
-    calls.  ``str`` of a float depends only on its bits, so two kinds of
-    cell are copied, not formatted: the cells after a row's last one whose
-    bits are not those of +0.0 are written as "0.0" (a -0.0 has other bits
-    and is formatted), and a cell with the bits of the previous row's next
-    cell reuses that cell's string.  The characteristic update
-    K(t + dt, x) = K(t, x + dz) + m S(t, x) moves every cell where m S is 0
-    one cell down.  ``prev``, a list ``[cells, bits]`` that holds the row
-    before ``K[0]`` and is updated row by row, carries that reuse across
-    consecutive calls."""
+def _ksurface_rows(t: np.ndarray, K: np.ndarray):
+    """One CSV line per time in ``t`` and row of ``K``, with the bytes of
+    ``",".join(map(str, [t_j, *K[j]]))`` and a line end, built one row at a
+    time (a whole-array list is large).  ``str`` of a float depends only on
+    its bits, so the cells after a row's last one whose bits are not those
+    of +0.0 are written as "0.0", not formatted (a -0.0 has other bits and
+    is formatted)."""
     cols = K.shape[1]
-    prev = [[], np.empty(0, np.uint64)] if prev is None else prev
     for tj, row, bits in zip(t.tolist(), K, K.view(np.uint64)):
         nonzero = np.flatnonzero(bits)
         end = int(nonzero[-1]) + 1 if nonzero.size else 0
-        m = max(min(end, len(prev[0]) - 1), 0)  # cells whose next cell prev holds
-        same = (bits[:m] == prev[1][1:m + 1]).tolist()
-        values = row[:end].tolist()
-        cells = [cell if kept else str(v)
-                 for cell, kept, v in zip(prev[0][1:], same, values)]
-        cells += map(str, values[m:])
-        yield [",".join([str(tj), *cells]) + ",0.0" * (cols - end)]
-        prev[:] = cells, bits
+        yield (",".join(map(str, [tj, *row[:end].tolist()]))
+               + ",0.0" * (cols - end) + "\n")
 
 
 def _write_ksurface(path: str, traj: solver.Trajectory, blocks):
     """Write ``ksurface.csv``, one row per step of the ``(steps, rows)``
     ``blocks`` of K, and yield each block on once its rows are written, so
-    that the audit can read the same blocks in the same pass.  The last row
-    of a block lends its cells to the next block's first (on the paper
-    surface at dx = 2^-6, 2,852 of the 44,722 cells copied)."""
-    prev = [[], np.empty(0, np.uint64)]
+    that the audit can read the same blocks in the same pass."""
     with _csv_file(path, ["t", *traj.x_grid.tolist()]) as fh:
         for steps, K in blocks:
-            rows = _ksurface_rows(traj.t[steps], K, prev)
-            fh.writelines(row[0] + "\n" for row in rows)
+            fh.writelines(_ksurface_rows(traj.t[steps], K))
             yield steps, K
 
 
@@ -450,9 +438,9 @@ def _write_audit(path: str, traj: solver.Trajectory, blocks):
                 f"# monotonicity_violations = {rep.monotonicity_violations}"])
 
 
-def _write_traveltimes(path: str, traj: solver.Trajectory, samples: int = 65):
+def _write_traveltimes(path: str, traj: solver.Trajectory):
     def rows():
-        for t in traj.t[solver._even_steps(traj.n_steps, samples)].tolist():
+        for t in traj.t[solver._even_steps(traj.n_steps, _TRAVELTIME_SAMPLES)].tolist():
             try:
                 est = analysis.average_travel_time(traj, traj.distances, t)
             except BathtubError:

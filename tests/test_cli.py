@@ -1,6 +1,7 @@
 import csv
 import pathlib
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -643,6 +644,15 @@ class TestReducedModelInputs:
                             "ic.lambda0", "ic.lambda0 = 0")
         assert cli.run(cli.parse_config(text), output_dir=str(tmp_path)) == 0
 
+    def test_constant_mean_must_be_whole_dz_cells(self, tmp_path):
+        # B = 2 is 6.67 cells of dz = 0.3, which the recursion cannot place
+        text = model_config("constant", "empty", "B", "")
+        with pytest.raises(bt.ConfigError,
+                           match=r"demand\.distance\.B\b.*grid\.dz"):
+            cli.parse_config(with_section(text, "grid.dz", "grid.dz = 0.3"))
+        cfg = cli.parse_config(with_section(text, "grid.dz", "grid.dz = 0.5"))
+        assert cli.run(cfg, output_dir=str(tmp_path)) == 0
+
 
 # A config that reads each numeric key, with the key's line last.
 NUMERIC_USES = {
@@ -858,23 +868,26 @@ class TestKsurfaceRows:
         K = np.array(KSURFACE_CASES[case])
         t = (np.arange(len(K)) * 0.1).tolist()
         rows = list(cli._ksurface_rows(np.array(t), K))
-        assert all(len(row) == 1 for row in rows)
-        assert [row[0] for row in rows] == ksurface_reference(t, K)
+        assert all(row.endswith("\n") for row in rows)
+        assert [row[:-1] for row in rows] == ksurface_reference(t, K)
 
     @pytest.mark.parametrize("split", [1, 5, 16])
-    def test_rows_split_over_calls_match(self, split):
-        # the writer formats one block at a time and carries the last row
-        # of a block into the next call
+    def test_rows_split_over_calls_match(self, split, tmp_path):
+        # the writer formats one block of rows at a time
         K = np.array(KSURFACE_CASES["an exact shift"] * 5)
-        t = np.arange(len(K)) / 3.0
-        prev = [[], np.empty(0, np.uint64)]
-        rows = [row[0] for a in range(0, len(K), split)
-                for row in cli._ksurface_rows(t[a:a + split], K[a:a + split], prev)]
-        assert rows == ksurface_reference(t.tolist(), K)
+        traj = SimpleNamespace(t=np.arange(len(K)) / 3.0,
+                               x_grid=np.arange(K.shape[1]) * 0.5)
+        blocks = [(np.arange(a, min(a + split, len(K))), K[a:a + split])
+                  for a in range(0, len(K), split)]
+        path = tmp_path / "ksurface.csv"
+        yielded = list(cli._write_ksurface(str(path), traj, blocks))
+        assert len(yielded) == len(blocks)  # each block passed on as it is
+        assert all(s is bs and k is bk for (s, k), (bs, bk) in zip(yielded, blocks))
+        lines = path.read_text().splitlines()
+        assert lines[0] == "t," + ",".join(map(str, traj.x_grid.tolist()))
+        assert lines[1:] == ksurface_reference(traj.t.tolist(), K)
 
     def test_shifted_rows_with_changes_match(self):
-        # rows built as the characteristic update builds them: the previous
-        # row moved one cell down, a new term added on some cells
         rng = np.random.default_rng(7)
         rows = [rng.random(40)]
         for _ in range(60):
@@ -886,5 +899,5 @@ class TestKsurfaceRows:
             rows.append(row)
         K = np.array(rows)
         t = np.arange(len(K)) / 7.0
-        assert ([row[0] for row in cli._ksurface_rows(t, K)]
+        assert ([row[:-1] for row in cli._ksurface_rows(t, K)]
                 == ksurface_reference(t.tolist(), K))

@@ -7,9 +7,10 @@ speeds times c, the jam density over c, the capacity kept) changes no
 clock or count and scales z and v by c exactly; splitting a pulse 1:1
 over two commodities adds back to the one-commodity run; under a
 constant inflow below capacity, Vickrey's march settles on the
-stationary state; and with a constant distance, the deterministic march
-and the constant-distance recursion converge on each other at first
-order.  None of these needs a reference solution.
+stationary state; with a constant distance, the deterministic march and
+the characteristic scheme converge on the constant-distance recursion at
+first order; and the audit's trip-miles residual halves with dx.  None of
+these needs a reference solution.
 """
 
 import numpy as np
@@ -119,16 +120,29 @@ def _in_units(c, scheme, pulse, law, ic):
           "exponential": bt.ExponentialProfile(100.0, 1.0 * c),
           "tabulated": bt.TabulatedProfile([0.0, 1.0 * c, 3.0 * c],
                                            [400.0, 200.0, 0.0])}[ic]
-    grid = bt.GridSpec(dx=DX * c, X=4.0 * c, horizon=bt.MaxCumulativeDistance(3.0 * c),
-                       dt=DX / 32.0)
-    scen = bt.Scenario(L=PAPER_L * c, fd=fd, influx=bt.TrapezoidalPulse(*pulse, 1.0),
-                       distances=distances, grid=grid, ic=ic)
+    L, influx = PAPER_L * c, bt.TrapezoidalPulse(*pulse, 1.0)
+    # a run with more than one commodity needs a time horizon
+    horizon = (bt.MaxTime(0.5) if scheme == "multi_commodity"
+               else bt.MaxCumulativeDistance(3.0 * c))
+    grid = bt.GridSpec(dx=DX * c, X=4.0 * c, horizon=horizon, dt=DX / 32.0)
+    if scheme == "multi_commodity":
+        shared = lambda lam, f, g: fd.speed((lam[0] + lam[1]) / L)
+        return bt.solve_multi_commodity(
+            L, [bt.CommodityDemand(influx, distances, ic),
+                bt.CommodityDemand(bt.TrapezoidalPulse(pulse[0] / 2, pulse[1] / 2, 1.0),
+                                   distances)], [shared, shared], grid)[0]
+    scen = bt.Scenario(L=L, fd=fd, influx=influx, distances=distances, grid=grid, ic=ic)
+    if scheme == "mobility_service":
+        # alpha scales with L, so the delay factor alpha (f + g) / L keeps its bits
+        esr = bt.BoardingDelaySpeed(fd, alpha=1e-4 * c, lane_miles=L)
+        return bt.solve_mobility_service(scen, esr)
     return (bt.solve_integral if scheme == "integral" else bt.solve_characteristic)(scen)
 
 
-@settings(max_examples=12, derandomize=True, deadline=None)
+@settings(max_examples=24, derandomize=True, deadline=None)
 @given(c=st.sampled_from([2.0, 0.5]),
-       scheme=st.sampled_from(["characteristic", "integral"]), pulse=_pulse,
+       scheme=st.sampled_from(["characteristic", "integral", "mobility_service",
+                               "multi_commodity"]), pulse=_pulse,
        law=st.sampled_from(["exponential", "uniform", "deterministic", "tabulated"]),
        ic=_initial)
 def test_distance_unit_is_exact(c, scheme, pulse, law, ic):
@@ -213,8 +227,22 @@ def test_vickrey_settles_on_the_stationary_state(B, share):
     assert abs(run.lam[-1] - target.lam) <= 1e-9 * target.lam
 
 
-@pytest.mark.parametrize("B", [1.5, 2.0])
-def test_deterministic_march_converges_on_the_constant_distance_recursion(B):
+def _constant_distance_march(kind, c):
+    """The deterministic march, or the characteristic scheme with dx = dz,
+    of the constant-distance config ``c``."""
+    if kind == "deterministic":
+        return bt.solve_deterministic(c)
+    grid = bt.GridSpec(dx=c.dz, X=4.0, horizon=c.horizon)
+    return bt.solve_characteristic(bt.Scenario(
+        L=c.L, fd=c.fd, influx=c.influx, distances=bt.DeterministicDistances(c.btilde),
+        grid=grid))
+
+
+@pytest.mark.parametrize("B, march", [
+    (1.5, "deterministic"), (2.0, "deterministic"),
+    (1.5, "characteristic"), (2.0, "characteristic")],
+    ids=["1.5", "2.0", "1.5-characteristic", "2.0-characteristic"])
+def test_deterministic_march_converges_on_the_constant_distance_recursion(B, march):
     # the recursion counts a trip while its age is at most B~, the march
     # while its theta exceeds z, so their counts differ by one cell's
     # entering mass: the largest gap halves with dz
@@ -222,8 +250,27 @@ def test_deterministic_march_converges_on_the_constant_distance_recursion(B):
     for k in range(4, 8):
         c = bt.DeterministicConfig(L=PAPER_L, fd=PAPER_FD, btilde=B, influx=paper_pulse(),
                                    dz=2.0**-k, horizon=bt.MaxCumulativeDistance(30.0))
-        a, b = bt.solve_deterministic(c), bt.solve_constant_distance(c)[0]
+        a, b = _constant_distance_march(march, c), bt.solve_constant_distance(c)[0]
         n = min(a.n_steps, b.n_steps)
         gaps.append(np.max(np.abs(a.lam[:n] - b.lam[:n])))
     ratios = np.array(gaps[:-1]) / np.array(gaps[1:])
+    assert np.all((1.8 <= ratios) & (ratios <= 2.2)), ratios
+
+
+@settings(max_examples=6, derandomize=True, deadline=None)
+@given(pulse=_pulse, scheme=st.sampled_from(["characteristic", "integral"]),
+       law=st.sampled_from(["uniform", "exponential"]))
+def test_trip_miles_residual_halves_with_dx(pulse, scheme, law):
+    # the audit's trip-miles balance holds to first order in dx
+    distances = (bt.UniformDistances(paper_btilde()) if law == "uniform"
+                 else bt.ExponentialDistances(1.5))
+    residuals = []
+    for k in range(3, 7):
+        grid = bt.GridSpec(dx=2.0**-k, X=6.0, horizon=bt.MaxTime(1.5),
+                           dt=2.0**-k / 32.0)
+        scen = bt.Scenario(L=PAPER_L, fd=PAPER_FD, influx=bt.TrapezoidalPulse(*pulse, 1.0),
+                           distances=distances, grid=grid)
+        traj = (bt.solve_integral if scheme == "integral" else bt.solve_characteristic)(scen)
+        residuals.append(bt.audit(traj).trip_miles_residual)
+    ratios = np.array(residuals[:-1]) / np.array(residuals[1:])
     assert np.all((1.8 <= ratios) & (ratios <= 2.2)), ratios
