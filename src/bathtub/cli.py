@@ -476,6 +476,30 @@ def run(cfg: RunConfig, output_dir: Optional[str] = None) -> int:
     return 0 if traj.termination is solver.Termination.HORIZON else 2
 
 
+def _sweep_row(raw: Dict[str, object], value: float) -> dict:
+    """The summary row of one sweep level: the config ``raw`` is parsed
+    and solved here and only the row is returned, so a level's trajectory
+    is freed before the next level solves."""
+    row = {"value": value, "status": "ok", "termination": "",  # the CSV's columns
+           "peak_lambda": float("nan"), "peak_t": float("nan"),
+           "time_to_target": float("nan")}
+    try:
+        cfg = _config_from_raw(raw)
+        traj = execute(cfg)
+        j = int(np.argmax(traj.lam))
+        row["termination"] = traj.termination.value
+        row["peak_lambda"] = float(traj.lam[j])
+        row["peak_t"] = float(traj.t[j])
+        if cfg.stop[0] == "z" and traj.termination is solver.Termination.HORIZON:
+            row["time_to_target"] = traj.time_to_distance(cfg.stop[1])
+    except BathtubError as exc:
+        status = f"failed: {exc}"
+        if any(c in status for c in ',"\r\n'):  # quoted as RFC 4180 asks
+            status = '"' + status.replace('"', '""') + '"'
+        row["status"] = status
+    return row
+
+
 def sweep(text: str, param: str, values: Sequence[float],
           output_dir: str = ".") -> int:
     """Run one job per parameter value and write a summary CSV.
@@ -492,27 +516,7 @@ def sweep(text: str, param: str, values: Sequence[float],
     values = [float(v) for v in values]  # an int value is written as a float
     base_raw = _scan(text)
     os.makedirs(output_dir, exist_ok=True)
-    rows = []
-    for v in values:
-        raw = {**base_raw, param: repr(v)}
-        row = {"value": v, "status": "ok", "termination": "",  # the CSV's columns
-               "peak_lambda": float("nan"), "peak_t": float("nan"),
-               "time_to_target": float("nan")}
-        try:
-            cfg = _config_from_raw(raw)
-            traj = execute(cfg)
-            j = int(np.argmax(traj.lam))
-            row["termination"] = traj.termination.value
-            row["peak_lambda"] = float(traj.lam[j])
-            row["peak_t"] = float(traj.t[j])
-            if cfg.stop[0] == "z" and traj.termination is solver.Termination.HORIZON:
-                row["time_to_target"] = traj.time_to_distance(cfg.stop[1])
-        except BathtubError as exc:
-            status = f"failed: {exc}"
-            if any(c in status for c in ',"\r\n'):  # quoted as RFC 4180 asks
-                status = '"' + status.replace('"', '""') + '"'
-            row["status"] = status
-        rows.append(row)
+    rows = [_sweep_row({**base_raw, param: repr(v)}, v) for v in values]
     _write_csv(os.path.join(output_dir, "summary.csv"), list(rows[0]),
                (list(row.values()) for row in rows))
     targets = [row["time_to_target"] for row in rows]  # NaN where a run failed

@@ -122,6 +122,7 @@ class EquivalenceResult:
 
     max_profile_deviation: float
     max_lambda_deviation: float
+    max_outflux_deviation: float
 
 
 def vickrey_equivalence_check(traj: Trajectory, B: float,
@@ -135,8 +136,10 @@ def vickrey_equivalence_check(traj: Trajectory, B: float,
     x-grid, skipping the steps whose lam is at most 1e-9 * max(1, max lam)
     (near-empty networks, where K/lam is noise), and, when ``influx`` and
     ``fd`` are supplied, the maximum |lam - lam_vickrey| against a matched
-    scalar-ODE run interpolated onto the trajectory's times.  ``B`` must be
-    finite and positive.
+    scalar-ODE run interpolated onto the trajectory's times, and the
+    maximum over steps of |g - v*lam/B|, the out-flux against Vickrey's
+    form, over the maximum |g| (0.0 when g is 0 at every step).  ``B`` must
+    be finite and positive.
     """
     finite_positive(B=B)
     if traj.x_grid is None:
@@ -165,8 +168,13 @@ def vickrey_equivalence_check(traj: Trajectory, B: float,
         ref_run = solve_vickrey(vc)
         lam_ref = np.interp(traj.t, ref_run.t, ref_run.lam)
         lam_dev = float(np.max(np.abs(traj.lam - lam_ref)))
+    g_max = float(np.max(np.abs(traj.g)))
+    out_dev = 0.0
+    if g_max > 0.0:
+        out_dev = float(np.max(np.abs(traj.g - traj.v * traj.lam / B))) / g_max
     return EquivalenceResult(max_profile_deviation=dev,
-                             max_lambda_deviation=lam_dev)
+                             max_lambda_deviation=lam_dev,
+                             max_outflux_deviation=out_dev)
 
 
 # ---------------------------------------------------------------------------

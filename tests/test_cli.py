@@ -798,6 +798,24 @@ class TestOnePass:
         assert (cap, cells) == (783, 160)
         assert peak < 2 * ring
 
+    def test_sweep_holds_one_level_at_a_time(self, tmp_path):
+        # three integral levels of about 800 steps each at one dt: a sweep
+        # that keeps the last level's trajectory while the next one solves
+        # peaks near 1.8 times one level's solve, one that keeps only each
+        # level's row near 1.1 times
+        text = with_section(PAPER_CONF, "outputs", "outputs = series")
+        text = with_section(text, "grid.dt", f"grid.dt = {2.0**-4 / 30.0!r}\n"
+                            "model.scheme = integral")
+        values = [2.0**-2, 2.0**-3, 2.0**-4]
+        status, peak = traced_peak(lambda: cli.sweep(text, "grid.dx", values,
+                                                     output_dir=str(tmp_path)))
+        assert status == 0
+        cfg = cli.parse_config(with_section(text, "grid.dx",
+                                            f"grid.dx = {values[-1]!r}"))
+        traj, one = traced_peak(lambda: cli.execute(cfg))
+        assert traj.n_steps == 800
+        assert peak < 1.3 * one
+
     def test_too_fine_a_grid_is_one_error_line(self, tmp_path, capsys):
         # X/dx = 2e9 cells: an x grid alone would take 16 GB
         conf = tmp_path / "fine.conf"

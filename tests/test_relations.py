@@ -7,8 +7,9 @@ speeds times c, the jam density over c, the capacity kept) changes no
 clock or count and scales z and v by c exactly; splitting a pulse 1:1
 over two commodities adds back to the one-commodity run; under a
 constant inflow below capacity, Vickrey's march settles on the
-stationary state; with a constant distance, the deterministic march and
-the characteristic scheme converge on the constant-distance recursion at
+stationary state and both gridded schemes converge on it from opposite
+sides; with a constant distance, the deterministic march and the
+characteristic scheme converge on the constant-distance recursion at
 first order; and the audit's trip-miles residual halves with dx.  None of
 these needs a reference solution.
 """
@@ -225,6 +226,29 @@ def test_vickrey_settles_on_the_stationary_state(B, share):
         dt=1e-3, horizon=bt.MaxTime(3.0)))
     target = bt.stationary_state(PAPER_FD, PAPER_L, f, bt.ExponentialDistances(B))
     assert abs(run.lam[-1] - target.lam) <= 1e-9 * target.lam
+
+
+@settings(max_examples=3, derandomize=True, deadline=None)
+@given(B=st.floats(1.0, 3.0), share=st.floats(0.05, 0.9))
+def test_gridded_schemes_converge_on_the_stationary_state(B, share):
+    # both schemes' final count approaches lam* at first order in dx, the
+    # characteristic scheme from above and the integral scheme from below
+    # (about +-dx/(2B) relative); X is a whole number of coarse cells
+    C, _ = PAPER_FD.capacity()
+    f = share * PAPER_L * C / B
+    X = round(16.0 * B * 8.0) / 8.0
+    target = bt.stationary_state(PAPER_FD, PAPER_L, f, bt.ExponentialDistances(B)).lam
+    for solve, sign in ((bt.solve_characteristic, 1.0), (bt.solve_integral, -1.0)):
+        gaps = []
+        for k in range(3, 6):
+            grid = bt.GridSpec(dx=2.0**-k, X=X, horizon=bt.MaxTime(3.0),
+                               dt=2.0**-k / 30.0)
+            traj = solve(bt.Scenario(L=PAPER_L, fd=PAPER_FD, influx=bt.ConstantInflux(f),
+                                     distances=bt.ExponentialDistances(B), grid=grid))
+            gaps.append(sign * (traj.lam[-1] - target))
+        ratios = np.array(gaps[:-1]) / np.array(gaps[1:])
+        assert min(gaps) > 0.0, gaps
+        assert np.all((1.8 <= ratios) & (ratios <= 2.2)), ratios
 
 
 def _constant_distance_march(kind, c):

@@ -103,6 +103,35 @@ class TestEquivalenceCheck:
                                            fd=PAPER_FD, dt=1e-5)
         assert res.max_lambda_deviation < 3.0 * (2**-5 + 2**-5 / 30.0) * 100.0
 
+    @pytest.mark.parametrize("law", ["exponential", "uniform"])
+    def test_outflux_deviation_halves_only_for_exponential_distances(self, law):
+        # g = v*lam/B is Vickrey's out-flux: an exponential run meets it to
+        # first order in dx, a uniform law of the same mean does not
+        distances = (bt.ExponentialDistances(2.0) if law == "exponential"
+                     else bt.UniformDistances(2.0))
+        devs = []
+        for k in range(3, 7):
+            grid = bt.GridSpec(dx=2.0**-k, X=24.0, horizon=bt.MaxTime(1.5))
+            traj = bt.solve_characteristic(bt.Scenario(
+                L=PAPER_L, fd=PAPER_FD, influx=bt.TrapezoidalPulse(6000.0, 2000.0, 1.0),
+                distances=distances, grid=grid))
+            res = bt.vickrey_equivalence_check(traj, B=2.0, profile_samples=1)
+            devs.append(res.max_outflux_deviation)
+        ratios = np.array(devs[:-1]) / np.array(devs[1:])
+        if law == "exponential":
+            assert np.all((1.8 <= ratios) & (ratios <= 2.2)), ratios
+        else:
+            assert np.all(ratios < 1.3), ratios
+
+    def test_outflux_deviation_of_an_empty_run_is_zero(self):
+        # g is 0 at every step: the deviation is 0.0, with no 0/0
+        grid = bt.GridSpec(dx=2**-3, X=4.0, horizon=bt.MaxTime(0.25))
+        traj = bt.solve_characteristic(bt.Scenario(
+            L=PAPER_L, fd=PAPER_FD, influx=bt.ZeroInflux(),
+            distances=bt.ExponentialDistances(1.0), grid=grid))
+        assert not traj.g.any()
+        assert bt.vickrey_equivalence_check(traj, B=1.0).max_outflux_deviation == 0.0
+
     @pytest.mark.parametrize("B", [0.0, math.nan, -1.0, math.inf])
     def test_mean_must_be_finite_and_positive(self, B):
         # each used to report a deviation: 0.0, perfect agreement, at B = 0
