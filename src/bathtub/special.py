@@ -222,30 +222,62 @@ class DeterministicConfig:
         return float(self.btilde(z if self.btilde_coordinate == "z" else t))
 
 
+_UNIT = 1 << 1074  # 2**-1074 is the smallest subnormal: every float is a whole count of it
+
+
+def _units(x: float) -> int:
+    """``x`` (finite) as an exact whole number of 2**-1074."""
+    n, d = x.as_integer_ratio()  # d is a power of two, at most 2**1074
+    return n << (1075 - d.bit_length())
+
+
 def solve_deterministic(c: DeterministicConfig) -> Trajectory:
     """March the deterministic-distance model on the z-grid.
 
     Entering mass during each z-cell is logged with its effective distance
     theta = z_entry + Btilde(entry); a trip is active at z exactly while its
     theta exceeds z, which realizes the FIFO / LIFO / simultaneous-exit
-    solutions uniformly across regime changes.  A dz that carries z past
-    the largest float raises :class:`DomainError`.
+    solutions uniformly across regime changes.  Trips therefore leave in
+    theta order: each entry with non-zero mass that is still active at the
+    end of its own cell goes onto a heap keyed by theta, and a step pops
+    the entries whose theta is at most z_end + 1e-12, so it costs
+    O(log live) rather than a pass over the whole log.  The active mass is
+    kept as one exact sum (an int in units of 2**-1074, the smallest
+    subnormal) and read out correctly rounded, so lam is the initial-profile
+    term plus ``math.fsum`` of the active masses.  A rounded running sum
+    would not do: its add-and-subtract error drove lam below 0, and it need
+    not return to 0 when the last trip leaves.  A non-finite entering mass
+    raises :class:`DomainError`, as does a dz that carries z past the
+    largest float.
     """
+    from heapq import heappop, heappush  # on first use: other runs load nothing for it
+
     dz = c.dz
     F_l = array("d", [0.0])
     ic_next = _points(c.ic.profile_array, dz, 1, "dz").__next__  # K0 at z_end
     theta_l, mass_l = array("d"), array("d")
+    live: List[Tuple[float, float]] = []  # (theta, mass) of the active entries
+    units = 0  # their exact mass sum, in units of 2**-1074
 
     def step(j, tau, dtau):
+        nonlocal units
         z = j * dz
         F_next = c.influx.cumulative(tau + dtau)
-        theta_l.append(z + c.btilde_at(tau, z))
-        mass_l.append(max(F_next - F_l[-1], 0.0))
+        theta = z + c.btilde_at(tau, z)
+        mass = max(F_next - F_l[-1], 0.0)
+        if not mass < np.inf:
+            raise DomainError(f"the mass entering at z = {z!r} is {mass!r}; "
+                              "the inflow's cumulative must stay finite")
+        theta_l.append(theta)
+        mass_l.append(mass)
         F_l.append(F_next)
-        z_end = (j + 1) * dz
-        # the logs' views are temporaries, gone before the next append
-        active = float(np.sum(np.asarray(mass_l)[np.asarray(theta_l) > z_end + 1e-12]))
-        return ic_next() + active
+        gone = (j + 1) * dz + 1e-12  # z_end + 1e-12: active while theta > gone
+        if mass and theta > gone:
+            heappush(live, (theta, mass))
+            units += _units(mass)
+        while live and live[0][0] <= gone:
+            units -= _units(heappop(live)[1])
+        return ic_next() + units / _UNIT
 
     t, z, lam, v, termination = _march_z(c.fd, c.L, dz, c.horizon, c.v_min,
                                          float(c.ic.lambda0), step)

@@ -1,6 +1,7 @@
 """Shared scenario builders and cached solves for the test suite."""
 
 import functools
+import math
 import tracemalloc
 
 import numpy as np
@@ -259,7 +260,9 @@ def reference_vickrey(c) -> bt.Trajectory:
 def reference_deterministic(c) -> bt.Trajectory:
     """The deterministic-distance march with a scalar initial-profile call
     per step and plain lists for its logs, a bitwise reference for
-    ``solve_deterministic``."""
+    ``solve_deterministic``: each step masks the whole log for the entries
+    still active and sums their masses with ``math.fsum``, the correctly
+    rounded sum that the solver's exit heap keeps exactly."""
     dz = c.dz
     F_l, theta_l, mass_l = [0.0], [], []
 
@@ -271,7 +274,7 @@ def reference_deterministic(c) -> bt.Trajectory:
         F_l.append(F_next)
         z_end = (j + 1) * dz
         mass, theta = np.fromiter(mass_l, float), np.fromiter(theta_l, float)
-        active = float(np.sum(mass[theta > z_end + 1e-12]))
+        active = math.fsum(mass[theta > z_end + 1e-12])
         return float(c.ic.profile(z_end)) + active
 
     t, z, lam, v, termination = _march_z(c.fd, c.L, dz, c.horizon, c.v_min,

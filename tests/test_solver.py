@@ -163,6 +163,27 @@ class TestPaperScenario:
         traj = paper_char(2**-5)
         assert traj.truncated_mass > 0.0
 
+    def test_results_stop_moving_once_x_holds_every_trip(self):
+        # uniform distances run up to 2 max Btilde = 10 miles: the cap at X
+        # exits the longer trips early while X < 10, and nothing after
+        def solve(X):
+            grid = bt.GridSpec(dx=2**-4, X=X, horizon=bt.MaxCumulativeDistance(30.0))
+            traj = bt.solve_characteristic(bt.Scenario(
+                L=PAPER_L, fd=PAPER_FD, influx=paper_pulse(),
+                distances=bt.UniformDistances(paper_btilde()), grid=grid))
+            return traj.time_to_distance(30.0), float(traj.lam.max()), traj.truncated_mass
+
+        t30, peak, capped = solve(10.0)
+        assert (t30, peak, capped) == solve(12.0)
+        assert capped == 0.0
+        assert t30 == pytest.approx(1.9820270805160058, rel=1e-12)
+        assert peak == pytest.approx(1508.2521632667926, rel=1e-12)
+        for X, t30_capped, trips in ((5.0, 1.6973, 974.0), (8.0, 1.9701, 264.0)):
+            t, _, capped = solve(X)
+            assert t < t30
+            assert t == pytest.approx(t30_capped, abs=1e-4)
+            assert capped == pytest.approx(trips, abs=1.0)
+
     def test_strict_truncation_rejects_lossy_grid(self):
         scen = paper_scenario(2**-4)
         grid = bt.GridSpec(dx=scen.grid.dx, X=scen.grid.X,
@@ -1048,6 +1069,31 @@ class TestGridlockIsAbsorbing:
                              influx=bt.ConstantInflux(f), dt=5e-3,
                              horizon=bt.MaxTime(40.0), v_min=v_min)
         self.check(bt.solve_vickrey(c), f, btilde, v_min)
+
+
+class TestFixedStepGridlockOvershoot:
+    """A fixed-step run that gridlocks ends with lam <= L kappa + f dt:
+    a step adds at most its entering mass f dt, and the last step starts
+    at a positive speed, so below the jam count.  (The z-grid marches,
+    whose last step can last hours, are not held to this.)"""
+
+    @pytest.mark.parametrize("f", [6498.7, 8539.0, 20000.0])
+    @pytest.mark.parametrize("solver", ["integral", "vickrey"])
+    def test_last_count_is_within_one_step_of_the_jam(self, solver, f):
+        B, jam = 2.0, PAPER_L * PAPER_FD.kappa
+        for dx in (2.0**-3, 2.0**-4, 2.0**-5):
+            dt = dx / 30.0
+            if solver == "integral":
+                grid = bt.GridSpec(dx=dx, X=8.0, horizon=bt.MaxTime(10.0), dt=dt)
+                traj = bt.solve_integral(bt.Scenario(
+                    L=PAPER_L, fd=PAPER_FD, influx=bt.ConstantInflux(f),
+                    distances=bt.ExponentialDistances(B), grid=grid))
+            else:
+                traj = bt.solve_vickrey(bt.VickreyConfig(
+                    L=PAPER_L, fd=PAPER_FD, B=B, lambda0=0.0,
+                    influx=bt.ConstantInflux(f), dt=dt, horizon=bt.MaxTime(10.0)))
+            assert traj.termination is bt.Termination.GRIDLOCK
+            assert jam * (1.0 - 1e-9) <= traj.lam[-1] <= jam + f * dt
 
 
 class TestOrderingProperties:

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bathtub as bt
 from bathtub.special import _BLOCK, _points
@@ -255,6 +257,50 @@ class TestReducedSolversBits:
         assert_same_run(run, reference_constant_distance(c))
 
 
+@st.composite
+def crossing_exits(draw):
+    """A deterministic run whose trips leave out of entry order: Btilde
+    against z falls to 0 at more than 1 mile per mile (LIFO) straight
+    away, or first rises (FIFO) and then falls so; entries past the fall
+    are never active.  The z stop lies past the largest theta, so the run
+    ends with no trip left."""
+    b0 = draw(st.floats(0.5, 1.5))
+    fall = draw(st.floats(1.5, 4.0))  # miles of Btilde lost per mile of z
+    if draw(st.booleans()):  # LIFO from the start
+        z_top, b_top = 0.0, b0
+        x, y = [], []
+    else:  # FIFO while Btilde rises to b_top at z_top
+        z_top = draw(st.floats(0.2, 0.5))
+        b_top = b0 + draw(st.floats(0.1, 1.0))
+        x, y = [0.0], [b0]
+    btilde = bt.PiecewiseLinear(x + [z_top, z_top + b_top / fall, 50.0],
+                                y + [b_top, 0.0, 0.0])
+    ic = draw(st.sampled_from([bt.EmptyNetwork(), bt.ExponentialProfile(200.0, 0.5)]))
+    return _deterministic(bt.ConstantInflux(draw(st.floats(500.0, 6000.0))),
+                          btilde=btilde, dz=2.0 ** -draw(st.integers(8, 10)),
+                          horizon=bt.MaxCumulativeDistance(z_top + b_top + 0.25),
+                          ic=ic, coordinate="z")
+
+
+class TestExitHeap:
+    """The exit heap and its exact active sum on runs where trips leave
+    out of entry order, at the dz where a rounded running sum drove lam
+    below 0."""
+
+    @settings(max_examples=8, derandomize=True, deadline=None)
+    @given(c=crossing_exits())
+    def test_runs_match_the_masked_reference(self, c):
+        run = bt.solve_deterministic(c)
+        assert_same_run(run, reference_deterministic(c))
+        assert np.all(run.lam >= 0.0)
+        # where no logged entry is active, lam is exactly its K0 term
+        z_end = run.z[1:]
+        idle = np.maximum.accumulate(run.entry_theta) <= z_end + 1e-12
+        assert idle[-1]
+        k0 = c.ic.profile_array(z_end)
+        assert np.array_equal(run.lam[1:][idle], k0[idle])
+
+
 SERIES = ("t", "z", "lam", "v", "f", "F", "G", "g", "entry_mass", "entry_theta")
 
 
@@ -413,6 +459,18 @@ class TestDeterministicSolve:
         traj = bt.solve_deterministic(cfg)
         rec = np.array([bt.reconstruct_K(traj, float(t), 0.0) for t in traj.t])
         np.testing.assert_allclose(rec, traj.lam, rtol=1e-9, atol=0.0)
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan], ids=["inf", "nan"])
+    def test_non_finite_entering_mass_is_a_domain_error(self, value):
+        class Broken(bt.InfluxProfile):
+            def _rate(self, t):
+                return 0.0
+
+            def _cumulative(self, t):
+                return value
+
+        with pytest.raises(bt.DomainError):
+            bt.solve_deterministic(_deterministic(Broken()))
 
     def test_theta_inverse_recovers_entry_point(self):
         cfg = bt.DeterministicConfig(L=10.0, fd=PAPER_FD, btilde=2.0,
