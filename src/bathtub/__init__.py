@@ -25,10 +25,9 @@ from .piecewise import PiecewiseLinear
 from .solver import (BathtubState, CommodityDemand, GridSpec,
                      MaxCumulativeDistance, MaxTime, RemainingStats, Scenario,
                      Termination, Trajectory, outflux_from_profile,
-                     outflux_series, reconstruct_K, reconstruct_profile,
-                     remaining_distance_stats, solve_characteristic,
-                     solve_integral, solve_mobility_service,
-                     solve_multi_commodity)
+                     reconstruct_K, remaining_distance_stats,
+                     solve_characteristic, solve_integral,
+                     solve_mobility_service, solve_multi_commodity)
 from .special import (DelayCheckResult, DeterministicConfig, EquivalenceResult,
                       SortingRegime, TripFrame, VickreyConfig, classify_regime,
                       delay_formulation_check, solve_constant_distance,

@@ -887,18 +887,6 @@ def reconstruct_K(traj: Trajectory, t: float, x) -> float:
     return float(out) if scalar else out
 
 
-def reconstruct_profile(traj: Trajectory, t: float) -> np.ndarray:
-    """K(t, x) over the trajectory's x-grid."""
-    if traj.x_grid is None:
-        raise ContractError("trajectory does not carry a distance grid")
-    return np.asarray(reconstruct_K(traj, t, traj.x_grid), dtype=float)
-
-
-def outflux_series(traj: Trajectory) -> np.ndarray:
-    """Completion rate g(t) from differences of the conserved cumulative G."""
-    return traj.g.copy()
-
-
 def outflux_from_profile(traj: Trajectory, max_points: int = 2048) -> np.ndarray:
     """Diagnostic out-flux estimator k(t,0+) * v from the K profile.
 

@@ -3,6 +3,7 @@
 import functools
 import math
 import tracemalloc
+from typing import NamedTuple
 
 import numpy as np
 
@@ -13,6 +14,7 @@ PAPER_FD = bt.Trapezoidal(u=30.0, C=750.0, w=10.0, kappa=200.0)
 PAPER_L = 10.0
 PAPER_X = 5.0
 PAPER_Z_STOP = 30.0
+DX_LEVELS = (2**-3, 2**-4, 2**-5, 2**-6)
 
 
 def paper_pulse() -> bt.TrapezoidalPulse:
@@ -316,6 +318,45 @@ def assert_same_run(a: bt.Trajectory, b: bt.Trajectory):
     if a.entry_theta is not None:
         assert_same_bits(a.entry_theta, b.entry_theta)
     assert a.termination is b.termination
+
+
+def _common_times(runs):
+    """Time nodes of the last run that every run in ``runs`` reaches."""
+    tmax = min(tr.t[-1] for tr in runs)
+    return runs[-1].t[runs[-1].t <= tmax]
+
+
+class SchemeGaps(NamedTuple):
+    gaps: dict  # dx: the largest raw z(t) gap between the schemes
+    ratios: list  # each gap over the next finer one
+    extrap: dict  # finer dx: the largest gap between the extrapolates
+    ok: bool
+
+
+def scheme_gaps(char, integral) -> SchemeGaps:
+    """Criterion 06's two measures of one scenario solved by the
+    characteristic and the integral scheme, each a dict of runs by dx
+    halving from coarse to fine: the raw z(t) gap must halve with dx
+    (ratios in [1.8, 2.2]), and the schemes' Richardson extrapolates
+    2 z(dx) - z(2 dx) must agree within 5 cells of the finer dx."""
+    levels = sorted(char, reverse=True)
+    gaps = {}
+    for dx in levels:
+        tc, ti = char[dx], integral[dx]
+        tg = _common_times([tc, ti])
+        gaps[dx] = float(np.max(np.abs(np.interp(tg, tc.t, tc.z)
+                                       - ti.z[:tg.size])))
+    ratios = [gaps[c] / gaps[f] for c, f in zip(levels, levels[1:])]
+    extrap = {}
+    for c, f in zip(levels, levels[1:]):
+        runs = [char[c], char[f], integral[c], integral[f]]
+        tg = _common_times(runs)
+        char_c, char_f, int_c, int_f = (np.interp(tg, tr.t, tr.z) for tr in runs)
+        extrap[f] = float(np.max(np.abs((2.0 * char_f - char_c)
+                                        - (2.0 * int_f - int_c))))
+    ok = (all(1.8 <= r <= 2.2 for r in ratios)
+          and all(extrap[f] <= 5.0 * f for f in extrap))
+    return SchemeGaps(gaps, ratios, extrap, ok)
 
 
 @functools.lru_cache(maxsize=None)

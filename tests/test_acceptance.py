@@ -12,11 +12,10 @@ import numpy as np
 
 import bathtub as bt
 from bathtub import cli
-from helpers import (PAPER_FD, PAPER_L, paper_char, paper_integral,
-                     paper_pulse, paper_scenario,
+from helpers import (DX_LEVELS, PAPER_FD, PAPER_L, paper_char, paper_integral,
+                     paper_pulse, paper_scenario, scheme_gaps,
                      stationary_exponential_scenario)
 
-DX_LEVELS = (2**-3, 2**-4, 2**-5, 2**-6)
 GS = bt.Greenshields(30.0, 200.0)
 
 
@@ -174,12 +173,6 @@ def test_criterion_05_gridlock_sufficiency_and_stationarity():
            f"jam lam={jam.lam[-1]:.0f}, drift/lam={drift / lam_end:.2e}")
 
 
-def _common_times(runs):
-    """Time nodes of the last run that every run in ``runs`` reaches."""
-    tmax = min(tr.t[-1] for tr in runs)
-    return runs[-1].t[runs[-1].t <= tmax]
-
-
 def test_criterion_06_scheme_equivalence_within_five_cells():
     # The characteristic scheme starts an entering mass aging at the end of
     # its step and the integral scheme at the start, so their first-order
@@ -187,22 +180,8 @@ def test_criterion_06_scheme_equivalence_within_five_cells():
     # ~16.6 cells apart on every grid.  What the paper promises is a common
     # limit: the raw gap must halve with dx, and the Richardson extrapolates
     # 2 z_{dx/2} - z_{dx} of the two schemes must agree within 5 fine cells.
-    gaps = {}
-    for dx in DX_LEVELS:
-        tc, ti = paper_char(dx), paper_integral(dx)
-        tg = _common_times([tc, ti])
-        gaps[dx] = float(np.max(np.abs(np.interp(tg, tc.t, tc.z)
-                                       - ti.z[:tg.size])))
-    ratios = [gaps[c] / gaps[f] for c, f in zip(DX_LEVELS, DX_LEVELS[1:])]
-    extrap = {}
-    for c, f in zip(DX_LEVELS, DX_LEVELS[1:]):
-        runs = [paper_char(c), paper_char(f), paper_integral(c), paper_integral(f)]
-        tg = _common_times(runs)
-        char_c, char_f, int_c, int_f = (np.interp(tg, tr.t, tr.z) for tr in runs)
-        extrap[f] = float(np.max(np.abs((2.0 * char_f - char_c)
-                                        - (2.0 * int_f - int_c))))
-    ok = (all(1.8 <= r <= 2.2 for r in ratios)
-          and all(extrap[f] <= 5.0 * f for f in extrap))
+    gaps, ratios, extrap, ok = scheme_gaps({dx: paper_char(dx) for dx in DX_LEVELS},
+                                           {dx: paper_integral(dx) for dx in DX_LEVELS})
     report(6, "both schemes converge at first order to one z(t) "
               "(extrapolates within 5 cells)", ok,
            "gap/dx=" + ",".join(f"{gaps[dx] / dx:.1f}" for dx in DX_LEVELS)

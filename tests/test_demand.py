@@ -332,7 +332,7 @@ class TestEntryKey:
             law(btilde)
 
     @pytest.mark.parametrize("kind", sorted(keyed_laws()))
-    @settings(max_examples=25, derandomize=True, deadline=None)
+    @settings(max_examples=25)
     @given(t=entry_times, ts=st.lists(entry_times, min_size=1, max_size=12),
            x=st.lists(st.floats(0.0, 10.0), min_size=1, max_size=12))
     def test_key_path_is_bitwise_equal_to_time_path(self, kind, t, ts, x):

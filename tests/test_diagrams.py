@@ -89,7 +89,7 @@ class TestFloatPath:
 # module level: a parametrized @given method of a class fails Hypothesis's
 # differing_executors health check when its pytest plugin is disabled
 @pytest.mark.parametrize("fd", [TRAP, TRI, GS], ids=["trap", "tri", "gs"])
-@settings(max_examples=25, derandomize=True, deadline=None)
+@settings(max_examples=25)
 @given(r=st.floats(min_value=0.0, max_value=1e9, allow_subnormal=True))
 def test_matches_array_path_on_generated_densities(fd, r):
     _assert_float_path_matches_array(fd, r)

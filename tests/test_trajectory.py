@@ -15,6 +15,7 @@ import bathtub as bt
 from bathtub.solver import _rebuild
 from helpers import (PAPER_FD, PAPER_L, paper_btilde, paper_char, paper_integral,
                      paper_pulse, solve_fixed_step)
+from strategies import initial_profiles, mean_laws, plateaus, ramps
 
 
 def _gridded_scenario(dt=None):
@@ -196,19 +197,8 @@ def test_profile_needs_a_grid():
         _solve("vickrey").profile(0)
 
 
-_distances = st.one_of(
-    st.floats(0.3, 3.0).map(bt.UniformDistances),
-    st.floats(0.3, 3.0).map(bt.ExponentialDistances),
-    st.floats(0.3, 3.0).map(bt.DeterministicDistances))
-_initial = st.one_of(
-    st.just(bt.EmptyNetwork()),
-    st.tuples(st.floats(1.0, 400.0), st.floats(0.3, 2.0)).map(
-        lambda a: bt.ExponentialProfile(*a)))
-
-
-@settings(max_examples=25, derandomize=True, deadline=None)
-@given(ramp=st.floats(500.0, 20000.0), plateau=st.floats(100.0, 4000.0),
-       distances=_distances, ic=_initial)
+@settings(max_examples=25)
+@given(ramp=ramps, plateau=plateaus, distances=mean_laws, ic=initial_profiles)
 def test_replayed_profile_equals_its_reconstruction(ramp, plateau, distances, ic):
     grid = bt.GridSpec(dx=2**-3, X=2.0, horizon=bt.MaxCumulativeDistance(6.0))
     scen = bt.Scenario(L=PAPER_L, fd=PAPER_FD,
@@ -220,9 +210,8 @@ def test_replayed_profile_equals_its_reconstruction(ramp, plateau, distances, ic
                                rtol=0.0, atol=1e-9 * float(traj.lam.max()))
 
 
-@settings(max_examples=25, derandomize=True, deadline=None)
-@given(ramp=st.floats(500.0, 20000.0), plateau=st.floats(100.0, 4000.0),
-       distances=_distances, ic=_initial)
+@settings(max_examples=25)
+@given(ramp=ramps, plateau=plateaus, distances=mean_laws, ic=initial_profiles)
 def test_rebuilt_profiles_are_monotone_and_start_at_lambda(ramp, plateau,
                                                           distances, ic):
     grid = bt.GridSpec(dx=2**-3, X=2.0, horizon=bt.MaxCumulativeDistance(6.0),
@@ -237,10 +226,10 @@ def test_rebuilt_profiles_are_monotone_and_start_at_lambda(ramp, plateau,
     np.testing.assert_allclose(K[:, 0], traj.lam, rtol=1e-12, atol=tol * 1e-3)
 
 
-@settings(max_examples=25, derandomize=True, deadline=None)
+@settings(max_examples=25)
 @given(solver=st.sampled_from(["integral", "mobility_service", "multi_commodity"]),
-       ramp=st.floats(500.0, 20000.0), plateau=st.floats(100.0, 4000.0),
-       distances=_distances, ic=_initial)
+       ramp=ramps, plateau=plateaus,
+       distances=mean_laws, ic=initial_profiles)
 def test_fixed_step_exits_never_decrease(solver, ramp, plateau, distances, ic):
     """G = lambda(0) + F - lambda counts the completed trips, so the exit
     rate g is non-negative up to rounding; a mass weighted twice would make
