@@ -160,7 +160,10 @@ def gridlock_predict(f: float, Btilde: float, L: float,
     """Sufficient gridlock test for constant demand: f * Btilde > L * C.
 
     The condition is sufficient but not necessary, so the negative answer is
-    reported as NOT_IMPLIED rather than as safety.
+    reported as NOT_IMPLIED rather than as safety.  It is the condition for
+    the continuous model: a fixed-step scheme counts each trip for up to one
+    cell less than its distance, so :func:`solve_integral` on cell dx needs
+    f * (Btilde - dx) > L * C to gridlock.
     """
     finite_positive(L=L)
     finite_non_negative(f=f, Btilde=Btilde)
@@ -281,8 +284,9 @@ def audit(traj: Trajectory, demand: Optional[DistanceDistribution] = None,
     method yields, whose steps must include the audit's, or
     :class:`DomainError` is raised.
     """
-    scale = np.maximum(traj.lam[0] + traj.F, 1e-12)
-    tt_steps = np.abs(traj.G - (traj.lam[0] + traj.F - traj.lam)) / scale
+    F = traj.F  # derived on each read
+    scale = np.maximum(traj.lam[0] + F, 1e-12)
+    tt_steps = np.abs(traj.G - (traj.lam[0] + F - traj.lam)) / scale
     if demand is None:
         demand = traj.distances
 

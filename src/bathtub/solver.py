@@ -146,6 +146,44 @@ class RemainingStats:
     density_at_zero: float
 
 
+def _cumulative_inflow(traj) -> np.ndarray:
+    """``[0, cumsum(entry_mass)]``: ``np.cumsum`` adds in log order."""
+    F = np.empty(traj.entry_mass.size + 1)
+    F[0] = 0.0
+    np.cumsum(traj.entry_mass, out=F[1:])
+    return F
+
+
+def _outflux(traj) -> np.ndarray:
+    """dG/dt by forward differences, the last value repeated."""
+    g = np.zeros_like(traj.t)
+    if traj.t.size > 1:
+        g[:-1] = np.diff(traj.G) / np.diff(traj.t)
+        g[-1] = g[-2]
+    return g
+
+
+class _Supplied:
+    """A series a solver may supply: stored when given, else derived by
+    ``derive(traj)`` on each read and not kept.  As a dataclass field's
+    default it reads None."""
+
+    def __init__(self, derive: Callable):
+        self.derive = derive
+
+    def __set_name__(self, owner, name):
+        self.slot = "_" + name
+
+    def __get__(self, traj, owner=None):
+        if traj is None:
+            return None
+        given = traj.__dict__[self.slot]
+        return self.derive(traj) if given is None else given
+
+    def __set__(self, traj, value):
+        traj.__dict__[self.slot] = value
+
+
 @dataclass
 class Trajectory:
     """A solved run: aligned series, the entering-mass log, and the data
@@ -158,14 +196,19 @@ class Trajectory:
     scheme and the step start ``z[:-1]`` in every other, so that
     :func:`reconstruct_K` and :meth:`profile_blocks`, its batch form,
     reproduce the scheme's own K values (a characteristic run's blocks
-    replay its update over the log, bit for bit).  ``distances`` and
-    ``ic`` are the run's distance law and initial condition.  Deterministic
-    runs log each entry's effective distance in ``entry_theta`` instead of
-    a distance law (their B~ may be given against z).  ``F`` is the running
-    sum of ``entry_mass`` (``np.cumsum`` adds in log order) unless the
-    solver supplies it, ``G`` is derived from the counts, and ``g`` from
-    ``G`` unless the solver supplies it.  A trajectory holds data only, so
-    it pickles.
+    replay its update over the log, bit for bit).  ``influx``,
+    ``distances`` and ``ic`` are the run's demand: its inflow rate, distance
+    law and initial condition.  Deterministic runs log each entry's
+    effective distance in ``entry_theta`` instead of a distance law (their
+    B~ may be given against z).
+
+    A trajectory stores what its march produced (``t, z, lam, v``, the
+    logs, and ``G = lam(0) + F - lam``, the record the audit checks).  The
+    rest is derived on each read, not cached: ``f`` is ``influx.rate_array(t)``,
+    ``F`` the running sum of ``entry_mass`` unless the solver supplies it,
+    and ``g`` the forward difference of ``G`` unless the solver supplies it.
+    A read of a derived series costs O(steps), so a caller that needs one
+    twice binds it once.  A trajectory holds data only, so it pickles.
     """
 
     scheme: str
@@ -174,27 +217,25 @@ class Trajectory:
     z: np.ndarray
     lam: np.ndarray
     v: np.ndarray
-    f: np.ndarray
     entry_mass: np.ndarray
     termination: Termination
+    influx: InfluxProfile
     distances: Optional[DistanceDistribution]
     ic: InitialCondition
     truncated_mass: float = 0.0
     x_grid: Optional[np.ndarray] = None
     entry_theta: Optional[np.ndarray] = None
-    F: Optional[np.ndarray] = None
-    g: Optional[np.ndarray] = None
+    F: Optional[np.ndarray] = _Supplied(_cumulative_inflow)
+    g: Optional[np.ndarray] = _Supplied(_outflux)
     G: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if self.F is None:
-            self.F = np.concatenate(([0.0], np.cumsum(self.entry_mass)))
-        self.G = self.lam[0] + self.F - self.lam
-        if self.g is None:
-            self.g = np.zeros_like(self.t)
-            if self.t.size > 1:
-                self.g[:-1] = np.diff(self.G) / np.diff(self.t)
-                self.g[-1] = self.g[-2]
+        self.G = np.add(self.lam[0], self.F)
+        self.G -= self.lam
+
+    @property
+    def f(self) -> np.ndarray:
+        return self.influx.rate_array(self.t)
 
     @property
     def n_steps(self) -> int:
@@ -640,10 +681,10 @@ def _gridded(scheme: str, L: float, demand, grid: GridSpec,
     truncated = float(np.cumsum(np.concatenate((
         [float(demand.ic.tail_beyond(grid.X))],
         ent_m * demand.distances.tail_beyond(t[:-1], grid.X))))[-1])
-    traj = Trajectory(scheme=scheme, L=L, t=t, z=z, lam=lam, v=v,
-                      f=demand.influx.rate_array(t), entry_mass=ent_m,
-                      termination=termination, distances=demand.distances,
-                      ic=demand.ic, truncated_mass=truncated, x_grid=grid.x_nodes())
+    traj = Trajectory(scheme=scheme, L=L, t=t, z=z, lam=lam, v=v, entry_mass=ent_m,
+                      termination=termination, influx=demand.influx,
+                      distances=demand.distances, ic=demand.ic,
+                      truncated_mass=truncated, x_grid=grid.x_nodes())
     if grid.strict_truncation:
         total_in = lam[0] + traj.F[-1]
         if truncated > _TRUNCATION_TOLERANCE * max(total_in, 1.0):
@@ -675,6 +716,13 @@ def solve_integral(s: Scenario) -> Trajectory:
     step end.  The two first-order errors in z(t) therefore have opposite
     signs on congested runs: the schemes share their limit as the grid is
     refined, not their values on any one grid.
+
+    The scheme counts each trip for up to one cell less than its distance,
+    so f B~ > L C, the condition for the continuous model
+    (:func:`gridlock_predict`), does not make a constant demand f gridlock
+    here: on cell dx it needs f (B~ - dx) > L C.  A distance B~ on a grid
+    node is counted exactly one cell short, so with f B~ > L C >= f (B~ - dx)
+    a run can stay free of gridlock.
     """
     speed_of = lambda t, lam, f, g: [float(s.fd.speed(lam[0] / s.L))]
     return _solve_fixed_step("integral", s.L, [s], s.grid, speed_of)[0]

@@ -107,12 +107,15 @@ def solve_vickrey(c: VickreyConfig) -> Trajectory:
 
     t = np.arange(j + 1) * dt
     lam_a, v_a = np.asarray(lam_l), np.asarray(v_l)
-    f = c.influx.rate_array(t)
+    z = np.empty(j + 1)
+    z[0] = 0.0
+    np.cumsum(v_a[:j] * dt, out=z[1:])
+    entry_mass = c.influx.rate_array(t[:j])
+    entry_mass *= dt
     # the Vickrey out-flux lam*v/B replaces the conservation-difference column
-    return Trajectory(scheme="vickrey", L=L, t=t,
-                      z=np.concatenate(([0.0], np.cumsum(v_a[:j] * dt))),
-                      lam=lam_a, v=v_a, f=f, entry_mass=f[:j] * dt,
-                      termination=termination, distances=ExponentialDistances(B),
+    return Trajectory(scheme="vickrey", L=L, t=t, z=z, lam=lam_a, v=v_a,
+                      entry_mass=entry_mass, termination=termination,
+                      influx=c.influx, distances=ExponentialDistances(B),
                       ic=ExponentialProfile(c.lambda0, B), g=lam_a * v_a / B)
 
 
@@ -168,10 +171,11 @@ def vickrey_equivalence_check(traj: Trajectory, B: float,
         ref_run = solve_vickrey(vc)
         lam_ref = np.interp(traj.t, ref_run.t, ref_run.lam)
         lam_dev = float(np.max(np.abs(traj.lam - lam_ref)))
-    g_max = float(np.max(np.abs(traj.g)))
+    g = traj.g
+    g_max = float(np.max(np.abs(g)))
     out_dev = 0.0
     if g_max > 0.0:
-        out_dev = float(np.max(np.abs(traj.g - traj.v * traj.lam / B))) / g_max
+        out_dev = float(np.max(np.abs(g - traj.v * traj.lam / B))) / g_max
     return EquivalenceResult(max_profile_deviation=dev,
                              max_lambda_deviation=lam_dev,
                              max_outflux_deviation=out_dev)
@@ -282,9 +286,9 @@ def solve_deterministic(c: DeterministicConfig) -> Trajectory:
     t, z, lam, v, termination = _march_z(c.fd, c.L, dz, c.horizon, c.v_min,
                                          float(c.ic.lambda0), step)
     return Trajectory(scheme="deterministic", L=c.L, t=t, z=z, lam=lam, v=v,
-                      f=c.influx.rate_array(t), F=np.asarray(F_l),
-                      entry_mass=np.asarray(mass_l), termination=termination,
-                      distances=None, ic=c.ic, entry_theta=np.asarray(theta_l))
+                      F=np.asarray(F_l), entry_mass=np.asarray(mass_l),
+                      termination=termination, influx=c.influx, distances=None,
+                      ic=c.ic, entry_theta=np.asarray(theta_l))
 
 
 def classify_regime(c: DeterministicConfig, traj: Trajectory,
@@ -460,9 +464,8 @@ def solve_constant_distance(c: DeterministicConfig) -> Tuple[Trajectory, TripFra
 
     t, z, lam, v, termination = _march_z(c.fd, c.L, dz, c.horizon, c.v_min, 0.0, step)
     traj = Trajectory(scheme="constant_distance", L=c.L, t=t, z=z, lam=lam, v=v,
-                      f=c.influx.rate_array(t),
                       entry_mass=np.asarray(ent_m), termination=termination,
-                      distances=DeterministicDistances(B), ic=c.ic)
+                      influx=c.influx, distances=DeterministicDistances(B), ic=c.ic)
     frame = TripFrame(Btilde=B, z=traj.z, tau=traj.t, F=traj.F, G=traj.G)
     return traj, frame
 

@@ -56,6 +56,18 @@ def assert_same_bits(a, b):
     assert a.tobytes() == b.tobytes()
 
 
+def held_nbytes(traj) -> int:
+    """Bytes of the distinct ndarray buffers a trajectory stores (its
+    ``vars``): arrays that view one numpy array count it once, whole."""
+    owners = {}
+    for a in vars(traj).values():
+        if isinstance(a, np.ndarray):
+            while isinstance(a.base, np.ndarray):
+                a = a.base
+            owners[id(a)] = a.nbytes
+    return sum(owners.values())
+
+
 def traced_peak(fn):
     """``(fn(), peak)``: the result of ``fn()`` and the peak bytes that
     tracemalloc saw allocated while it ran.  Tracing stops even if ``fn``
@@ -253,9 +265,8 @@ def reference_vickrey(c) -> bt.Trajectory:
     t_arr = np.asarray(t_l)
     return Trajectory(scheme="vickrey", L=c.L, t=t_arr, z=np.asarray(z_l),
                       lam=np.asarray(lam_l), v=np.asarray(v_l),
-                      f=c.influx.rate_array(t_arr),
                       entry_mass=np.asarray(ent_m), termination=termination,
-                      distances=bt.ExponentialDistances(c.B),
+                      influx=c.influx, distances=bt.ExponentialDistances(c.B),
                       ic=bt.ExponentialProfile(c.lambda0, c.B), g=np.asarray(g_l))
 
 
@@ -282,9 +293,9 @@ def reference_deterministic(c) -> bt.Trajectory:
     t, z, lam, v, termination = _march_z(c.fd, c.L, dz, c.horizon, c.v_min,
                                          float(c.ic.lambda0), step)
     return Trajectory(scheme="deterministic", L=c.L, t=t, z=z, lam=lam, v=v,
-                      f=c.influx.rate_array(t), F=np.asarray(F_l),
-                      entry_mass=np.array(mass_l), termination=termination,
-                      distances=None, ic=c.ic, entry_theta=np.array(theta_l))
+                      F=np.asarray(F_l), entry_mass=np.array(mass_l),
+                      termination=termination, influx=c.influx, distances=None,
+                      ic=c.ic, entry_theta=np.array(theta_l))
 
 
 def reference_constant_distance(c) -> bt.Trajectory:
@@ -304,9 +315,8 @@ def reference_constant_distance(c) -> bt.Trajectory:
 
     t, z, lam, v, termination = _march_z(c.fd, c.L, c.dz, c.horizon, c.v_min, 0.0, step)
     return Trajectory(scheme="constant_distance", L=c.L, t=t, z=z, lam=lam, v=v,
-                      f=c.influx.rate_array(t),
                       entry_mass=np.asarray(ent_m), termination=termination,
-                      distances=bt.DeterministicDistances(B), ic=c.ic)
+                      influx=c.influx, distances=bt.DeterministicDistances(B), ic=c.ic)
 
 
 def assert_same_run(a: bt.Trajectory, b: bt.Trajectory):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import bathtub as bt
 from bathtub.solver import (_CAP, _CHUNK, _MAX_CELLS, _aged_out, _cell,
                             _profile_capped_lin, _rebuild, _window_survival)
-from helpers import (PAPER_FD, PAPER_L, assert_same_bits, paper_btilde, paper_char,
+from helpers import (DX_LEVELS, PAPER_FD, PAPER_L, assert_same_bits, paper_btilde, paper_char,
                      paper_integral, paper_pulse, paper_scenario,
                      reference_march, reference_rows, ring_windows,
                      solve_fixed_step, survival_capped_lin, traced_peak)
@@ -937,6 +937,29 @@ class TestOutflux:
         # for the characteristic scheme the two estimators coincide
         assert np.max(np.abs(g[:-1] - g2[:-1])) < 1e-6
 
+    @pytest.mark.parametrize("solver", ["integral", "mobility_service", "multi_commodity"])
+    def test_gap_to_the_profile_slope_halves_with_dx(self, solver):
+        """The paper's out-flux form at x = 0, dlam/dt = f - v k(t, 0+), as a
+        check that can fail: the fixed-step g, a forward difference of the
+        count G, and the profile slope v (K_0 - K_1) / dx of the rebuilt K
+        differ at first order, so the largest gap over the largest g halves
+        with dx.  On the paper's uniform law at X = 12 no trip is capped
+        (B~ <= 5, so no trip is longer than 10 miles).  The last g repeats
+        the one before it, a step behind the last profile, so it is left out."""
+        gaps = []
+        for dx in DX_LEVELS:
+            grid = bt.GridSpec(dx=dx, X=12.0, horizon=bt.MaxCumulativeDistance(10.0),
+                               dt=dx / 30.0)
+            traj = solve_fixed_step(solver, bt.Scenario(
+                L=PAPER_L, fd=PAPER_FD, influx=paper_pulse(),
+                distances=bt.UniformDistances(paper_btilde()), grid=grid))
+            assert traj.truncated_mass == 0.0
+            g = traj.g[:-1]
+            slope = bt.outflux_from_profile(traj, traj.n_steps)[:-1]
+            gaps.append(np.max(np.abs(g - slope)) / np.max(np.abs(g)))
+        ratios = [c / f for c, f in zip(gaps, gaps[1:])]
+        assert all(1.8 <= r <= 2.2 for r in ratios), ratios
+
     def test_no_exits_before_first_distance_consumed(self):
         # deterministic distances from an empty start: g = 0 while z < Btilde
         grid = bt.GridSpec(dx=2**-5, X=2.0,
@@ -1055,6 +1078,31 @@ class TestGridlockIsAbsorbing:
                              influx=scen.influx, dt=5e-3,
                              horizon=bt.MaxTime(40.0), v_min=v_min)
         self.check(bt.solve_vickrey(c), scen.influx.rate_vph, B, v_min)
+
+
+class TestFixedStepGridlockThreshold:
+    """``gridlock_predict``'s f B~ > L C is the condition for the continuous
+    model.  The integral scheme counts a trip for up to one cell less than
+    its distance, so on cell dx it gridlocks where f (B~ - dx) > L C and
+    otherwise settles at lam = f (B~ - dx) / u.  With B~ = X = 1 and
+    L C = 7,500/h, f = 9,000/h stays free at dx = 1/4 and jams at dx = 1/8."""
+
+    @pytest.mark.parametrize("f, dx", [(9000.0, 2**-2), (9000.0, 2**-3), (12000.0, 2**-1),
+                                       (12000.0, 2**-2), (7000.0, 2**-3)])
+    def test_integral_gridlocks_only_past_the_cell_short_count(self, f, dx):
+        B, LC = 1.0, PAPER_L * PAPER_FD.capacity()[0]
+        assert abs(f * (B - dx) / LC - 1.0) > 0.04 and abs(f * B / LC - 1.0) > 0.04
+        grid = bt.GridSpec(dx=dx, X=1.0, horizon=bt.MaxTime(10.0), dt=dx / 30.0)
+        traj = bt.solve_integral(bt.Scenario(
+            L=PAPER_L, fd=PAPER_FD, influx=bt.ConstantInflux(f),
+            distances=bt.DeterministicDistances(B), grid=grid))
+        predicted = bt.gridlock_predict(f, B, PAPER_L, PAPER_FD)
+        assert (predicted is bt.GridlockPrediction.WILL_GRIDLOCK) == (f * B > LC)
+        if f * (B - dx) > LC:
+            assert traj.termination is bt.Termination.GRIDLOCK
+        else:
+            assert traj.termination is bt.Termination.HORIZON
+            assert traj.lam[-1] == pytest.approx(f * (B - dx) / PAPER_FD.u, rel=1e-9)
 
 
 class TestFixedStepGridlockOvershoot:

@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 
 import bathtub as bt
 from bathtub.solver import _rebuild
-from helpers import (PAPER_FD, PAPER_L, paper_btilde, paper_char, paper_integral,
-                     paper_pulse, solve_fixed_step)
+from helpers import (PAPER_FD, PAPER_L, assert_same_bits, held_nbytes, paper_btilde,
+                     paper_char, paper_integral, paper_pulse, solve_fixed_step)
 from strategies import initial_profiles, mean_laws, plateaus, ramps
 
 
@@ -109,6 +109,57 @@ class TestTimeToDistance:
         traj = paper_integral(2**-4)
         with pytest.raises(bt.DomainError, match="non-negative"):
             traj.time_to_distance(Z)
+
+
+def _built_columns(name, traj):
+    """f, F, G and g as every trajectory once stored them, built from its
+    march's series and its demand: the inflow rate at each step, the running
+    sum of the log (the exact cumulative inflow for the deterministic
+    solver), the conservation count, and its forward difference with the
+    last value repeated (Vickrey's lam v / B)."""
+    influx = bt.ConstantInflux(500.0) if name == "multi_commodity" else paper_pulse()
+    f = influx.rate_array(traj.t)
+    if name == "deterministic":
+        F = np.array([influx.cumulative(t) for t in traj.t.tolist()])
+    else:
+        F = np.concatenate(([0.0], np.cumsum(traj.entry_mass)))
+    G = traj.lam[0] + F - traj.lam
+    if name == "vickrey":
+        g = traj.lam * traj.v / 2.0
+    else:
+        g = np.zeros_like(traj.t)
+        g[:-1] = np.diff(G) / np.diff(traj.t)
+        g[-1] = g[-2]
+    return {"f": f, "F": F, "G": G, "g": g}
+
+
+@pytest.mark.parametrize("name", SOLVERS)
+def test_derived_columns_equal_the_stored_ones(name):
+    """f, F and g are computed when read; they, G and the series keep the
+    bits the stored columns had, and keep them through a pickle."""
+    traj = _solve(name)
+    want = _built_columns(name, traj)
+    for run in (traj, pickle.loads(pickle.dumps(traj))):
+        for key, col in want.items():
+            assert_same_bits(getattr(run, key), col)
+        series = run.series
+        assert list(series) == ["t", "z", "lambda", "v", "f", "F", "g", "G"]
+        for key in ("f", "F", "g", "G"):
+            assert_same_bits(series[key], want[key])
+        for key, col in (("t", traj.t), ("z", traj.z), ("lambda", traj.lam), ("v", traj.v)):
+            assert_same_bits(series[key], col)
+
+
+@pytest.mark.parametrize("name", SOLVERS)
+def test_trajectory_stores_only_its_march(name):
+    """A trajectory holds t, z, lam, v, the entry log and G, the columns a
+    solver supplies (Vickrey's g, the deterministic F and theta log) and the
+    grid, and no derived column: 7, 8 and 6 doubles a step for the Vickrey,
+    deterministic and other runs."""
+    traj = _solve(name)
+    columns = {"vickrey": 7, "deterministic": 8}.get(name, 6)
+    grid = 0 if traj.x_grid is None else traj.x_grid.nbytes
+    assert held_nbytes(traj) <= columns * 8 * traj.n_steps + grid
 
 
 @pytest.mark.parametrize("name", SOLVERS)
