@@ -121,7 +121,14 @@ class TrapezoidalPulse(InfluxProfile):
                                    extend="zero")
 
     def _rate(self, t):
-        return max(0.0, min(self.ramp * t, self.plateau, self.ramp * (self.end - t)))
+        ramp = self.ramp
+        r = ramp * t
+        if self.plateau < r:  # min(ramp t, plateau, ramp (end - t))
+            r = self.plateau
+        fall = ramp * (self.end - t)
+        if fall < r:
+            r = fall
+        return r if r > 0.0 else 0.0  # max(0.0, r)
 
     def _rate_array(self, t):
         return np.maximum(0.0, np.minimum(self.ramp * t,

@@ -29,10 +29,12 @@ class FundamentalDiagram:
     """Base class for speed-density relations.
 
     Subclasses implement :meth:`_speed` on a validated finite non-negative
-    density array.  ``speed`` clamps to zero at and beyond the jam density where one
-    exists.  A float density takes :meth:`_speed_float`, which Trapezoidal
-    and Greenshields override with float arithmetic equal to the array
-    path's bit for bit.  A NaN, negative or infinite density is rejected.
+    density array.  ``speed`` raises a negative value of the law to 0.0, as
+    the laws with a jam density give beyond it.  A float density (``np.float64``
+    too) takes :meth:`_speed_float`, which Trapezoidal and Greenshields
+    override with float arithmetic equal to the array path's bit for bit,
+    and returns a number, not an array: a float when the law's parameters
+    are floats.  A NaN, negative or infinite density is rejected.
     """
 
     def _speed(self, rho: np.ndarray) -> np.ndarray:
@@ -45,7 +47,8 @@ class FundamentalDiagram:
         if isinstance(rho, float):
             if not 0 <= rho < math.inf:
                 raise DomainError("density must be finite and non-negative")
-            return max(self._speed_float(float(rho)), 0.0)
+            v = self._speed_float(float(rho))
+            return 0.0 if 0.0 > v else v  # max(v, 0.0)
         r, scalar = _as_density(rho)
         v = np.maximum(self._speed(r), 0.0)
         return float(v) if scalar else v
@@ -153,7 +156,14 @@ class Trapezoidal(FundamentalDiagram):
         return np.minimum(self.u, np.minimum(capped, congested))
 
     def _speed_float(self, rho):
-        return self.u if not rho > 0 else min(self.u, min(self.C / rho, self.w * (self.kappa / rho - 1.0)))
+        u = self.u
+        if not rho > 0:
+            return u
+        v = self.C / rho
+        congested = self.w * (self.kappa / rho - 1.0)
+        if congested < v:  # min(v, congested)
+            v = congested
+        return v if v < u else u  # min(u, v)
 
     @property
     def jam_density(self):

@@ -70,27 +70,37 @@ class PiecewiseLinear:
         if t <= 0.0:
             return 0.0
         x, y = self._xs, self._ys
+        first, last = x[0], x[-1]
         total = 0.0
         # stretch before the first node
-        if x[0] > 0.0:
-            left = min(t, x[0])
+        if first > 0.0:
             if self.extend == "clamp":
-                total += y[0] * left
-            if t <= x[0]:
+                total += y[0] * (first if first < t else t)  # min(t, x[0])
+            if t <= first:
                 return total
-        lo = max(0.0, x[0])
-        hi = min(t, x[-1])
+        lo = first if first > 0.0 else 0.0  # max(0.0, x[0])
+        hi = last if last < t else t  # min(t, x[-1])
         if hi > lo:
             total += self._segment_area(lo, hi)
-        if t > x[-1] and self.extend == "clamp":
-            total += y[-1] * (t - max(x[-1], 0.0))
+        if t > last and self.extend == "clamp":
+            total += y[-1] * (t - (0.0 if 0.0 > last else last))  # max(x[-1], 0.0)
         return total
 
     def _segment_area(self, a: float, b: float) -> float:
         # exact area over [a, b] with [a, b] inside the node span
         x, y = self._xs, self._ys
-        ia = max(0, min(bisect_right(x, a) - 1, len(x) - 2))
-        ib = max(0, min(bisect_right(x, b) - 1, len(x) - 2))
+        top = len(x) - 2
+        # max(0, min(bisect_right(x, .) - 1, top))
+        ia = bisect_right(x, a) - 1
+        if top < ia:
+            ia = top
+        if ia < 0:
+            ia = 0
+        ib = bisect_right(x, b) - 1
+        if top < ib:
+            ib = top
+        if ib < 0:
+            ib = 0
         if ia == ib:
             return 0.5 * (self(a) + self(b)) * (b - a)
         area = 0.5 * (self(a) + y[ia + 1]) * (x[ia + 1] - a)

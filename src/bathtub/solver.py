@@ -155,7 +155,10 @@ def _cumulative_inflow(traj) -> np.ndarray:
 
 
 def _outflux(traj) -> np.ndarray:
-    """dG/dt by forward differences, the last value repeated."""
+    """dG/dt by forward differences, the last value repeated: the last
+    step has no step after it, so its g is the one before, a step behind
+    the state beside it, and a check that reads g at the end of a run
+    drops the last value."""
     g = np.zeros_like(traj.t)
     if traj.t.size > 1:
         g[:-1] = np.diff(traj.G) / np.diff(traj.t)
@@ -206,7 +209,9 @@ class Trajectory:
     logs, and ``G = lam(0) + F - lam``, the record the audit checks).  The
     rest is derived on each read, not cached: ``f`` is ``influx.rate_array(t)``,
     ``F`` the running sum of ``entry_mass`` unless the solver supplies it,
-    and ``g`` the forward difference of ``G`` unless the solver supplies it.
+    and ``g`` the forward difference of ``G`` unless the solver supplies it
+    (Vickrey's lam v / B); the difference's last value repeats the one
+    before, so a check of g at the end of a run drops the last value.
     A read of a derived series costs O(steps), so a caller that needs one
     twice binds it once.  A trajectory holds data only, so it pickles.
     """
@@ -421,6 +426,7 @@ def _march_z(fd: FundamentalDiagram, L: float, dz: float, horizon, v_min: float,
     packed doubles (``array("d")``, 8 bytes a value where a list of floats
     takes 32) and are returned as zero-copy numpy views of them.
     """
+    speed = fd.speed
     t_list = array("d", [0.0])
     lam_list = array("d", [lam0])
     v_list = array("d")
@@ -430,7 +436,7 @@ def _march_z(fd: FundamentalDiagram, L: float, dz: float, horizon, v_min: float,
     T, Z = horizon.T + 1e-12, horizon.Z - 1e-12
     termination = Termination.HORIZON
     while True:
-        v = float(fd.speed(lam / L))
+        v = speed(lam / L)
         v_list.append(v)
         if v < v_min:
             termination = Termination.GRIDLOCK
@@ -724,8 +730,9 @@ def solve_integral(s: Scenario) -> Trajectory:
     node is counted exactly one cell short, so with f B~ > L C >= f (B~ - dx)
     a run can stay free of gridlock.
     """
-    speed_of = lambda t, lam, f, g: [float(s.fd.speed(lam[0] / s.L))]
-    return _solve_fixed_step("integral", s.L, [s], s.grid, speed_of)[0]
+    speed, L = s.fd.speed, s.L
+    speed_of = lambda t, lam, f, g: [speed(lam[0] / L)]
+    return _solve_fixed_step("integral", L, [s], s.grid, speed_of)[0]
 
 
 def solve_mobility_service(s: Scenario, speed_relation,

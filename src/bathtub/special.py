@@ -90,7 +90,7 @@ def solve_vickrey(c: VickreyConfig) -> Trajectory:
     j = 0
     T, Z = c.horizon.T - 1e-12, c.horizon.Z - 1e-12
     while True:
-        v = float(speed(lam / L))
+        v = speed(lam / L)
         v_l.append(v)
         if v < v_min:
             termination = Termination.GRIDLOCK
@@ -100,7 +100,8 @@ def solve_vickrey(c: VickreyConfig) -> Trajectory:
                 raise DomainError(f"dt = {dt!r} carries t or z past the largest float")
             break
         lam = lam + dt * (f_next() - lam * v / B)
-        lam = max(lam, 0.0)
+        if 0.0 > lam:  # max(lam, 0.0)
+            lam = 0.0
         z = z + v * dt
         j += 1
         lam_l.append(lam)
@@ -268,7 +269,9 @@ def solve_deterministic(c: DeterministicConfig) -> Trajectory:
         z = j * dz
         F_next = c.influx.cumulative(tau + dtau)
         theta = z + c.btilde_at(tau, z)
-        mass = max(F_next - F_l[-1], 0.0)
+        mass = F_next - F_l[-1]
+        if 0.0 > mass:  # max(mass, 0.0)
+            mass = 0.0
         if not mass < np.inf:
             raise DomainError(f"the mass entering at z = {z!r} is {mass!r}; "
                               "the inflow's cumulative must stay finite")

@@ -3,6 +3,7 @@
 import functools
 import math
 import tracemalloc
+from bisect import bisect_right
 from typing import NamedTuple
 
 import numpy as np
@@ -77,6 +78,37 @@ def traced_peak(fn):
         return fn(), tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def reference_integral(pl: bt.PiecewiseLinear, t: float) -> float:
+    """``pl.integral(t)`` written with the builtin ``min`` and ``max``, a
+    bitwise reference for the comparisons that replace them."""
+    t = float(t)
+    if t <= 0.0:
+        return 0.0
+    x, y = pl.x.tolist(), pl.y.tolist()
+    total = 0.0
+    if x[0] > 0.0:
+        left = min(t, x[0])
+        if pl.extend == "clamp":
+            total += y[0] * left
+        if t <= x[0]:
+            return total
+    a, b = max(0.0, x[0]), min(t, x[-1])
+    if b > a:
+        ia = max(0, min(bisect_right(x, a) - 1, len(x) - 2))
+        ib = max(0, min(bisect_right(x, b) - 1, len(x) - 2))
+        if ia == ib:
+            total += 0.5 * (pl(a) + pl(b)) * (b - a)
+        else:
+            cum = [0.0] + np.cumsum(0.5 * (pl.y[1:] + pl.y[:-1]) * np.diff(pl.x)).tolist()
+            area = 0.5 * (pl(a) + y[ia + 1]) * (x[ia + 1] - a)
+            area += cum[ib] - cum[ia + 1]
+            area += 0.5 * (y[ib] + pl(b)) * (b - x[ib])
+            total += area
+    if t > x[-1] and pl.extend == "clamp":
+        total += y[-1] * (t - max(x[-1], 0.0))
+    return total
 
 
 def survival_capped_lin(dist, t_arr, y_arr, dx, cells):

@@ -33,6 +33,14 @@ mean_laws = st.one_of(
     st.floats(0.3, 3.0).map(bt.UniformDistances),
     st.floats(0.3, 3.0).map(bt.ExponentialDistances),
     st.floats(0.3, 3.0).map(bt.DeterministicDistances))
+# one to five nodes from a first one at or before 0 (-0.0 too) or after it
+piecewise_profiles = st.builds(
+    lambda first, steps, ys, extend: bt.PiecewiseLinear(
+        np.cumsum([first, *steps]), ys[:len(steps) + 1], extend=extend),
+    st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-2.0, 2.0)),
+    st.lists(st.floats(0.05, 1.5), max_size=4),
+    st.lists(st.floats(-1.0, 5.0), min_size=5, max_size=5),
+    st.sampled_from(["zero", "clamp"]))
 initial_kinds = st.sampled_from(["empty", "exponential", "tabulated"])
 initial_profiles = st.one_of(
     st.just(bt.EmptyNetwork()),

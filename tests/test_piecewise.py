@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from bathtub import DataError, PiecewiseLinear
-from helpers import riemann_integral
+from helpers import assert_same_bits, reference_integral, riemann_integral
+from strategies import piecewise_profiles
 
 
 def test_interpolates_between_nodes():
@@ -81,3 +83,17 @@ def test_float_path_matches_array_path(extend):
 def test_clamp_integral_with_nodes_before_zero(x, y, t, exact):
     # only [0, t] counts, however far before 0 the nodes lie
     assert PiecewiseLinear(x, y, extend="clamp").integral(t) == pytest.approx(exact, rel=1e-15)
+
+
+@settings(max_examples=25)
+@given(pl=piecewise_profiles)
+def test_integral_matches_the_min_max_reference(pl):
+    # t on the nodes, between them, just either side, and before 0 and past
+    # the last node; the deterministic march reads the cumulative inflow here
+    x = pl.x
+    ts = [*x, *(0.5 * (x[1:] + x[:-1])), *np.nextafter(x, -np.inf),
+          *np.nextafter(x, np.inf), x[0] - 1.0, x[-1] + 1.0, 0.0, 1e-3]
+    for t in ts:
+        got = pl.integral(float(t))
+        assert type(got) is float
+        assert_same_bits(got, reference_integral(pl, float(t)))

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 import bathtub as bt
 from bathtub.special import _BLOCK, _points
-from helpers import (PAPER_FD, PAPER_L, assert_same_run, paper_btilde, paper_char,
-                     paper_pulse, paper_scenario, reference_constant_distance,
+from helpers import (PAPER_FD, PAPER_L, assert_same_bits, assert_same_run, paper_btilde,
+                     paper_char, paper_pulse, paper_scenario, reference_constant_distance,
                      reference_deterministic, reference_vickrey,
                      stationary_exponential_scenario, traced_peak)
 
@@ -167,6 +167,9 @@ VICKREY_CASES = {
     "gridlock_at_start": lambda: _vickrey(lambda0=PAPER_L * 200.0),
     # the block's times past t_1 overflow to inf, and no rate is asked there
     "huge_dt": lambda: _vickrey(bt.ZeroInflux(), dt=1e305),
+    # dt u / B = 1.5, so the first Euler step 50 - 0.1 * 50 * 30 / 2 = -25
+    # undershoots 0 and is clamped
+    "euler_undershoot": lambda: _vickrey(bt.ZeroInflux(), dt=0.1, lambda0=50.0),
     "piecewise_influx": lambda: _vickrey(
         bt.PiecewiseLinearInflux([(0.1, 0.0), (0.3, 3000.0), (0.5, 500.0),
                                   (0.9, 0.0)]), dt=1e-4, horizon=bt.MaxTime(1.0)),
@@ -241,6 +244,11 @@ class TestReducedSolversBits:
         run = bt.solve_vickrey(c)
         _check_case(case, run)
         assert_same_run(run, reference_vickrey(c))
+
+    def test_vickrey_clamps_an_undershoot_to_positive_zero(self):
+        lam = bt.solve_vickrey(VICKREY_CASES["euler_undershoot"]()).lam
+        assert lam[0] == 50.0
+        assert_same_bits(lam[1:], np.zeros(lam.size - 1))  # +0.0, not -0.0
 
     @pytest.mark.parametrize("case", sorted(DETERMINISTIC_CASES))
     def test_deterministic(self, case):
