@@ -121,17 +121,17 @@ def stationary_demand_from_profile(fd: FundamentalDiagram, L: float, lam: float,
     x = np.asarray(x_grid, dtype=float)
     Phi = np.asarray(survival, dtype=float)
     if x.size != Phi.size or x.size < 2:
-        raise DomainError("need matching x-grid and survival arrays")
+        raise DomainError("x_grid and survival need equally many values, 2 or more")
     if not (np.all(np.isfinite(x)) and np.all(np.diff(x) > 0)):
         raise DataError("x_grid must be finite and strictly increasing")
     if not (np.all(np.isfinite(Phi)) and np.all(np.diff(Phi) <= 0)):
         raise DataError("survival must be finite and non-increasing")
     if abs(Phi[0] - 1.0) > 1e-9:
-        raise DomainError("a survival profile must start at 1")
+        raise DomainError("survival must start at 1")
     phi = -np.gradient(Phi, x)
     phi0 = (Phi[0] - Phi[1]) / (x[1] - x[0])
     if phi0 <= 0:
-        raise DomainError("profile density at zero must be positive")
+        raise DomainError("survival must fall on the first x_grid cell")
     f = L * fd.flow(lam / L) * phi0
     tilde = np.clip(phi / phi0, 0.0, None)
     tilde[0] = 1.0

@@ -204,11 +204,11 @@ class _MeanDistances(DistanceDistribution):
     """A law set by its mean distance Btilde(t), a constant or a profile."""
 
     def __init__(self, Btilde):
-        self._B = as_profile(Btilde, extend="clamp")
+        self._B = as_profile(Btilde)
         if self._B.extend != "clamp":  # a mean distance of 0 outside the nodes
             raise DomainError(f"Btilde must extend by 'clamp', not {self._B.extend!r}")
         if self._B.minimum() <= 0:
-            raise DomainError("mean distance must be positive")
+            raise DomainError("Btilde, the mean distance, must be positive")
         self.time_dependent = self._B.x.size > 1
 
     def mean_distance(self, t):
@@ -287,20 +287,20 @@ class TabulatedSurvival(DistanceDistribution):
         if np.any(~np.isfinite(x)) or np.any(~np.isfinite(t)) or np.any(~np.isfinite(v)):
             raise DataError("survival table contains non-finite values")
         if x.size < 2:  # one node has no cell to interpolate in
-            raise DataError("x grid needs at least 2 nodes")
+            raise DataError("x_grid needs at least 2 nodes")
         if x[0] != 0.0:
-            raise DataError("x grid must start at 0")
+            raise DataError("x_grid must start at 0")
         if np.any(np.diff(x) <= 0):
-            raise DataError("x grid must be strictly increasing")
+            raise DataError("x_grid must be strictly increasing")
         if t.size > 1 and np.any(np.diff(t) <= 0):
-            raise DataError("t grid must be strictly increasing")
+            raise DataError("t_grid must be strictly increasing")
         if np.any(np.abs(v[:, 0] - 1.0) >= 1e-6):
             raise DataError("survival at x=0 must equal 1 (within 1e-6)")
         v = v / v[:, :1]
         if np.any(np.diff(v, axis=1) > 1e-12):
             raise DataError("survival must be non-increasing in x")
         if np.any(v < -1e-12):
-            raise DataError("survival must be non-negative")
+            raise DataError("survival values must be non-negative")
         self.x_grid = x
         self.t_grid = t
         self.values = np.maximum(v, 0.0)
@@ -377,10 +377,6 @@ class InitialCondition:
     def profile_array(self, x) -> np.ndarray:
         raise NotImplementedError
 
-    def tail_beyond(self, x: float) -> float:
-        """Initial trips with remaining distance beyond ``x``."""
-        return float(self.profile_array(np.asarray(x, dtype=float)))
-
 
 @dataclass(frozen=True)
 class EmptyNetwork(InitialCondition):
@@ -410,11 +406,11 @@ class TabulatedProfile(InitialCondition):
         if x.ndim != 1 or x.shape != c.shape or x.size == 0:
             raise DataError("x_grid and counts must be equal-length 1-d arrays")
         if np.any(~np.isfinite(x)) or np.any(~np.isfinite(c)):
-            raise DataError("profile table contains non-finite values")
+            raise DataError("x_grid and counts must be finite")
         if x[0] != 0.0:
-            raise DataError("x grid must start at 0")
+            raise DataError("x_grid must start at 0")
         if x.size > 1 and np.any(np.diff(x) <= 0):
-            raise DataError("x grid must be strictly increasing")
+            raise DataError("x_grid must be strictly increasing")
         if np.any(c < -1e-12):
             raise DataError("counts must be non-negative")
         c = np.maximum(c, 0.0)

@@ -33,8 +33,8 @@ class FundamentalDiagram:
     the laws with a jam density give beyond it.  A float density (``np.float64``
     too) takes :meth:`_speed_float`, which Trapezoidal and Greenshields
     override with float arithmetic equal to the array path's bit for bit,
-    and returns a number, not an array: a float when the law's parameters
-    are floats.  A NaN, negative or infinite density is rejected.
+    and returns a float, not an array.  A NaN, negative or infinite density
+    is rejected.
     """
 
     def _speed(self, rho: np.ndarray) -> np.ndarray:
@@ -94,11 +94,11 @@ class FundamentalDiagram:
             return float(q[best]), float(grid[best])
         return float(c), float(rho_star)
 
-    def _golden_max(self, a: float, b: float, tol: float = 1e-12):
+    def _golden_max(self, a: float, b: float):
         x1 = b - _GOLDEN * (b - a)
         x2 = a + _GOLDEN * (b - a)
         f1, f2 = self.flow(x1), self.flow(x2)
-        while (b - a) > tol * max(1.0, self.density_scale):
+        while (b - a) > 1e-12 * max(1.0, self.density_scale):
             if f1 < f2:
                 a, x1, f1 = x1, x2, f2
                 x2 = a + _GOLDEN * (b - a)
@@ -147,6 +147,8 @@ class Trapezoidal(FundamentalDiagram):
 
     def __post_init__(self):
         finite_positive(u=self.u, C=self.C, w=self.w, kappa=self.kappa)
+        for name in ("u", "C", "w", "kappa"):  # so speed returns u as a float
+            object.__setattr__(self, name, float(getattr(self, name)))
 
     def _speed(self, rho):
         with np.errstate(divide="ignore", over="ignore"):
@@ -229,7 +231,7 @@ class PiecewiseConstantSpeed(FundamentalDiagram):
         if np.any(np.diff(d) <= 0):
             raise DataError("breakpoint densities must be strictly increasing")
         if np.any(v < 0):
-            raise DomainError("speeds must be non-negative")
+            raise DomainError("breakpoint speeds must be non-negative")
         if not self.allow_increasing and np.any(np.diff(v) > 0):
             raise DataError("speed must be non-increasing in density "
                             "(pass allow_increasing=True to override)")
@@ -253,10 +255,10 @@ class PiecewiseConstantSpeed(FundamentalDiagram):
 
 @dataclass(frozen=True)
 class TabulatedSpeed(FundamentalDiagram):
-    """Monotone piecewise-linear interpolation of ``(density, speed)`` samples.
-
-    Beyond the sampled range the speed clamps to the nearest end value,
-    preserving the non-increasing property.
+    """Monotone piecewise-linear interpolation of ``(density, speed)`` samples
+    at non-negative, strictly increasing densities.  Beyond the sampled
+    range the speed clamps to the nearest end value, preserving the
+    non-increasing property.
     """
 
     densities: Tuple[float, ...]
@@ -269,11 +271,13 @@ class TabulatedSpeed(FundamentalDiagram):
         object.__setattr__(self, "densities", tuple(d.tolist()))
         object.__setattr__(self, "speeds", tuple(v.tolist()))
         if d.ndim != 1 or d.shape != v.shape or d.size < 2:
-            raise DataError("need at least two (density, speed) samples")
+            raise DataError("densities and speeds need equally many samples, 2 or more")
         if np.any(~np.isfinite(d)) or np.any(~np.isfinite(v)):
-            raise DataError("table contains non-finite values")
+            raise DataError("densities and speeds must be finite")
         if np.any(np.diff(d) <= 0):
-            raise DataError("sample densities must be strictly increasing")
+            raise DataError("densities must be strictly increasing")
+        if d[0] < 0:
+            raise DataError("densities must be non-negative")
         if np.any(v < 0):
             raise DomainError("speeds must be non-negative")
         if not self.allow_increasing and np.any(np.diff(v) > 1e-12):

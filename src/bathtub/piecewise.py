@@ -30,13 +30,13 @@ class PiecewiseLinear:
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         if x.ndim != 1 or x.shape != y.shape or x.size == 0:
-            raise DataError("nodes must be two equal-length 1-d sequences")
+            raise DataError("x and y must be two equal-length non-empty 1-d sequences")
         if np.any(~np.isfinite(x)) or np.any(~np.isfinite(y)):
             raise DataError("piecewise-linear nodes must be finite")
         if x.size > 1 and np.any(np.diff(x) <= 0):
             raise DataError("node abscissae must be strictly increasing")
         if extend not in ("clamp", "zero"):
-            raise DataError(f"unknown extension mode {extend!r}")
+            raise DataError(f"extend must be 'clamp' or 'zero', got {extend!r}")
         self.x = x
         self.y = y
         self.extend = extend
@@ -87,36 +87,34 @@ class PiecewiseLinear:
         return total
 
     def _segment_area(self, a: float, b: float) -> float:
-        # exact area over [a, b] with [a, b] inside the node span
+        # exact area over [a, b], x[0] <= a < b <= x[-1]; each end is read
+        # off the segment its bisect found, with the float path's arithmetic
         x, y = self._xs, self._ys
-        top = len(x) - 2
-        # max(0, min(bisect_right(x, .) - 1, top))
         ia = bisect_right(x, a) - 1
-        if top < ia:
-            ia = top
-        if ia < 0:
-            ia = 0
+        ya = y[ia] if a == x[ia] else (
+            (y[ia + 1] - y[ia]) / (x[ia + 1] - x[ia]) * (a - x[ia]) + y[ia])
         ib = bisect_right(x, b) - 1
-        if top < ib:
-            ib = top
-        if ib < 0:
-            ib = 0
+        yb = y[ib] if b == x[ib] else (
+            (y[ib + 1] - y[ib]) / (x[ib + 1] - x[ib]) * (b - x[ib]) + y[ib])
+        if ib == len(x) - 1:  # b is the last node: its segment ends there
+            ib -= 1
         if ia == ib:
-            return 0.5 * (self(a) + self(b)) * (b - a)
-        area = 0.5 * (self(a) + y[ia + 1]) * (x[ia + 1] - a)
+            return 0.5 * (ya + yb) * (b - a)
+        area = 0.5 * (ya + y[ia + 1]) * (x[ia + 1] - a)
         area += self._cum[ib] - self._cum[ia + 1]
-        area += 0.5 * (y[ib] + self(b)) * (b - x[ib])
+        area += 0.5 * (y[ib] + yb) * (b - x[ib])
         return area
 
     def minimum(self) -> float:
         return float(self.y.min())
 
 
-def as_profile(value, extend: str = "clamp") -> PiecewiseLinear:
-    """Coerce a constant or an existing profile into a :class:`PiecewiseLinear`."""
+def as_profile(value) -> PiecewiseLinear:
+    """Coerce a constant or an existing profile into a :class:`PiecewiseLinear`;
+    a constant extends by ``"clamp"``."""
     if isinstance(value, PiecewiseLinear):
         return value
     v = float(value)
     if not math.isfinite(v):
         raise DataError("profile value must be finite")
-    return PiecewiseLinear([0.0], [v], extend=extend)
+    return PiecewiseLinear([0.0], [v])

@@ -685,7 +685,7 @@ def _gridded(scheme: str, L: float, demand, grid: GridSpec,
     ``grid.strict_truncation``."""
     # np.cumsum adds in log order, where np.dot and np.sum may reorder
     truncated = float(np.cumsum(np.concatenate((
-        [float(demand.ic.tail_beyond(grid.X))],
+        [demand.ic.profile(grid.X)],
         ent_m * demand.distances.tail_beyond(t[:-1], grid.X))))[-1])
     traj = Trajectory(scheme=scheme, L=L, t=t, z=z, lam=lam, v=v, entry_mass=ent_m,
                       termination=termination, influx=demand.influx,

@@ -217,7 +217,7 @@ class DeterministicConfig:
         finite_positive(L=self.L, dz=self.dz, v_min=self.v_min)
         if self.btilde_coordinate not in ("t", "z"):
             raise DomainError("btilde_coordinate must be 't' or 'z'")
-        pl = as_profile(self.btilde, extend="clamp")
+        pl = as_profile(self.btilde)
         if np.any(pl.y < 0):
             raise DomainError("btilde must be non-negative")
         object.__setattr__(self, "btilde", pl)
@@ -336,10 +336,10 @@ def theta_inverse(traj: Trajectory, z_exit: float) -> float:
         raise ContractError("trajectory carries no effective-distance log")
     ez = traj.entry_z
     if theta.size < 2:
-        raise DomainError("not enough entries to invert")
+        raise DomainError("the trajectory logs fewer than 2 entries to invert")
     crossings = np.where((theta[:-1] - z_exit) * (theta[1:] - z_exit) <= 0)[0]
     if crossings.size == 0:
-        raise DomainError("no entry has this effective distance")
+        raise DomainError(f"no entry has the effective distance z_exit = {z_exit!r}")
     i = int(crossings[0])
     a, b = float(ez[i]), float(ez[i + 1])
     fa, fb = float(theta[i] - z_exit), float(theta[i + 1] - z_exit)
@@ -389,7 +389,7 @@ class TripFrame:
         """Travel time of the trip entering at ``t``: tau(z(t) + Btilde) - t."""
         zt = float(self._z_of_t(t)) + self.Btilde
         if zt > self.z[-1] + 1e-12:
-            raise DomainError("the trip entering at this time does not "
+            raise DomainError(f"the trip entering at t = {t!r} does not "
                               "complete within the horizon")
         return float(self._tau_of_z(zt)) - t
 

@@ -478,3 +478,41 @@ BAD_PROFILES = {
 def test_bad_profile_rejected(x, survival):
     with pytest.raises(bt.DataError):
         _implied(x, survival)
+
+
+PROFILES_OUTSIDE_THE_DOMAIN = {
+    "lengths_differ": ([0.0, 1.0, 2.0], [1.0, 0.5], "x_grid and survival need equally many"),
+    "one_value": ([0.0], [1.0], "x_grid and survival need equally many"),
+    "start_below_one": ([0.0, 1.0, 2.0], [0.9, 0.5, 0.2], "survival must start at 1"),
+    "flat_first_cell": ([0.0, 1.0, 2.0], [1.0, 1.0, 0.2],
+                        "survival must fall on the first x_grid cell"),
+}
+
+
+@pytest.mark.parametrize("x, survival, match", PROFILES_OUTSIDE_THE_DOMAIN.values(),
+                         ids=PROFILES_OUTSIDE_THE_DOMAIN.keys())
+def test_profile_outside_the_domain_rejected(x, survival, match):
+    with pytest.raises(bt.DomainError, match=match):
+        _implied(x, survival)
+
+
+def _ungridded_run():
+    return bt.solve_vickrey(bt.VickreyConfig(
+        L=10.0, fd=PAPER_FD, B=2.0, lambda0=100.0, influx=bt.ConstantInflux(500.0),
+        dt=0.01, horizon=bt.MaxTime(0.1)))
+
+
+GRID_CALLS = {
+    "average_travel_time": lambda traj: bt.average_travel_time(traj, EXP2, 0.0),
+    "outflux_from_profile": lambda traj: bt.outflux_from_profile(traj),
+    "vickrey_equivalence_check": lambda traj: bt.vickrey_equivalence_check(traj, 2.0),
+}
+
+
+@pytest.mark.parametrize("call", GRID_CALLS.values(), ids=GRID_CALLS.keys())
+def test_profile_reader_needs_a_gridded_trajectory(call):
+    # a Vickrey run carries no distance grid to read profiles on
+    traj = _ungridded_run()
+    assert traj.x_grid is None
+    with pytest.raises(bt.ContractError, match="trajectory"):
+        call(traj)

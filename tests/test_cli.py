@@ -919,3 +919,70 @@ class TestKsurfaceRows:
         t = np.arange(len(K)) / 7.0
         assert ([row[:-1] for row in cli._ksurface_rows(t, K)]
                 == ksurface_reference(t.tolist(), K))
+
+
+# name -> (section prefix, its replacement lines, CSV table text or None, key
+# the error names); "{table}" in the lines is the path of the written table
+CONFIG_ERRORS = {
+    "empty_key": ("network.L", "network.L = 10\n = 5", None, "empty key"),
+    "non_numeric_value": ("network.L", "network.L = ten", None, "network.L"),
+    "missing_L": ("network.L", "", None, "network.L"),
+    "missing_stop": ("grid.stop", "", None, "grid.stop"),
+    "stop_without_colon": ("grid.stop", "grid.stop = 30", None, "grid.stop"),
+    "stop_kind": ("grid.stop", "grid.stop = x:30", None, "grid.stop"),
+    "stop_not_a_number": ("grid.stop", "grid.stop = z:far", None, "grid.stop"),
+    "empty_outputs": ("outputs", "outputs = ,", None, "outputs"),
+    "unknown_output": ("outputs", "outputs = series,plots", None, "outputs"),
+    "node_without_colon": ("demand.influx", "demand.influx.kind = piecewise_linear\n"
+                           "demand.influx.nodes = 0-100", None, "demand.influx.nodes"),
+    "non_numeric_node": ("demand.influx", "demand.influx.kind = piecewise_linear\n"
+                         "demand.influx.nodes = 0:abc", None, "demand.influx.nodes"),
+    "empty_node_list": ("demand.influx", "demand.influx.kind = piecewise_linear\n"
+                        "demand.influx.nodes = , ,", None, "demand.influx.nodes"),
+    "table_non_numeric_row": ("fd.", "fd.variant = tabulated\nfd.table = {table}",
+                              "density,speed\n0,30\nabc,0\n", "fd.table"),
+    "table_without_numeric_rows": ("fd.", "fd.variant = tabulated\nfd.table = {table}",
+                                   "density,speed\n", "fd.table"),
+    "table_three_columns": ("fd.", "fd.variant = tabulated\nfd.table = {table}",
+                            "0,30,1\n200,0,1\n", "fd.table"),
+    # it used to run, and gridlock at t = 0 on a jam density of -1
+    "table_negative_densities": ("fd.", "fd.variant = tabulated\nfd.table = {table}",
+                                 "density,speed\n-2,30\n-1,0\n", "fd.table"),
+    "survival_rows_off_the_x_grid": ("demand.distance", "demand.distance.kind = tabulated\n"
+                                     "demand.table = {table}", "0,1,2\n0.0,1,0.5\n",
+                                     "demand.table"),
+}
+
+
+@pytest.mark.parametrize("prefix, lines, table, key", CONFIG_ERRORS.values(),
+                         ids=CONFIG_ERRORS.keys())
+def test_config_error_is_one_line_naming_the_key(prefix, lines, table, key, tmp_path,
+                                                 capsys):
+    if table is not None:
+        (tmp_path / "table.csv").write_text(table)
+    text = with_section(MINIMAL_CONF, prefix,
+                        lines.replace("{table}", str(tmp_path / "table.csv")))
+    with pytest.raises(bt.ConfigError, match=re.escape(key)):
+        cli.parse_config(text)
+    conf = tmp_path / "bad.conf"
+    conf.write_text(text)
+    assert cli.main(["run", str(conf), "--out", str(tmp_path / "out")]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and key in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("param, values, key", [
+    ("fd.variant", "1", "fd.variant"),
+    ("grid.dx", "0.25,abc", "--values"),
+], ids=["non_numeric_key", "non_numeric_values"])
+def test_sweep_argument_error_is_one_line_naming_it(param, values, key, tmp_path, capsys):
+    conf = tmp_path / "sweep.conf"
+    conf.write_text(MINIMAL_CONF)
+    assert cli.main(["sweep", str(conf), "--param", param, "--values", values,
+                     "--out", str(tmp_path / "out")]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and key in err
+    assert not (tmp_path / "out").exists()

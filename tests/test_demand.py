@@ -415,3 +415,42 @@ class TestNonFiniteArguments:
     def test_rejected(self, call):
         with pytest.raises(bt.DomainError):
             call()
+
+
+BAD_DEMAND_INPUTS = {
+    "influx_negative_time": (lambda: bt.PiecewiseLinearInflux([(-1.0, 5.0), (1.0, 5.0)]),
+                             bt.DomainError, "node times"),
+    "mean_zero": (lambda: bt.ExponentialDistances(0.0), bt.DomainError, "Btilde"),
+    "mean_negative": (lambda: bt.UniformDistances(-2.0), bt.DomainError, "Btilde"),
+    "mean_profile_zero": (lambda: bt.DeterministicDistances(
+        bt.PiecewiseLinear([0.0, 1.0], [2.0, 0.0])), bt.DomainError, "Btilde"),
+    "survival_shape": (lambda: bt.TabulatedSurvival([0.0, 1.0], [0.0], [[1.0, 0.5, 0.0]]),
+                       bt.DataError, "values must have shape"),
+    "survival_x_start": (lambda: bt.TabulatedSurvival([0.5, 1.0], [0.0], [[1.0, 0.0]]),
+                         bt.DataError, "x_grid must start at 0"),
+    "survival_x_order": (lambda: bt.TabulatedSurvival([0.0, 2.0, 1.0], [0.0],
+                                                      [[1.0, 0.5, 0.0]]),
+                         bt.DataError, "x_grid must be strictly increasing"),
+    "survival_t_order": (lambda: bt.TabulatedSurvival([0.0, 1.0], [1.0, 0.0],
+                                                      [[1.0, 0.0], [1.0, 0.0]]),
+                         bt.DataError, "t_grid must be strictly increasing"),
+    "survival_negative": (lambda: bt.TabulatedSurvival([0.0, 1.0], [0.0], [[1.0, -0.5]]),
+                          bt.DataError, "survival values must be non-negative"),
+    "profile_shape": (lambda: bt.TabulatedProfile([0.0, 1.0], [1.0]),
+                      bt.DataError, "x_grid and counts"),
+    "profile_non_finite": (lambda: bt.TabulatedProfile([0.0, math.inf], [1.0, 0.0]),
+                           bt.DataError, "x_grid and counts must be finite"),
+    "profile_x_start": (lambda: bt.TabulatedProfile([1.0, 2.0], [1.0, 0.0]),
+                        bt.DataError, "x_grid must start at 0"),
+    "profile_x_order": (lambda: bt.TabulatedProfile([0.0, 2.0, 1.0], [2.0, 1.0, 0.0]),
+                        bt.DataError, "x_grid must be strictly increasing"),
+    "profile_negative": (lambda: bt.TabulatedProfile([0.0, 1.0], [1.0, -1.0]),
+                         bt.DataError, "counts must be non-negative"),
+}
+
+
+@pytest.mark.parametrize("call, error, match", BAD_DEMAND_INPUTS.values(),
+                         ids=BAD_DEMAND_INPUTS.keys())
+def test_bad_input_names_the_argument(call, error, match):
+    with pytest.raises(error, match=match):
+        call()

@@ -219,3 +219,68 @@ class TestExtendedSpeed:
         esr = bt.BoardingDelaySpeed(TRAP, alpha=0.001, lane_miles=10.0)
         with pytest.raises(bt.DomainError):
             bt.extended_speed(esr, 50.0, -1.0, 0.0, 0.0)
+
+
+def step_law(*pairs):
+    return bt.PiecewiseConstantSpeed(breakpoints=pairs)
+
+
+BAD_LAWS = {
+    "step_empty": (lambda: step_law(), bt.DataError, "at least one breakpoint"),
+    "step_non_finite": (lambda: step_law((0.0, 30.0), (1.0, math.nan)),
+                        bt.DataError, "breakpoints must be finite"),
+    "step_density_order": (lambda: step_law((0.0, 30.0), (2.0, 20.0), (1.0, 10.0)),
+                           bt.DataError, "breakpoint densities must be strictly increasing"),
+    "step_negative_speed": (lambda: step_law((0.0, 30.0), (1.0, -1.0)),
+                            bt.DomainError, "breakpoint speeds must be non-negative"),
+    "step_increasing": (lambda: step_law((0.0, 20.0), (1.0, 30.0)),
+                        bt.DataError, "allow_increasing"),
+    "table_one_sample": (lambda: bt.TabulatedSpeed((0.0,), (30.0,)),
+                         bt.DataError, "densities and speeds need equally many"),
+    "table_unequal": (lambda: bt.TabulatedSpeed((0.0, 1.0), (30.0,)),
+                      bt.DataError, "densities and speeds need equally many"),
+    "table_non_finite": (lambda: bt.TabulatedSpeed((0.0, math.nan), (30.0, 0.0)),
+                         bt.DataError, "densities and speeds must be finite"),
+    "table_density_order": (lambda: bt.TabulatedSpeed((0.0, 2.0, 1.0), (30.0, 20.0, 10.0)),
+                            bt.DataError, "densities must be strictly increasing"),
+    "table_negative_speed": (lambda: bt.TabulatedSpeed((0.0, 1.0), (30.0, -1.0)),
+                             bt.DomainError, "speeds must be non-negative"),
+    # built, it reported jam_density = -1.0 and its capacity() raised
+    "table_negative_densities": (lambda: bt.TabulatedSpeed((-2.0, -1.0), (30.0, 0.0)),
+                                 bt.DataError, "densities must be non-negative"),
+    "table_first_density_negative": (lambda: bt.TabulatedSpeed((-1.0, 5.0), (30.0, 0.0)),
+                                     bt.DataError, "densities must be non-negative"),
+}
+
+
+@pytest.mark.parametrize("call, error, match", BAD_LAWS.values(), ids=BAD_LAWS.keys())
+def test_bad_law_names_the_argument(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
+
+
+JAM_AND_SCALE = {
+    "triangular": (TRI, 200.0, 200.0),
+    "step_with_jam": (step_law((0.0, 30.0), (100.0, 10.0), (200.0, 0.0)), 200.0, 200.0),
+    "step_without_jam": (step_law((0.0, 30.0), (100.0, 10.0)), None, 100.0),
+    "table_with_jam": (bt.TabulatedSpeed((0.0, 200.0), (30.0, 0.0)), 200.0, 200.0),
+    "table_without_jam": (bt.TabulatedSpeed((0.0, 100.0), (30.0, 5.0)), None, 100.0),
+}
+
+
+@pytest.mark.parametrize("fd, jam, scale", JAM_AND_SCALE.values(),
+                         ids=JAM_AND_SCALE.keys())
+def test_jam_density_sets_the_density_scale(fd, jam, scale):
+    # without a jam density the scale is the largest tabulated density
+    assert fd.jam_density == jam
+    assert fd.density_scale == scale
+
+
+@pytest.mark.parametrize("fd", [bt.Trapezoidal(u=30, C=750, w=10, kappa=200),
+                                bt.Triangular(u=30, w=10, kappa=200),
+                                bt.Greenshields(u=30, kappa=200)],
+                         ids=["trap", "tri", "gs"])
+@pytest.mark.parametrize("rho", [0.0, 5.0, 250.0])
+def test_int_parameters_give_a_float_speed(fd, rho):
+    # Trapezoidal returned its int u at and below capacity density
+    assert type(fd.speed(rho)) is float

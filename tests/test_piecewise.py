@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
 from bathtub import DataError, PiecewiseLinear
+from bathtub.piecewise import as_profile
 from helpers import assert_same_bits, reference_integral, riemann_integral
 from strategies import piecewise_profiles
 
@@ -97,3 +100,35 @@ def test_integral_matches_the_min_max_reference(pl):
         got = pl.integral(float(t))
         assert type(got) is float
         assert_same_bits(got, reference_integral(pl, float(t)))
+
+
+def test_integral_reads_no_end_through_call(monkeypatch):
+    # each end of [0, t] is read off the segment its bisect found, so the
+    # integral gives the same bits with the float path of __call__ gone
+    profiles = [PiecewiseLinear([0.0, 0.4, 0.6, 1.0], [2.0, 5.0, 5.0, 2.0], extend=extend)
+                for extend in ("zero", "clamp")]
+    ts = [0.0, 0.2, 0.4, 0.5, 0.6, 0.8, 1.0, 1.5, float(np.nextafter(1.0, 0.0))]
+    want = [[pl.integral(t) for t in ts] for pl in profiles]
+
+    def unused(self, t):
+        raise AssertionError("integral evaluated an end through __call__")
+
+    monkeypatch.setattr(PiecewiseLinear, "__call__", unused)
+    assert [[pl.integral(t) for t in ts] for pl in profiles] == want
+
+
+BAD_NODES = {
+    "unequal_lengths": (lambda: PiecewiseLinear([0.0, 1.0], [1.0]), "x and y"),
+    "two_dimensional": (lambda: PiecewiseLinear([[0.0, 1.0]], [[1.0, 2.0]]), "x and y"),
+    "empty": (lambda: PiecewiseLinear([], []), "x and y"),
+    "unknown_extend": (lambda: PiecewiseLinear([0.0], [1.0], extend="linear"),
+                       "extend must be 'clamp' or 'zero', got 'linear'"),
+    "profile_inf": (lambda: as_profile(math.inf), "value must be finite"),
+    "profile_nan": (lambda: as_profile(math.nan), "value must be finite"),
+}
+
+
+@pytest.mark.parametrize("call, match", BAD_NODES.values(), ids=BAD_NODES.keys())
+def test_bad_nodes_name_the_argument(call, match):
+    with pytest.raises(DataError, match=match):
+        call()

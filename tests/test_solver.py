@@ -271,6 +271,12 @@ class TestReconstruction:
         with pytest.raises(bt.DomainError):
             bt.reconstruct_K(traj, traj.t[-1] + 1.0, 0.0)
 
+    @pytest.mark.parametrize("x", [-1e-3, np.array([0.0, 1.0, -0.5])])
+    def test_negative_distance_rejected(self, x):
+        traj = paper_char(2**-5)
+        with pytest.raises(bt.DomainError, match="x must be non-negative"):
+            bt.reconstruct_K(traj, float(traj.t[1]), x)
+
 
 def window_distances():
     table = bt.TabulatedSurvival([0.0, 0.5, 1.0, 2.0, 3.0], [0.0, 0.5],
@@ -862,14 +868,14 @@ class TestTruncatedMass:
         ic = bt.EmptyNetwork() if ic_kind == "empty" else bt.ExponentialProfile(300.0, 1.0)
         traj = truncation_run(solver, truncation_laws()[kind], ic)
         X = float(traj.x_grid[-1])
-        want = float(ic.tail_beyond(X))
+        want = ic.profile(X)
         for t, m in zip(traj.entry_t.tolist(), traj.entry_mass.tolist()):
             want += m * float(traj.distances.tail_beyond(t, X))
         assert traj.truncated_mass == want
         if kind == "deterministic_at_X":
-            assert want == float(ic.tail_beyond(X))
+            assert want == ic.profile(X)
         else:
-            assert want > float(ic.tail_beyond(X))
+            assert want > ic.profile(X)
 
     @pytest.mark.parametrize("solver", GRIDDED)
     def test_strict_truncation_rejects_lossy_grid(self, solver):

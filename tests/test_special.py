@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bathtub as bt
+from bathtub import special
 from bathtub.special import _BLOCK, _points
 from helpers import (PAPER_FD, PAPER_L, assert_same_bits, assert_same_run, paper_btilde,
                      paper_char, paper_pulse, paper_scenario, reference_constant_distance,
@@ -140,6 +142,30 @@ class TestEquivalenceCheck:
         # and NaN, 148.4 at B = -1 and 1.0 at B = inf
         with pytest.raises(bt.DomainError, match=r"^B must be finite and positive"):
             bt.vickrey_equivalence_check(paper_char(2**-3), B)
+
+    @pytest.mark.parametrize("lambda0", [2500.0, 100.0], ids=["one_state", "many_steps"])
+    def test_reference_step_without_dt(self, monkeypatch, lambda0):
+        # a run of one state (it starts past the jam count L kappa = 2000)
+        # has no step to copy and takes 1e-3; a longer run takes its
+        # shortest step, at least 1e-6
+        steps = []
+
+        def recording(c):
+            steps.append(c.dt)
+            return bt.solve_vickrey(c)
+
+        monkeypatch.setattr(special, "solve_vickrey", recording)
+        grid = bt.GridSpec(dx=2**-3, X=4.0, horizon=bt.MaxTime(0.25))
+        traj = bt.solve_characteristic(bt.Scenario(
+            L=PAPER_L, fd=PAPER_FD, influx=bt.ConstantInflux(500.0),
+            distances=bt.ExponentialDistances(1.0), grid=grid,
+            ic=bt.ExponentialProfile(lambda0, 1.0)))
+        bt.vickrey_equivalence_check(traj, 1.0, influx=bt.ConstantInflux(500.0),
+                                     fd=PAPER_FD)
+        if lambda0 > 2000.0:
+            assert traj.t.size == 1 and steps == [1e-3]
+        else:
+            assert steps == [max(float(np.min(np.diff(traj.t))), 1e-6)]
 
 
 def _vickrey(influx=None, dt=2e-4, horizon=None, lambda0=0.0):
@@ -490,6 +516,25 @@ class TestDeterministicSolve:
         z_entry = bt.theta_inverse(traj, float(theta[i]))
         assert z_entry == pytest.approx(traj.entry_z[i], abs=1e-9)
 
+    def test_theta_inverse_hits_the_first_entry_exactly(self):
+        traj = bt.solve_deterministic(_deterministic(
+            bt.ConstantInflux(500.0), horizon=bt.MaxCumulativeDistance(5.0)))
+        assert bt.theta_inverse(traj, float(traj.entry_theta[0])) == traj.entry_z[0]
+
+    def test_theta_inverse_errors_name_what_is_missing(self):
+        cfg = _deterministic(bt.ConstantInflux(500.0), btilde=2.0,
+                             horizon=bt.MaxCumulativeDistance(5.0))
+        with pytest.raises(bt.ContractError, match="trajectory carries no"):
+            bt.theta_inverse(bt.solve_constant_distance(cfg)[0], 2.5)
+        one = bt.solve_deterministic(dataclasses.replace(
+            cfg, horizon=bt.MaxCumulativeDistance(cfg.dz)))
+        assert one.entry_theta.size == 1
+        with pytest.raises(bt.DomainError, match="trajectory logs fewer than 2"):
+            bt.theta_inverse(one, 2.0)
+        traj = bt.solve_deterministic(cfg)
+        with pytest.raises(bt.DomainError, match="z_exit = 1000.0"):
+            bt.theta_inverse(traj, 1000.0)
+
 
 @pytest.fixture(scope="module")
 def run():
@@ -567,6 +612,18 @@ class TestConstantDistance:
         with pytest.raises(bt.DomainError):
             bt.solve_constant_distance(cfg)
 
+    @pytest.mark.parametrize("btilde, error, match", [
+        (bt.PiecewiseLinear([0.0, 1.0], [2.0, 3.0]), bt.ContractError,
+         "btilde must be constant"),
+        (0.0, bt.DomainError, "btilde must be positive"),
+    ], ids=["varying", "zero"])
+    def test_distance_must_be_constant_and_positive(self, btilde, error, match):
+        cfg = bt.DeterministicConfig(L=10.0, fd=PAPER_FD, btilde=btilde,
+                                     influx=bt.ConstantInflux(500.0), dz=2**-5,
+                                     horizon=bt.MaxCumulativeDistance(4.0))
+        with pytest.raises(error, match=match):
+            bt.solve_constant_distance(cfg)
+
 
 # the arguments of each TripFrame query: a time, a rank or a fixed x
 FRAME_QUERIES = {"entry_time": ("rank",), "position": ("t", "rank"),
@@ -627,6 +684,44 @@ class TestTripFrame:
         traj, frame = congested
         with pytest.raises(bt.DomainError):
             frame.exit_travel_time(0.01)
+
+    @pytest.mark.parametrize("query, match", [
+        (lambda f: f.entry_travel_time(float(f.tau[-1])), r"entering at t = "),
+        (lambda f: f.cumulative_passing(0.1, -0.5), r"x must lie in \[0, Btilde\]"),
+        (lambda f: f.cumulative_passing(0.1, 2.5), r"x must lie in \[0, Btilde\]"),
+        (lambda f: f.passing_time(1.0, -0.5), r"x must lie in \[0, Btilde\]"),
+        (lambda f: f.passing_time(1.0, 2.5), r"x must lie in \[0, Btilde\]"),
+        (lambda f: f.passing_time(float(f.F[-1]), 0.0), r"does not reach x"),
+    ], ids=["entry_past_horizon", "passing_x_below", "passing_x_above",
+            "passing_time_x_below", "passing_time_x_above", "passing_time_past_horizon"])
+    def test_query_outside_the_run_names_the_argument(self, run, query, match):
+        _, frame = run
+        with pytest.raises(bt.DomainError, match=match):
+            query(frame)
+
+    def test_nothing_passes_x_before_the_first_trip_gets_there(self, run):
+        # at t = 0.01 h the first trip has 2 - 0.3 miles left
+        _, frame = run
+        assert frame.cumulative_passing(0.01, 1.0) == 0.0
+        assert frame.cumulative_passing(0.01, 1.8) > 0.0
+
+    def test_delay_check_of_a_run_shorter_than_one_trip_is_zero(self):
+        cfg = bt.DeterministicConfig(L=10.0, fd=PAPER_FD, btilde=2.0,
+                                     influx=bt.ConstantInflux(500.0), dz=2**-5,
+                                     horizon=bt.MaxCumulativeDistance(1.0))
+        res = bt.delay_formulation_check(*bt.solve_constant_distance(cfg))
+        assert (res.max_flow_residual, res.max_distance_residual) == (0.0, 0.0)
+
+    def test_delay_check_skips_a_sample_whose_trip_does_not_complete(self):
+        # a solved run's z only rises, so every sampled trip completes; this
+        # hand-built z falls, so the trip entering at 1 h completes (no early
+        # return) and the one sample, t = 0, is a trip that does not
+        frame = bt.TripFrame(Btilde=1.0, z=np.array([2.5, 0.5, 3.0]),
+                             tau=np.array([0.0, 1.0, 2.0]), F=np.zeros(3), G=np.zeros(3))
+        with pytest.raises(bt.DomainError, match="does not complete"):
+            frame.entry_travel_time(0.0)
+        res = bt.delay_formulation_check(None, frame, samples=1)
+        assert (res.max_flow_residual, res.max_distance_residual) == (0.0, 0.0)
 
     @pytest.mark.parametrize("name", sorted(FRAME_QUERIES))
     @pytest.mark.parametrize("bad", [math.nan, math.inf, "below", "above"])
@@ -712,3 +807,13 @@ class TestConfigValidation:
     def test_deterministic_rejects_infinite_values(self, field):
         with pytest.raises(bt.DomainError):
             self.deterministic(**{field: math.inf})
+
+    @pytest.mark.parametrize("field, value, match", [
+        ("btilde_coordinate", "x", "btilde_coordinate must be 't' or 'z'"),
+        ("btilde", bt.PiecewiseLinear([0.0, 1.0], [2.0, -1.0]),
+         "btilde must be non-negative"),
+        ("btilde", -2.0, "btilde must be non-negative"),
+    ], ids=["coordinate", "negative_profile", "negative_constant"])
+    def test_deterministic_rejects_a_bad_btilde(self, field, value, match):
+        with pytest.raises(bt.DomainError, match=match):
+            self.deterministic(**{field: value})
