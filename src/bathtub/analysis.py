@@ -194,14 +194,15 @@ def trip_travel_time(traj: Trajectory, t_enter: float, x: float) -> float:
     """
     if not x >= 0:
         raise DomainError("x must be non-negative")
-    if not traj.t[0] <= t_enter <= traj.t[-1]:
+    t, z = traj.t, traj.z
+    if not t[0] <= t_enter <= t[-1]:
         raise DomainError("t_enter outside the solved range")
-    z_enter = float(np.interp(t_enter, traj.t, traj.z))
+    z_enter = float(np.interp(t_enter, t, z))
     target = z_enter + x
-    if target > traj.z[-1] + 1e-12:
+    if target > z[-1] + 1e-12:
         raise TripNotCompleted(
             "trip does not complete within the horizon",
-            remaining_distance=float(target - traj.z[-1]))
+            remaining_distance=float(target - z[-1]))
     return traj.time_to_distance(target) - t_enter
 
 
@@ -225,23 +226,24 @@ def average_travel_time(traj: Trajectory, demand: DistanceDistribution,
     """
     if traj.x_grid is None:
         raise ContractError("average travel time needs a gridded trajectory")
-    if not traj.t[0] <= t_enter <= traj.t[-1]:
+    t, z = traj.t, traj.z
+    if not t[0] <= t_enter <= t[-1]:
         raise DomainError("t_enter outside the solved range")
     X = float(traj.x_grid[-1])
     Bt = float(demand.mean_distance_capped(t_enter, X))
-    z_enter = float(np.interp(t_enter, traj.t, traj.z))
-    if z_enter + X > traj.z[-1] + 1e-12:
+    z_enter = float(np.interp(t_enter, t, z))
+    if z_enter + X > z[-1] + 1e-12:
         raise TripNotCompleted("the longest trip entering here does not "
                                "complete within the horizon",
-                               remaining_distance=float(z_enter + X - traj.z[-1]))
-    tau_exit = traj.time_to_distance(z_enter + traj.x_grid)
-    v_along = np.interp(tau_exit, traj.t, traj.v)
+                               remaining_distance=float(z_enter + X - z[-1]))
+    # the exit times along the grid, then the average-distance trip's
+    tau = traj.time_to_distance(np.append(z_enter + traj.x_grid, z_enter + Bt))
+    v_along = np.interp(tau[:-1], t, traj.v)
     surv = demand.survival_array(np.asarray(t_enter, dtype=float), traj.x_grid)
     surv = np.where(traj.x_grid < X, surv, 0.0)
     exact = float(np.trapezoid(surv / v_along, traj.x_grid))
-    v_entry = float(np.interp(t_enter, traj.t, traj.v))
-    tau_B = traj.time_to_distance(z_enter + Bt)
-    v_exit = float(np.interp(tau_B, traj.t, traj.v))
+    v_entry = float(np.interp(t_enter, t, traj.v))
+    v_exit = float(np.interp(tau[-1], t, traj.v))
     return TravelTimeEstimates(exact=exact, entry_speed=Bt / v_entry,
                                exit_speed=Bt / v_exit)
 
@@ -284,20 +286,11 @@ def audit(traj: Trajectory, demand: Optional[DistanceDistribution] = None,
     method yields, whose steps must include the audit's, or
     :class:`DomainError` is raised.
     """
-    F = traj.F  # derived on each read
-    scale = np.maximum(traj.lam[0] + F, 1e-12)
-    tt_steps = np.abs(traj.G - (traj.lam[0] + F - traj.lam)) / scale
-    if demand is None:
-        demand = traj.distances
-
-    miles_steps = np.full(traj.t.size, np.nan)
     violations = 0
     mono_tol = 1e-9 * max(1.0, float(traj.lam.max(initial=0.0)))
+    steps = None  # the audited steps of a gridded run
     if traj.x_grid is not None:
         xg = traj.x_grid
-        bmean = demand.mean_distance_capped(traj.t, float(xg[-1]))
-        added = _cumtrapz(traj.f * bmean, traj.t)
-        processed = _cumtrapz(traj.lam * traj.v, traj.t)
         steps = traj.profile_steps(max_profiles, "max_profiles")  # step 0 comes first
         if profiles is None:
             profiles = traj.profile_blocks(steps)
@@ -315,6 +308,18 @@ def audit(traj: Trajectory, demand: Optional[DistanceDistribution] = None,
         if done < steps.size:
             raise DomainError("profiles must hold a row at each of the "
                               f"{steps.size} audited steps")
+    # the per-step series are read once the rows are done with, so that
+    # none of them is held while a block of rows is built
+    t, F = traj.t, traj.F
+    scale = np.maximum(traj.lam[0] + F, 1e-12)
+    tt_steps = np.abs(traj.G - (traj.lam[0] + F - traj.lam)) / scale
+    miles_steps = np.full(t.size, np.nan)
+    if steps is not None:
+        if demand is None:
+            demand = traj.distances
+        bmean = demand.mean_distance_capped(t, float(xg[-1]))
+        added = _cumtrapz(traj.f * bmean, t)
+        processed = _cumtrapz(traj.lam * traj.v, t)
         miles_steps[steps] = np.abs(remaining[0] + added[steps] - processed[steps]
                                     - remaining)
     miles_max = float(np.nanmax(miles_steps)) if np.any(~np.isnan(miles_steps)) else 0.0
@@ -322,7 +327,7 @@ def audit(traj: Trajectory, demand: Optional[DistanceDistribution] = None,
                        trip_miles_residual=miles_max,
                        truncation_mass=float(traj.truncated_mass),
                        monotonicity_violations=violations,
-                       t=traj.t, total_trip_steps=tt_steps,
+                       t=t, total_trip_steps=tt_steps,
                        trip_miles_steps=miles_steps)
 
 

@@ -276,6 +276,10 @@ class TabulatedSpeed(FundamentalDiagram):
             raise DataError("densities and speeds must be finite")
         if np.any(np.diff(d) <= 0):
             raise DataError("densities must be strictly increasing")
+        with np.errstate(over="ignore"):  # an infinite slope makes np.interp read 0
+            if not np.all(np.isfinite(np.diff(v) / np.diff(d))):
+                raise DataError("the speed's slope between neighbouring samples "
+                                "must be finite: densities too close together")
         if d[0] < 0:
             raise DataError("densities must be non-negative")
         if np.any(v < 0):

@@ -147,21 +147,52 @@ class RemainingStats:
 
 
 def _cumulative_inflow(traj) -> np.ndarray:
-    """``[0, cumsum(entry_mass)]``: ``np.cumsum`` adds in log order."""
-    F = np.empty(traj.entry_mass.size + 1)
+    """``[0, cumsum(entry_mass)]``: ``np.cumsum`` adds in log order.  The
+    log is read first, so a derived log's temporaries are gone before F
+    is allocated."""
+    mass = traj.entry_mass
+    F = np.empty(mass.size + 1)
     F[0] = 0.0
-    np.cumsum(traj.entry_mass, out=F[1:])
+    np.cumsum(mass, out=F[1:])
     return F
 
 
+def _axis(n: int, step: float) -> np.ndarray:
+    """``j * step`` for j = 0, ..., n - 1, built in place: the axis a run
+    fixed, t_j = j dt on a fixed time step or z_j = j dz on the z-grid.  j
+    is exact as a float, so each value has the bits of ``j * step``."""
+    axis = np.arange(n, dtype=float)
+    axis *= step
+    return axis
+
+
+def _distance(traj) -> np.ndarray:
+    """z of a z-grid run, ``j * dz``; Vickrey's z, which no grid fixes, is
+    ``[0, cumsum(v[:-1] dt)]``, its Euler steps summed in order."""
+    if traj.scheme != "vickrey":
+        return _axis(traj.lam.size, traj.step)
+    z = np.empty(traj.v.size)
+    z[0] = 0.0
+    np.cumsum(traj.v[:-1] * traj.step, out=z[1:])
+    return z
+
+
+def _entering_mass(traj) -> np.ndarray:
+    """``f(t_j) dt`` at each step start: Vickrey's log, read off its influx."""
+    return traj.influx.rate_array(traj.entry_t) * traj.step
+
+
 def _outflux(traj) -> np.ndarray:
-    """dG/dt by forward differences, the last value repeated: the last
-    step has no step after it, so its g is the one before, a step behind
-    the state beside it, and a check that reads g at the end of a run
-    drops the last value."""
-    g = np.zeros_like(traj.t)
-    if traj.t.size > 1:
-        g[:-1] = np.diff(traj.G) / np.diff(traj.t)
+    """Vickrey's lam v / B; for any other run dG/dt by forward differences,
+    the last value repeated: the last step has no step after it, so its g
+    is the one before, a step behind the state beside it, and a check that
+    reads g at the end of a run drops the last value."""
+    if traj.scheme == "vickrey":
+        return traj.lam * traj.v / traj.distances.B
+    t = traj.t
+    g = np.zeros_like(t)
+    if t.size > 1:
+        g[:-1] = np.diff(traj.G) / np.diff(t)
         g[-1] = g[-2]
     return g
 
@@ -193,7 +224,7 @@ class Trajectory:
     that rebuilds K(t, x) from that log.
 
     Every solver logs one entering mass per step taken, at the step's start,
-    so only ``entry_mass`` is stored: ``entry_t`` is ``t[:-1]``, and
+    so only ``entry_mass`` is logged: ``entry_t`` is ``t[:-1]``, and
     ``entry_z``, the cumulative distance from which each mass ages in the
     discrete dynamics, is the step end ``z[1:]`` in the characteristic
     scheme and the step start ``z[:-1]`` in every other, so that
@@ -205,24 +236,30 @@ class Trajectory:
     effective distance in ``entry_theta`` instead of a distance law (their
     B~ may be given against z).
 
-    A trajectory stores what its march produced (``t, z, lam, v``, the
-    logs, and ``G = lam(0) + F - lam``, the record the audit checks).  The
-    rest is derived on each read, not cached: ``f`` is ``influx.rate_array(t)``,
-    ``F`` the running sum of ``entry_mass`` unless the solver supplies it,
-    and ``g`` the forward difference of ``G`` unless the solver supplies it
-    (Vickrey's lam v / B); the difference's last value repeats the one
-    before, so a check of g at the end of a run drops the last value.
-    A read of a derived series costs O(steps), so a caller that needs one
-    twice binds it once.  A trajectory holds data only, so it pickles.
+    A trajectory stores only what its march produced: ``lam``, ``v``, the
+    axis the scheme did not fix, the logs, and ``G = lam(0) + F - lam``.
+    ``step`` is the step the scheme fixed: dt of a fixed-step run, whose
+    ``t`` is ``j * dt``, and dz of a z-grid run, whose ``z`` is ``j * dz``.
+    Vickrey's run keeps only ``lam`` and ``v``: its ``z`` is
+    ``[0, cumsum(v[:-1] dt)]``, its ``entry_mass`` ``f(entry_t) dt`` and its
+    ``g`` ``lam v / B``.  Each of ``t``, ``z``, ``entry_mass``, ``F`` and
+    ``g`` is stored when the solver passes it and otherwise derived on each
+    read, not cached, by the expression the march would have used, so its
+    bits are the same; ``f`` is always ``influx.rate_array(t)``.  ``F`` is
+    the running sum of ``entry_mass``, and any other ``g`` the forward
+    difference of ``G``, whose last value repeats the one before, so a
+    check of g at the end of a run drops the last value.  ``G`` stays
+    stored although ``F`` and ``lam`` give it: it is the record the audit
+    checks, and only a stored G notices a ``lam`` changed after the run
+    (``TestAudit::test_perturbed_count_is_flagged``).  A read of a derived
+    series costs O(steps), so a caller that needs one twice, or in a loop,
+    binds it once.  A trajectory holds data only, so it pickles.
     """
 
     scheme: str
     L: float
-    t: np.ndarray
-    z: np.ndarray
     lam: np.ndarray
     v: np.ndarray
-    entry_mass: np.ndarray
     termination: Termination
     influx: InfluxProfile
     distances: Optional[DistanceDistribution]
@@ -230,11 +267,19 @@ class Trajectory:
     truncated_mass: float = 0.0
     x_grid: Optional[np.ndarray] = None
     entry_theta: Optional[np.ndarray] = None
+    step: Optional[float] = None
+    t: Optional[np.ndarray] = _Supplied(lambda traj: _axis(traj.lam.size, traj.step))
+    z: Optional[np.ndarray] = _Supplied(_distance)
+    entry_mass: Optional[np.ndarray] = _Supplied(_entering_mass)
     F: Optional[np.ndarray] = _Supplied(_cumulative_inflow)
     g: Optional[np.ndarray] = _Supplied(_outflux)
     G: np.ndarray = field(init=False)
 
     def __post_init__(self):
+        if self.step is None and any(self.__dict__[k] is None
+                                     for k in ("_t", "_z", "_entry_mass")):
+            raise ContractError("a trajectory without t, z or entry_mass needs "
+                                "the step that derives it")
         self.G = np.add(self.lam[0], self.F)
         self.G -= self.lam
 
@@ -244,7 +289,7 @@ class Trajectory:
 
     @property
     def n_steps(self) -> int:
-        return self.t.size
+        return self.lam.size
 
     @property
     def entry_t(self) -> np.ndarray:
@@ -326,9 +371,10 @@ class Trajectory:
         """States at the distinct ``steps`` (all by default), ascending,
         their profiles read from :meth:`profile_blocks`."""
         blocks = self.profile_blocks(slice(None) if steps is None else steps)
+        t, z = self.t, self.z
         for b, rows in blocks:
             for j, K in zip(b.tolist(), rows):
-                yield BathtubState(t=float(self.t[j]), z=float(self.z[j]),
+                yield BathtubState(t=float(t[j]), z=float(z[j]),
                                    lam=float(self.lam[j]), v=float(self.v[j]),
                                    x_grid=self.x_grid, K=K)
 
@@ -339,9 +385,10 @@ class Trajectory:
         ZZ = np.asarray(Z, dtype=float)
         if not np.all(np.isfinite(ZZ) & (ZZ >= 0)):
             raise DomainError(f"Z must be finite and non-negative, got {Z!r}")
-        if np.any(ZZ > self.z[-1] + 1e-12):
+        z = self.z
+        if np.any(ZZ > z[-1] + 1e-12):
             raise DomainError(f"z never reaches {Z} within the horizon")
-        zz, idx = np.unique(self.z, return_index=True)
+        zz, idx = np.unique(z, return_index=True)
         out = np.interp(ZZ, zz, self.t[idx])
         return float(out) if ZZ.ndim == 0 else out
 
@@ -421,10 +468,11 @@ def _march_z(fd: FundamentalDiagram, L: float, dz: float, horizon, v_min: float,
     reaches Z, and at a time stop once the next step would pass T; a j dz
     that overflows to inf raises :class:`DomainError` there.  One
     entry is logged per step taken, at its start, so the entry times are
-    ``t[:-1]``.  Returns the t, z, lambda and v series (v holds the speed
-    at the final state too) and the termination.  The series grow as
-    packed doubles (``array("d")``, 8 bytes a value where a list of floats
-    takes 32) and are returned as zero-copy numpy views of them.
+    ``t[:-1]``.  Returns the t, lambda and v series (v holds the speed
+    at the final state too) and the termination.  No z is built: it is
+    j dz, which the trajectory derives from its ``step``, dz.  The series
+    grow as packed doubles (``array("d")``, 8 bytes a value where a list
+    of floats takes 32) and are returned as zero-copy numpy views of them.
     """
     speed = fd.speed
     t_list = array("d", [0.0])
@@ -453,8 +501,7 @@ def _march_z(fd: FundamentalDiagram, L: float, dz: float, horizon, v_min: float,
         j += 1
         t_list.append(t)
         lam_list.append(lam)
-    return (np.asarray(t_list), np.arange(len(t_list)) * dz, np.asarray(lam_list),
-            np.asarray(v_list), termination)
+    return np.asarray(t_list), np.asarray(lam_list), np.asarray(v_list), termination
 
 
 # ---------------------------------------------------------------------------
@@ -493,10 +540,10 @@ def solve_characteristic(s: Scenario) -> Trajectory:
         ent_m.append(mass)
         return lam_checked()
 
-    t, z, lam, v, termination = _march_z(s.fd, s.L, grid.dx, grid.horizon,
-                                         grid.v_min, lam_checked(), step)
-    return _gridded("characteristic", s.L, s, grid, t, z, lam, v, np.asarray(ent_m),
-                    termination)
+    t, lam, v, termination = _march_z(s.fd, s.L, grid.dx, grid.horizon,
+                                      grid.v_min, lam_checked(), step)
+    return _gridded("characteristic", s.L, s, grid, np.asarray(ent_m), termination,
+                    t=t, lam=lam, v=v, step=grid.dx)
 
 
 def _advance(K: np.ndarray, mass: float, t: float,
@@ -670,29 +717,32 @@ def _solve_fixed_step(scheme: str, L: float, demands: Sequence, grid: GridSpec,
         g = [c.step(t, dt, fm, vm) for c, fm, vm in zip(coms, f, v)]
         n += 1
         t = n * dt
-    t = np.arange(n + 1) * dt
-    return [_gridded(scheme, L, c.demand, grid, t, np.asarray(c.z), np.asarray(c.lam),
-                     np.asarray(c.v), np.asarray(c.mass), termination) for c in coms]
+    return [_gridded(scheme, L, c.demand, grid, np.asarray(c.mass), termination,
+                     z=np.asarray(c.z), lam=np.asarray(c.lam), v=np.asarray(c.v), step=dt)
+            for c in coms]
 
 
-def _gridded(scheme: str, L: float, demand, grid: GridSpec,
-             t, z, lam, v, ent_m, termination) -> Trajectory:
+def _gridded(scheme: str, L: float, demand, grid: GridSpec, ent_m, termination,
+             **series) -> Trajectory:
     """Trajectory of a run of ``demand`` (its ``influx``, ``distances`` and
-    ``ic``) on ``grid`` that logged the masses ``ent_m`` at the step starts
-    ``t[:-1]``.  The mass capped at X is tallied here, for every gridded
-    scheme: the initial trips beyond X plus each logged mass times its
-    law's tail beyond X, summed in log order.  Enforces
+    ``ic``) on ``grid`` that logged the masses ``ent_m`` at its step
+    starts, with the march's ``series`` (lam, v, the axis it did not fix
+    and the step it fixed).  The mass capped at X is tallied here, for
+    every gridded scheme: the initial trips beyond X plus each logged mass
+    times its law's tail beyond X, summed in log order.  Enforces
     ``grid.strict_truncation``."""
+    t = series.get("t")  # else a fixed-step run, whose entry times are j dt
+    entry_t = _axis(ent_m.size, series["step"]) if t is None else t[:-1]
     # np.cumsum adds in log order, where np.dot and np.sum may reorder
     truncated = float(np.cumsum(np.concatenate((
         [demand.ic.profile(grid.X)],
-        ent_m * demand.distances.tail_beyond(t[:-1], grid.X))))[-1])
-    traj = Trajectory(scheme=scheme, L=L, t=t, z=z, lam=lam, v=v, entry_mass=ent_m,
-                      termination=termination, influx=demand.influx,
-                      distances=demand.distances, ic=demand.ic,
-                      truncated_mass=truncated, x_grid=grid.x_nodes())
+        ent_m * demand.distances.tail_beyond(entry_t, grid.X))))[-1])
+    del entry_t  # freed before the trajectory builds F and G
+    traj = Trajectory(scheme=scheme, L=L, entry_mass=ent_m, termination=termination,
+                      influx=demand.influx, distances=demand.distances, ic=demand.ic,
+                      truncated_mass=truncated, x_grid=grid.x_nodes(), **series)
     if grid.strict_truncation:
-        total_in = lam[0] + traj.F[-1]
+        total_in = traj.lam[0] + traj.F[-1]
         if truncated > _TRUNCATION_TOLERANCE * max(total_in, 1.0):
             raise DataError(
                 f"{truncated:.6g} trips were capped at the grid limit X, "
@@ -908,7 +958,8 @@ def reconstruct_K(traj: Trajectory, t: float, x) -> float:
     xx = np.asarray(x, dtype=float)
     if not (np.isfinite(t) and np.all(np.isfinite(xx))):
         raise DomainError("t and x must be finite")
-    if t < traj.t[0] - 1e-12 or t > traj.t[-1] + 1e-12:
+    tt = traj.t
+    if t < tt[0] - 1e-12 or t > tt[-1] + 1e-12:
         raise DomainError("t outside the solved range")
     if np.any(xx < 0):
         raise DomainError("x must be non-negative")
@@ -926,9 +977,11 @@ def reconstruct_K(traj: Trajectory, t: float, x) -> float:
             out[sel] = _rebuild(traj, np.array([float(t)]), int(nn.max()) + 1,
                                 float(s))[0, nn]
         return float(out) if scalar else out
-    z_t = float(np.interp(t, traj.t, traj.z))
+    z = traj.z
+    z_t = float(np.interp(t, tt, z))
     out = traj.ic.profile_array(xx + z_t)
-    sel = traj.entry_t < t - 1e-12
+    et = traj.entry_t
+    sel = et < t - 1e-12
     if np.any(sel):
         if traj.entry_theta is not None:
             reach = (xx + z_t)[..., None] + 1e-12
@@ -936,8 +989,8 @@ def reconstruct_K(traj: Trajectory, t: float, x) -> float:
         else:
             ages = xx[..., None] + (z_t - traj.entry_z[sel])
             if traj.scheme == "constant_distance":  # the march counts whole cells
-                ages -= 1e-9 * traj.z[1]  # z[1] is dz
-            surv = traj.distances.survival_array(traj.entry_t[sel], ages)
+                ages -= 1e-9 * z[1]  # z[1] is dz
+            surv = traj.distances.survival_array(et[sel], ages)
         out = out + surv @ traj.entry_mass[sel]
     return float(out) if scalar else out
 

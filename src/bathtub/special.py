@@ -78,8 +78,10 @@ def solve_vickrey(c: VickreyConfig) -> Trajectory:
     conservation of total trips.  Terminates at the horizon or at gridlock
     (v below ``v_min``); a dt that carries t or z past the largest float
     raises :class:`DomainError`.  The march reads the inflow rates at
-    t_j = j*dt from :func:`_points`, and every series but lam and v is
-    built once after it.
+    t_j = j*dt from :func:`_points` and hands over only lam, v and dt: the
+    trajectory derives t = j dt, z = [0, cumsum(v[:-1] dt)], the entering
+    masses f(t_j) dt and g = lam v / B on each read (see
+    :class:`Trajectory`), so a run holds three doubles a step, lam, v and G.
     """
     dt, B, L, v_min, speed = c.dt, c.B, c.L, c.v_min, c.fd.speed
     lam = float(c.lambda0)
@@ -106,18 +108,10 @@ def solve_vickrey(c: VickreyConfig) -> Trajectory:
         j += 1
         lam_l.append(lam)
 
-    t = np.arange(j + 1) * dt
-    lam_a, v_a = np.asarray(lam_l), np.asarray(v_l)
-    z = np.empty(j + 1)
-    z[0] = 0.0
-    np.cumsum(v_a[:j] * dt, out=z[1:])
-    entry_mass = c.influx.rate_array(t[:j])
-    entry_mass *= dt
-    # the Vickrey out-flux lam*v/B replaces the conservation-difference column
-    return Trajectory(scheme="vickrey", L=L, t=t, z=z, lam=lam_a, v=v_a,
-                      entry_mass=entry_mass, termination=termination,
-                      influx=c.influx, distances=ExponentialDistances(B),
-                      ic=ExponentialProfile(c.lambda0, B), g=lam_a * v_a / B)
+    return Trajectory(scheme="vickrey", L=L, lam=np.asarray(lam_l), v=np.asarray(v_l),
+                      step=dt, termination=termination, influx=c.influx,
+                      distances=ExponentialDistances(B),
+                      ic=ExponentialProfile(c.lambda0, B))
 
 
 @dataclass
@@ -160,17 +154,18 @@ def vickrey_equivalence_check(traj: Trajectory, B: float,
 
     lam_dev = float("nan")
     if influx is not None and fd is not None:
+        t = traj.t
         if dt is not None:
             step = dt
-        elif traj.t.size > 1:
-            step = max(float(np.min(np.diff(traj.t))), 1e-6)
+        elif t.size > 1:
+            step = max(float(np.min(np.diff(t))), 1e-6)
         else:
             step = 1e-3
         vc = VickreyConfig(L=traj.L, fd=fd, B=B, lambda0=float(traj.lam[0]),
                            influx=influx, dt=step,
-                           horizon=MaxTime(float(traj.t[-1]) + step))
+                           horizon=MaxTime(float(t[-1]) + step))
         ref_run = solve_vickrey(vc)
-        lam_ref = np.interp(traj.t, ref_run.t, ref_run.lam)
+        lam_ref = np.interp(t, ref_run.t, ref_run.lam)
         lam_dev = float(np.max(np.abs(traj.lam - lam_ref)))
     g = traj.g
     g_max = float(np.max(np.abs(g)))
@@ -286,9 +281,9 @@ def solve_deterministic(c: DeterministicConfig) -> Trajectory:
             units -= _units(heappop(live)[1])
         return ic_next() + units / _UNIT
 
-    t, z, lam, v, termination = _march_z(c.fd, c.L, dz, c.horizon, c.v_min,
-                                         float(c.ic.lambda0), step)
-    return Trajectory(scheme="deterministic", L=c.L, t=t, z=z, lam=lam, v=v,
+    t, lam, v, termination = _march_z(c.fd, c.L, dz, c.horizon, c.v_min,
+                                      float(c.ic.lambda0), step)
+    return Trajectory(scheme="deterministic", L=c.L, t=t, lam=lam, v=v, step=dz,
                       F=np.asarray(F_l), entry_mass=np.asarray(mass_l),
                       termination=termination, influx=c.influx, distances=None,
                       ic=c.ic, entry_theta=np.asarray(theta_l))
@@ -302,13 +297,13 @@ def classify_regime(c: DeterministicConfig, traj: Trajectory,
     with dBtilde/dz = (dBtilde/dt)/v when the profile is given in time.
     Adjacent intervals with the same regime are merged.
     """
-    z = traj.z
+    t, z = traj.t, traj.z
     out: List[Tuple[float, float, SortingRegime]] = []
     for i in range(z.size - 1):
         if c.btilde_coordinate == "z":
             dbdz = (c.btilde(z[i + 1]) - c.btilde(z[i])) / (z[i + 1] - z[i])
         else:
-            dbdt = (c.btilde(traj.t[i + 1]) - c.btilde(traj.t[i])) / (traj.t[i + 1] - traj.t[i])
+            dbdt = (c.btilde(t[i + 1]) - c.btilde(t[i])) / (t[i + 1] - t[i])
             dbdz = dbdt / traj.v[i]
         s = dbdz + 1.0
         if abs(s) < tie_tol:
@@ -465,11 +460,13 @@ def solve_constant_distance(c: DeterministicConfig) -> Tuple[Trajectory, TripFra
         F_l.append(F)
         return F - (F_l[j + 1 - I] if j + 1 >= I else 0.0)
 
-    t, z, lam, v, termination = _march_z(c.fd, c.L, dz, c.horizon, c.v_min, 0.0, step)
-    traj = Trajectory(scheme="constant_distance", L=c.L, t=t, z=z, lam=lam, v=v,
+    t, lam, v, termination = _march_z(c.fd, c.L, dz, c.horizon, c.v_min, 0.0, step)
+    traj = Trajectory(scheme="constant_distance", L=c.L, t=t, lam=lam, v=v, step=dz,
                       entry_mass=np.asarray(ent_m), termination=termination,
                       influx=c.influx, distances=DeterministicDistances(B), ic=c.ic)
-    frame = TripFrame(Btilde=B, z=traj.z, tau=traj.t, F=traj.F, G=traj.G)
+    # the recursion's running sum is F bit for bit (np.cumsum adds in log
+    # order), so the frame reads it rather than a second, derived copy
+    frame = TripFrame(Btilde=B, z=traj.z, tau=traj.t, F=np.asarray(F_l), G=traj.G)
     return traj, frame
 
 
@@ -485,9 +482,14 @@ def delay_formulation_check(traj: Trajectory, frame: TripFrame,
 
     At sampled entry times t it checks F(t) = G(t + Y(t)) and that the
     distance covered over the trip duration Y(t) equals Btilde; only times
-    whose trips complete within the horizon are sampled.
+    whose trips complete within the horizon are sampled.  A ``frame`` whose
+    z, tau, F and G are not ``traj``'s z, t, F and G, value for value,
+    raises :class:`ContractError`.
     """
     count_at_least_one(samples=samples)
+    own = (traj.z, traj.t, traj.F, traj.G)
+    if not all(map(np.array_equal, (frame.z, frame.tau, frame.F, frame.G), own)):
+        raise ContractError("frame must be built from traj's own z, t, F and G")
     B = frame.Btilde
     ok = frame.z + B <= frame.z[-1] + 1e-12
     if not np.any(ok):

@@ -263,6 +263,12 @@ def reference_march(demands, grid, speed_of):
     return np.array(t), series, termination
 
 
+def fixed_axis(n: int, step: float) -> np.ndarray:
+    """``j * step`` for the ``n`` steps of a run, from Python floats: the z
+    array the z-grid marches once built, or the t of a fixed-step run."""
+    return np.array([j * step for j in range(n)])
+
+
 def reference_vickrey(c) -> bt.Trajectory:
     """The Vickrey march with a scalar rate call per step and every series
     appended as it goes, a bitwise reference for ``solve_vickrey``."""
@@ -322,10 +328,10 @@ def reference_deterministic(c) -> bt.Trajectory:
         active = math.fsum(mass[theta > z_end + 1e-12])
         return float(c.ic.profile(z_end)) + active
 
-    t, z, lam, v, termination = _march_z(c.fd, c.L, dz, c.horizon, c.v_min,
-                                         float(c.ic.lambda0), step)
-    return Trajectory(scheme="deterministic", L=c.L, t=t, z=z, lam=lam, v=v,
-                      F=np.asarray(F_l), entry_mass=np.array(mass_l),
+    t, lam, v, termination = _march_z(c.fd, c.L, dz, c.horizon, c.v_min,
+                                      float(c.ic.lambda0), step)
+    return Trajectory(scheme="deterministic", L=c.L, t=t, z=fixed_axis(t.size, dz),
+                      lam=lam, v=v, F=np.asarray(F_l), entry_mass=np.array(mass_l),
                       termination=termination, influx=c.influx, distances=None,
                       ic=c.ic, entry_theta=np.array(theta_l))
 
@@ -345,9 +351,9 @@ def reference_constant_distance(c) -> bt.Trajectory:
         F_l.append(F_l[-1] + mass)
         return F_l[j + 1] - (F_l[j + 1 - I] if j + 1 >= I else 0.0)
 
-    t, z, lam, v, termination = _march_z(c.fd, c.L, c.dz, c.horizon, c.v_min, 0.0, step)
-    return Trajectory(scheme="constant_distance", L=c.L, t=t, z=z, lam=lam, v=v,
-                      entry_mass=np.asarray(ent_m), termination=termination,
+    t, lam, v, termination = _march_z(c.fd, c.L, c.dz, c.horizon, c.v_min, 0.0, step)
+    return Trajectory(scheme="constant_distance", L=c.L, t=t, z=fixed_axis(t.size, c.dz),
+                      lam=lam, v=v, entry_mass=np.asarray(ent_m), termination=termination,
                       influx=c.influx, distances=bt.DeterministicDistances(B), ic=c.ic)
 
 

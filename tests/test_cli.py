@@ -948,6 +948,8 @@ CONFIG_ERRORS = {
     # it used to run, and gridlock at t = 0 on a jam density of -1
     "table_negative_densities": ("fd.", "fd.variant = tabulated\nfd.table = {table}",
                                  "density,speed\n-2,30\n-1,0\n", "fd.table"),
+    "table_slope_overflows": ("fd.", "fd.variant = tabulated\nfd.table = {table}",
+                              "density,speed\n0,30\n1e-317,0\n", "fd.table"),
     "survival_rows_off_the_x_grid": ("demand.distance", "demand.distance.kind = tabulated\n"
                                      "demand.table = {table}", "0,1,2\n0.0,1,0.5\n",
                                      "demand.table"),

@@ -250,6 +250,9 @@ BAD_LAWS = {
                                  bt.DataError, "densities must be non-negative"),
     "table_first_density_negative": (lambda: bt.TabulatedSpeed((-1.0, 5.0), (30.0, 0.0)),
                                      bt.DataError, "densities must be non-negative"),
+    # built, its speed(1e-323) read 0.0 and flow_slope_sign(fd, 0.0) read -1
+    "table_slope_overflows": (lambda: bt.TabulatedSpeed((0.0, 1e-317), (30.0, 0.0)),
+                              bt.DataError, "slope between neighbouring samples"),
 }
 
 

@@ -340,18 +340,24 @@ SERIES = ("t", "z", "lam", "v", "f", "F", "G", "g", "entry_mass", "entry_theta")
 
 class TestPeakMemory:
     """A march's traced peak stays within a small multiple of the series it
-    returns.  The marches append their per-step values as packed doubles,
-    8 bytes each, and the ratios read 1.22, 1.49, 1.56 and 1.55 at these
-    sizes; lists of floats (32 bytes each) read 1.99, 2.46 and 2.57 on the
-    reduced solvers, and the fixed-step march's doubling numpy logs, copied
-    into its trajectory, read 2.14."""
+    can return, stored or derived (9 doubles a step, 10 with the theta log).
+    The marches append their per-step values as packed doubles, 8 bytes
+    each, and a trajectory stores only what its march produced, so the
+    ratios read 0.78, 0.82, 0.96-1.06 and 1.10 at these sizes.  When the
+    Vickrey and z-grid solvers still built z (and Vickrey its t, log and
+    g), and the constant-distance frame held a derived F, they read 1.00,
+    0.93, 1.16-1.23 and 1.10, and the Vickrey and deterministic solvers
+    storing z again read 0.89 and 1.23, past these bounds.  The
+    constant-distance peak is its TripFrame's z, and the integral one its
+    march's logs, which a stored derived series does not raise;
+    ``test_trajectory_stores_only_its_march`` holds those two."""
 
     @pytest.mark.parametrize("solve, config, bound", [
-        (bt.solve_vickrey, lambda: _vickrey(dt=1e-4), 1.6),
+        (bt.solve_vickrey, lambda: _vickrey(dt=1e-4), 0.84),
         (lambda c: bt.solve_constant_distance(c)[0],
-         lambda: _deterministic(btilde=2.0, dz=2.0**-7), 1.9),
-        (bt.solve_deterministic, lambda: _deterministic(dz=2.0**-7), 2.3),
-        (bt.solve_integral, lambda: paper_scenario(2.0**-5, dt=2.0**-7 / 30.0), 1.8),
+         lambda: _deterministic(btilde=2.0, dz=2.0**-7), 0.9),
+        (bt.solve_deterministic, lambda: _deterministic(dz=2.0**-7), 1.13),
+        (bt.solve_integral, lambda: paper_scenario(2.0**-5, dt=2.0**-7 / 30.0), 1.2),
     ], ids=["vickrey", "constant_distance", "deterministic", "integral"])
     def test_peak_is_near_the_returned_series(self, solve, config, bound):
         c = config()
@@ -714,14 +720,45 @@ class TestTripFrame:
 
     def test_delay_check_skips_a_sample_whose_trip_does_not_complete(self):
         # a solved run's z only rises, so every sampled trip completes; this
-        # hand-built z falls, so the trip entering at 1 h completes (no early
-        # return) and the one sample, t = 0, is a trip that does not
-        frame = bt.TripFrame(Btilde=1.0, z=np.array([2.5, 0.5, 3.0]),
-                             tau=np.array([0.0, 1.0, 2.0]), F=np.zeros(3), G=np.zeros(3))
+        # hand-built run's z falls, so the trip entering at 1 h completes (no
+        # early return) and the one sample, t = 0, is a trip that does not
+        traj = bt.Trajectory(scheme="constant_distance", L=10.0,
+                             t=np.array([0.0, 1.0, 2.0]), z=np.array([2.5, 0.5, 3.0]),
+                             lam=np.zeros(3), v=np.ones(3), entry_mass=np.zeros(2),
+                             termination=bt.Termination.HORIZON, influx=bt.ZeroInflux(),
+                             distances=bt.DeterministicDistances(1.0), ic=bt.EmptyNetwork())
+        frame = bt.TripFrame(Btilde=1.0, z=traj.z, tau=traj.t, F=traj.F, G=traj.G)
         with pytest.raises(bt.DomainError, match="does not complete"):
             frame.entry_travel_time(0.0)
-        res = bt.delay_formulation_check(None, frame, samples=1)
+        res = bt.delay_formulation_check(traj, frame, samples=1)
         assert (res.max_flow_residual, res.max_distance_residual) == (0.0, 0.0)
+
+    def test_frame_holds_the_run_s_own_series(self, run):
+        # its F is the recursion's running sum, which the derived F equals
+        traj, frame = run
+        for mine, own in ((frame.z, traj.z), (frame.tau, traj.t), (frame.F, traj.F),
+                          (frame.G, traj.G)):
+            assert_same_bits(mine, own)
+
+    @pytest.mark.parametrize("series", ["z", "tau", "F", "G", "all"])
+    def test_delay_check_rejects_a_frame_of_another_run(self, run, series):
+        # it never read traj: a frame checked against any trajectory passed
+        traj, frame = run
+        if series == "all":  # the frame of the same demand on another grid
+            cfg = bt.DeterministicConfig(L=10.0, fd=PAPER_FD, btilde=2.0,
+                                         influx=bt.ConstantInflux(500.0), dz=2**-5,
+                                         horizon=bt.MaxCumulativeDistance(10.0))
+            other = bt.solve_constant_distance(cfg)[1]
+        else:
+            moved = getattr(frame, series).copy()
+            moved[-1] += 1.0
+            other = dataclasses.replace(frame, **{series: moved})
+        with pytest.raises(bt.ContractError, match="own z, t, F and G"):
+            bt.delay_formulation_check(traj, other)
+        # equal values pass: the trajectory's z and t are derived copies
+        copies = dataclasses.replace(frame, z=traj.z.copy(), tau=traj.t.copy())
+        assert (bt.delay_formulation_check(traj, copies)
+                == bt.delay_formulation_check(traj, frame))
 
     @pytest.mark.parametrize("name", sorted(FRAME_QUERIES))
     @pytest.mark.parametrize("bad", [math.nan, math.inf, "below", "above"])

@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 import bathtub as bt
 from bathtub.solver import _rebuild
 from helpers import (PAPER_FD, PAPER_L, assert_same_bits, held_nbytes, paper_btilde,
-                     paper_char, paper_integral, paper_pulse, solve_fixed_step)
+                     paper_char, paper_integral, paper_pulse, reference_vickrey,
+                     solve_fixed_step, fixed_axis)
 from strategies import initial_profiles, mean_laws, plateaus, ramps
 
 
@@ -28,6 +29,12 @@ def _gridded_scenario(dt=None):
 
 def _shared_speed(lam, f, g):
     return PAPER_FD.speed((lam[0] + lam[1]) / PAPER_L)
+
+
+def _vickrey_config():
+    return bt.VickreyConfig(L=PAPER_L, fd=PAPER_FD, B=2.0, lambda0=40.0,
+                            influx=paper_pulse(), dt=1e-3,
+                            horizon=bt.MaxCumulativeDistance(8.0))
 
 
 def _solve(name):
@@ -49,9 +56,7 @@ def _solve(name):
                                    bt.ExponentialProfile(30.0, 1.0))]
         return bt.solve_multi_commodity(PAPER_L, coms, [_shared_speed] * 2, grid)[1]
     if name == "vickrey":
-        return bt.solve_vickrey(bt.VickreyConfig(
-            L=PAPER_L, fd=PAPER_FD, B=2.0, lambda0=40.0, influx=paper_pulse(),
-            dt=1e-3, horizon=bt.MaxCumulativeDistance(8.0)))
+        return bt.solve_vickrey(_vickrey_config())
     cfg = bt.DeterministicConfig(L=PAPER_L, fd=PAPER_FD, btilde=paper_btilde(),
                                  influx=paper_pulse(), dz=2**-6,
                                  horizon=bt.MaxCumulativeDistance(8.0))
@@ -111,32 +116,49 @@ class TestTimeToDistance:
             traj.time_to_distance(Z)
 
 
+# the step each run fixes: the characteristic dx, a dz or a dt
+_STEP = {"characteristic": 2**-4, "vickrey": 1e-3, "deterministic": 2**-6,
+         "constant_distance": 2**-6}
+
+
 def _built_columns(name, traj):
-    """f, F, G and g as every trajectory once stored them, built from its
-    march's series and its demand: the inflow rate at each step, the running
-    sum of the log (the exact cumulative inflow for the deterministic
-    solver), the conservation count, and its forward difference with the
-    last value repeated (Vickrey's lam v / B)."""
-    influx = bt.ConstantInflux(500.0) if name == "multi_commodity" else paper_pulse()
-    f = influx.rate_array(traj.t)
-    if name == "deterministic":
-        F = np.array([influx.cumulative(t) for t in traj.t.tolist()])
+    """t, z, entry_mass, f, F, G and g as every trajectory once stored them,
+    built from its march's series and its demand: the fixed axis j * step
+    from Python floats (the z-grid, or the time of a fixed-step run),
+    Vickrey's t, z, log and g from its scalar reference march, which
+    appends each as it goes, the inflow rate at each step, the running sum
+    of the log (the exact cumulative inflow for the deterministic solver),
+    the conservation count, and its forward difference with the last value
+    repeated."""
+    fixed = fixed_axis(traj.n_steps, _STEP.get(name, 2**-4 / 30.0))
+    if name == "vickrey":
+        ref = reference_vickrey(_vickrey_config())
+        t, z, mass = ref.t, ref.z, ref.entry_mass
+    elif name in ("characteristic", "deterministic", "constant_distance"):
+        t, z, mass = traj.t, fixed, traj.entry_mass
     else:
-        F = np.concatenate(([0.0], np.cumsum(traj.entry_mass)))
+        t, z, mass = fixed, traj.z, traj.entry_mass
+    influx = bt.ConstantInflux(500.0) if name == "multi_commodity" else paper_pulse()
+    f = influx.rate_array(t)
+    if name == "deterministic":
+        F = np.array([influx.cumulative(tj) for tj in t.tolist()])
+    else:
+        F = np.concatenate(([0.0], np.cumsum(mass)))
     G = traj.lam[0] + F - traj.lam
     if name == "vickrey":
-        g = traj.lam * traj.v / 2.0
+        g = ref.g
     else:
-        g = np.zeros_like(traj.t)
-        g[:-1] = np.diff(G) / np.diff(traj.t)
+        g = np.zeros_like(t)
+        g[:-1] = np.diff(G) / np.diff(t)
         g[-1] = g[-2]
-    return {"f": f, "F": F, "G": G, "g": g}
+    return {"t": t, "z": z, "entry_mass": mass, "f": f, "F": F, "G": G, "g": g}
 
 
 @pytest.mark.parametrize("name", SOLVERS)
 def test_derived_columns_equal_the_stored_ones(name):
-    """f, F and g are computed when read; they, G and the series keep the
-    bits the stored columns had, and keep them through a pickle."""
+    """The fixed axis, Vickrey's z, log and g, and f, F and g are computed
+    when read; they, G and the series keep the bits the stored columns
+    had, and keep them through a pickle."""
     traj = _solve(name)
     want = _built_columns(name, traj)
     for run in (traj, pickle.loads(pickle.dumps(traj))):
@@ -144,22 +166,35 @@ def test_derived_columns_equal_the_stored_ones(name):
             assert_same_bits(getattr(run, key), col)
         series = run.series
         assert list(series) == ["t", "z", "lambda", "v", "f", "F", "g", "G"]
-        for key in ("f", "F", "g", "G"):
+        for key in ("t", "z", "f", "F", "g", "G"):
             assert_same_bits(series[key], want[key])
-        for key, col in (("t", traj.t), ("z", traj.z), ("lambda", traj.lam), ("v", traj.v)):
+        for key, col in (("lambda", traj.lam), ("v", traj.v)):
             assert_same_bits(series[key], col)
 
 
 @pytest.mark.parametrize("name", SOLVERS)
 def test_trajectory_stores_only_its_march(name):
-    """A trajectory holds t, z, lam, v, the entry log and G, the columns a
-    solver supplies (Vickrey's g, the deterministic F and theta log) and the
-    grid, and no derived column: 7, 8 and 6 doubles a step for the Vickrey,
-    deterministic and other runs."""
+    """A trajectory holds lam, v, G, the axis its scheme did not fix, the
+    entry log, the columns a solver supplies (the deterministic F and
+    theta log) and the grid, and no derived column: 3, 7 and 5 doubles a
+    step for the Vickrey, deterministic and other runs."""
     traj = _solve(name)
-    columns = {"vickrey": 7, "deterministic": 8}.get(name, 6)
+    columns = {"vickrey": 3, "deterministic": 7}.get(name, 5)
     grid = 0 if traj.x_grid is None else traj.x_grid.nbytes
     assert held_nbytes(traj) <= columns * 8 * traj.n_steps + grid
+
+
+@pytest.mark.parametrize("missing", ["t", "z", "entry_mass"])
+def test_a_series_left_out_needs_the_step(missing):
+    """A series a caller does not pass is derived from ``step``; without
+    one the trajectory is rejected when built, not when the series is read."""
+    traj = _solved("integral")
+    given = {"t": traj.t, "z": traj.z, "entry_mass": traj.entry_mass}
+    del given[missing]
+    with pytest.raises(bt.ContractError, match="needs the step"):
+        bt.Trajectory(scheme="integral", L=traj.L, lam=traj.lam, v=traj.v,
+                      termination=traj.termination, influx=traj.influx,
+                      distances=traj.distances, ic=traj.ic, **given)
 
 
 @pytest.mark.parametrize("name", SOLVERS)
